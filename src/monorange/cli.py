@@ -159,6 +159,8 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{p}:{lineno}: malformed frame annotation ({exc})") from exc
+            if not math.isfinite(ann.timestamp_s):
+                raise FormatError(f"{p}:{lineno}: timestamp {ann.timestamp_s} is not finite")
             if previous_ts is not None and ann.timestamp_s < previous_ts:
                 raise FormatError(
                     f"{p}:{lineno}: timestamps must be non-decreasing "
@@ -298,29 +300,30 @@ def _collect_vip_scores(
     return by_distance
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
+def _parse_pair(text: str, sep: str, flag: str) -> tuple[float, float]:
     try:
-        a, b = (float(x) for x in text.split(","))
+        a, b = (float(x) for x in text.split(sep))
     except ValueError as exc:
-        raise FormatError(f"expected 'd1,d2', got {text!r}") from exc
+        raise FormatError(f"{flag}: expected 'd1{sep}d2', got {text!r}") from exc
     return a, b
 
 
 def _cmd_calibrate_depth(args) -> int:
     method = _norm_method_from_args(args)
+    if args.candidate_pairs:
+        pairs = [
+            _parse_pair(chunk, ":", "--candidate-pairs")
+            for chunk in args.candidate_pairs.split(",")
+        ]
+    else:
+        pair = _parse_pair(args.pair, ",", "--pair")
     by_distance = _collect_vip_scores(args.stream, method)
     if not by_distance:
         raise MissingDataError("no frames with a detected person and ground truth found")
 
     if args.candidate_pairs:
-        pairs = [
-            tuple(float(x) for x in chunk.split(":"))
-            for chunk in args.candidate_pairs.split(",")
-        ]
-        best_pair, coeffs = depth_mod.select_calibration_pair(by_distance, pairs)
-        pair = best_pair
+        pair, coeffs = depth_mod.select_calibration_pair(by_distance, pairs)
     else:
-        pair = _parse_pair(args.pair)
         samples = []
         for dist in pair:
             if dist not in by_distance:
@@ -735,7 +738,11 @@ def cmd_evaluate(args) -> int:
             label = str(payload["class_label"])
             is_vip = bool(payload.get("is_vip", False))
             distance = payload["distance_m"]
-        except (KeyError, TypeError) as exc:
+            if distance is not None:
+                distance = float(distance)
+                if not math.isfinite(distance):
+                    raise ValueError(f"distance_m {distance} is not finite")
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{args.estimates}:{lineno}: malformed record ({exc})") from exc
         key = (frame_id, "vip" if is_vip else label)
         if distance is None or key not in truth:
@@ -750,7 +757,7 @@ def cmd_evaluate(args) -> int:
                 frame_id=frame_id,
                 class_label=key[1],
                 true_distance_m=true_m,
-                predicted_distance_m=float(distance),
+                predicted_distance_m=distance,
             )
         )
 

@@ -69,9 +69,16 @@ PROVENANCE_RECALIBRATED = "recalibrated"
 class DepthMap:
     """Per-pixel relative depth scores for one frame.
 
-    Scores are stored as an immutable float32 array of shape
-    ``(height, width)``, row major, top row first. All statistics are
-    computed in float64.
+    Scores are stored as a read-only float32 array of shape
+    ``(height, width)``, row major, top row first. Statistics equal their
+    float64 formulas with exactly rounded (``math.fsum``) sums, whatever the
+    pixel order.
+
+    The scores always live in an immutable ``bytes`` object, so no one can
+    make them writable again. A read-only array that already lives in one
+    (as :func:`monorange.neod.read_depth_map` produces) is kept without a
+    copy. Any other input, writable or not, is copied into a new ``bytes``
+    object, so later writes to the caller's array never reach the map.
     """
 
     def __init__(self, scores):
@@ -80,10 +87,15 @@ class DepthMap:
             raise DomainError(f"depth map must be 2-D, got shape {arr.shape}")
         if arr.size == 0:
             raise DomainError("depth map must not be empty")
-        if not np.all(np.isfinite(arr)):
+        # min and max propagate NaN and reach +-inf, so finite extremes mean
+        # every score is finite
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise DomainError("depth map contains non-finite scores")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        owner = arr
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        if not isinstance(owner, bytes):  # numpy never writes through bytes
+            arr = np.frombuffer(arr.tobytes(), dtype=np.float32).reshape(arr.shape)
         self._scores = arr
 
     @classmethod
@@ -143,6 +155,26 @@ def _pixel_value(region: np.ndarray, x: float, y: float, c0: int, r0: int) -> fl
     return float(region[row, col])
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of float32 ``values``, equal to ``math.fsum`` of them.
+
+    A nonzero float32 whose frexp exponent is ``e`` is a whole multiple of
+    ``2**(e - 24)``, so every value is a multiple of the unit of the smallest
+    nonzero magnitude present. When ``n * max|x|`` is at most ``2**53`` such
+    units, every partial sum is a float64 integer multiple of that unit, so
+    float64 addition in any order is exact. Otherwise ``math.fsum`` decides.
+    """
+    mags = np.abs(values)
+    hi = float(mags.max())
+    if hi > 0.0:
+        lo = float(mags.min(where=mags > 0.0, initial=math.inf))
+        spread = math.frexp(hi)[1] - math.frexp(lo)[1]
+        if values.size <= 2.0 ** (29 - spread):
+            return float(values.sum(dtype=np.float64))
+    # a range too wide to prove exact, or all zeros (fsum picks their sign)
+    return math.fsum(values.ravel().tolist())
+
+
 def normalize_region(
     depth_map: DepthMap, bbox: BoundingBox, method: NormalizationMethod
 ) -> float:
@@ -151,7 +183,9 @@ def normalize_region(
     The box must already be expressed in the depth map's resolution (use
     :func:`monorange.geometry.scale_bbox` when it came from the detector).
     A pixel belongs to the box when its index range intersects the box's
-    continuous extent; disc and ring membership use pixel centers.
+    continuous extent; disc and ring membership use pixel centers. Every
+    averaging method returns the correctly rounded mean of its pixels, so the
+    result does not depend on pixel order.
     """
     if bbox.resolution_w != depth_map.width or bbox.resolution_h != depth_map.height:
         raise DomainError(
@@ -164,7 +198,7 @@ def normalize_region(
     r1 = min(depth_map.height, int(math.ceil(bbox.y_max)))
     if c1 <= c0 or r1 <= r0:
         raise NoPixelsError(f"box {bbox} covers no depth-map pixels")
-    region = depth_map.scores[r0:r1, c0:c1].astype(np.float64)
+    region = depth_map.scores[r0:r1, c0:c1]
 
     kind = method.kind
     cx, cy = bbox.center
@@ -191,31 +225,39 @@ def normalize_region(
 
     if kind in (DISC_CENTER, CENTER_RING):
         radius = method.diameter_px / 2.0
-        rows = np.arange(r0, r1, dtype=np.float64) + 0.5
-        cols = np.arange(c0, c1, dtype=np.float64) + 0.5
+        # no pixel center farther than radius + 0.5 from (cx, cy) on either
+        # axis can be a member, so only this window of the box is measured
+        wr0 = max(r0, int(math.floor(cy - radius - 1.0)))
+        wr1 = min(r1, int(math.ceil(cy + radius + 1.0)))
+        wc0 = max(c0, int(math.floor(cx - radius - 1.0)))
+        wc1 = min(c1, int(math.ceil(cx + radius + 1.0)))
+        rows = np.arange(wr0, wr1, dtype=np.float64) + 0.5
+        cols = np.arange(wc0, wc1, dtype=np.float64) + 0.5
         dist = np.hypot(cols[np.newaxis, :] - cx, rows[:, np.newaxis] - cy)
         if kind == DISC_CENTER:
             mask = dist <= radius
         else:
             mask = np.abs(dist - radius) <= 0.5
-        picked = region[mask]
+        picked = depth_map.scores[wr0:wr1, wc0:wc1][mask]
         if picked.size == 0:
             raise DegenerateGeometryError(
                 f"{kind} of diameter {method.diameter_px} px has no pixels inside the box"
             )
-        return mean_exact(picked.tolist())
+        return _exact_sum(picked) / picked.size
 
-    flat = np.sort(region, axis=None)
-    n = flat.size
+    n = region.size
     if kind == LOW_THRESHOLD:
         k = int(math.ceil(method.lt_percentile / 100.0 * n))
         k = min(max(k, 1), n)
-        tail = flat[:k] if method.lt_take == "lowest" else flat[n - k :]
-        return math.fsum(tail.tolist()) / k
+        if method.lt_take == "lowest":
+            tail = np.partition(region, k - 1, axis=None)[:k]
+        else:
+            tail = np.partition(region, n - k, axis=None)[n - k :]
+        return _exact_sum(tail) / k
     if kind == MEDIAN:
-        return linear_quantile(flat, 0.5)
+        return linear_quantile(np.sort(region, axis=None), 0.5)
     # MEAN
-    return math.fsum(flat.tolist()) / n
+    return _exact_sum(region) / n
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,11 @@ def write_depth_map(path: str | Path, depth_map: DepthMap) -> None:
 
 
 def read_depth_map(path: str | Path) -> DepthMap:
-    """Parse a NEOD file, rejecting wrong magic and wrong-size payloads."""
+    """Parse a NEOD file, rejecting wrong magic and wrong-size payloads.
+
+    The map's scores are a read-only view of the bytes read from the file,
+    so :class:`DepthMap` keeps them without a copy.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC):
         raise NeodTruncatedError(f"{path}: file shorter than the magic header")

@@ -99,6 +99,18 @@ class TestCalibrateDepth:
         assert profile.pair is not None
         assert profile.m == pytest.approx(6.0, rel=0.05)
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--candidate-pairs", "abc"), ("--candidate-pairs", "2:3:4"),
+         ("--candidate-pairs", "2:3,x:4"), ("--pair", "abc"), ("--pair", "2.5")],
+    )
+    def test_malformed_pair_flags_exit_2(self, tmp_path, capsys, flag, text):
+        s1, s2 = synth_calibration_streams(tmp_path)
+        assert run_cli("calibrate", "depth", "--stream", s1, "--stream", s2, flag, text,
+                       "--out", tmp_path / "x.json") == 2
+        assert f"{flag}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_missing_distance_is_missing_data(self, tmp_path):
         s1, _ = synth_calibration_streams(tmp_path)
         assert run_cli("calibrate", "depth", "--stream", s1, "--pair", "2.5,4.0",
@@ -335,6 +347,24 @@ class TestEstimate:
                        "--depth-profile", tmp_path / "nope.json",
                        "--out", tmp_path / "est.jsonl") == 4
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_timestamp_exits_2(self, tmp_path, capsys, bad):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out, "--seed", 5)
+        lines = (out / "frames.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        lines[2] = lines[2].replace(f'"timestamp_s": {record["timestamp_s"]!r}',
+                                    f'"timestamp_s": {bad}')
+        stream = out / "bad.jsonl"
+        stream.write_text("\n".join(lines) + "\n")
+        profile_path = _write_depth_profile(tmp_path / "depth.json")
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "neo",
+                       "--depth-profile", profile_path, "--gt-source", "truth",
+                       "--out", est) == 2
+        assert f"{stream}:3: timestamp" in capsys.readouterr().err
+        assert not est.exists()
+
     def test_malformed_stream_exits_2(self, tmp_path):
         stream = tmp_path / "frames.jsonl"
         stream.write_text("{broken\n")
@@ -400,6 +430,23 @@ class TestEvaluate:
         printed = capsys.readouterr().out
         assert "joined=1" in printed
         assert "unmatched=1" in printed
+
+    @pytest.mark.parametrize("bad", ['"x"', "[3.0]", "NaN", "Infinity"])
+    def test_malformed_distance_exits_2(self, tmp_path, capsys, bad):
+        est = tmp_path / "est.jsonl"
+        good = canonical_jsonl_line({
+            "frame_id": "f0", "timestamp_s": 0.0, "class_label": "car",
+            "is_vip": False, "distance_m": 3.0, "flags": [],
+        })
+        est.write_text(good + good.replace("3.0,", f"{bad},"))
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(json.dumps({
+            "frame_id": "f0", "timestamp_s": 0.0, "detections": [],
+            "ground_truth": {"car": 3.2},
+        }) + "\n")
+        assert run_cli("evaluate", "--estimates", est, "--truth", truth,
+                       "--out-dir", tmp_path / "m") == 2
+        assert f"{est}:2: malformed record" in capsys.readouterr().err
 
     def test_far_records_excluded_by_policy(self, tmp_path, capsys):
         est = tmp_path / "est.jsonl"

@@ -83,3 +83,23 @@ class TestRejection:
         path.write_bytes(bytes(raw))
         with pytest.raises(DomainError):
             read_depth_map(path)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_scores_rejected_on_read(self, tmp_path, bad):
+        path = tmp_path / "inf.neod"
+        write_depth_map(path, sample_map(w=3, h=2))
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.array([bad], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DomainError):
+            read_depth_map(path)
+
+
+class TestReadOnlyMap:
+    def test_read_map_is_frozen(self, tmp_path):
+        path = tmp_path / "map.neod"
+        write_depth_map(path, sample_map())
+        scores = read_depth_map(path).scores
+        assert not scores.flags.writeable
+        with pytest.raises(ValueError):
+            scores.setflags(write=True)
