@@ -157,10 +157,13 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
                     vip_id=str(payload.get("vip_id", "")),
                     scene=str(payload.get("scene", "")),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (DomainError, KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{p}:{lineno}: malformed frame annotation ({exc})") from exc
             if not math.isfinite(ann.timestamp_s):
                 raise FormatError(f"{p}:{lineno}: timestamp {ann.timestamp_s} is not finite")
+            for key, truth in (ann.ground_truth or {}).items():
+                if not math.isfinite(truth):
+                    raise FormatError(f"{p}:{lineno}: ground truth {key!r} is {truth}")
             if previous_ts is not None and ann.timestamp_s < previous_ts:
                 raise FormatError(
                     f"{p}:{lineno}: timestamps must be non-decreasing "
@@ -194,9 +197,14 @@ def _load_depth_map(stream_path: Path, ann: FrameAnnotation) -> depth_mod.DepthM
     if ann.depth_map_path is None:
         raise MissingDataError(f"frame {ann.frame_id}: no depth map recorded")
     map_path = _resolve_map_path(stream_path, ann.depth_map_path)
-    if not map_path.exists():
-        raise MissingDataError(f"frame {ann.frame_id}: depth map {map_path} not found")
-    return neod.read_depth_map(map_path)
+    try:
+        return neod.read_depth_map(map_path)
+    except FileNotFoundError as exc:
+        raise MissingDataError(f"frame {ann.frame_id}: depth map {map_path} not found") from exc
+    except OSError as exc:
+        raise MissingDataError(
+            f"frame {ann.frame_id}: depth map {map_path} unreadable ({exc.strerror})"
+        ) from exc
 
 
 def _norm_method_from_args(args, depth_profile=None) -> depth_mod.NormalizationMethod:

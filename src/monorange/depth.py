@@ -164,11 +164,16 @@ def _exact_sum(values: np.ndarray) -> float:
     units, every partial sum is a float64 integer multiple of that unit, so
     float64 addition in any order is exact. Otherwise ``math.fsum`` decides.
     """
-    mags = np.abs(values)
-    hi = float(mags.max())
-    if hi > 0.0:
+    # with one sign and no zeros, the extremes are the smallest and largest
+    # magnitudes; otherwise those come from the absolute values
+    lo = float(values.min())
+    hi = float(values.max())
+    if not (lo > 0.0 or hi < 0.0):
+        mags = np.abs(values)
+        hi = float(mags.max())
         lo = float(mags.min(where=mags > 0.0, initial=math.inf))
-        spread = math.frexp(hi)[1] - math.frexp(lo)[1]
+    if hi != 0.0:
+        spread = abs(math.frexp(hi)[1] - math.frexp(lo)[1])
         if values.size <= 2.0 ** (29 - spread):
             return float(values.sum(dtype=np.float64))
     # a range too wide to prove exact, or all zeros (fsum picks their sign)
@@ -249,10 +254,22 @@ def normalize_region(
     if kind == LOW_THRESHOLD:
         k = int(math.ceil(method.lt_percentile / 100.0 * n))
         k = min(max(k, 1), n)
+        flat = region.flatten()
+        bits = flat.view(np.int32)
+        # Finite float32 values with a clear sign bit order exactly as their
+        # bit patterns read as int32, and equal values share one pattern, so
+        # the int32 partition (several times faster) moves the same multiset
+        # into the tail. A set sign bit breaks this: negative values order
+        # backwards as int32, and -0.0 ties with +0.0 as a float but not as
+        # bits, while the float partition's tie order decides the sign of an
+        # all-zero tail. Boxes with any sign bit set keep the float order.
+        keys = bits if bits.min() >= 0 else flat
         if method.lt_take == "lowest":
-            tail = np.partition(region, k - 1, axis=None)[:k]
+            keys.partition(k - 1)
+            tail = flat[:k]
         else:
-            tail = np.partition(region, n - k, axis=None)[n - k :]
+            keys.partition(n - k)
+            tail = flat[n - k :]
         return _exact_sum(tail) / k
     if kind == MEDIAN:
         return linear_quantile(np.sort(region, axis=None), 0.5)

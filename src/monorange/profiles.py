@@ -9,6 +9,7 @@ working coefficients. Loaders accept a filesystem path or ``builtin:<name>``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,13 +141,22 @@ DEFAULT_HEIGHTS = HeightTable(
 _BUILTIN_PREFIX = "builtin:"
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)  # "NaN", "Infinity" and overflowing literals land here
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _read_json(path: str | Path) -> dict:
     p = Path(path)
     if not p.exists():
         raise MissingDataError(f"profile file not found: {p}")
     try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(
+            p.read_text(), parse_float=_finite_float, parse_constant=_finite_float
+        )
+    except ValueError as exc:  # JSONDecodeError included
         raise FormatError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{p}: expected a JSON object")

@@ -171,6 +171,17 @@ class TestFocalCommand:
         assert printed.count(f"{expected:.6g}") == 3  # q1 = median = q3
 
 
+def _edit_third_record(stream, edit):
+    """Write a copy of ``stream`` whose third record went through ``edit``."""
+    lines = stream.read_text().splitlines()
+    record = json.loads(lines[2])
+    edit(record)
+    lines[2] = json.dumps(record)  # non-finite floats become NaN / Infinity
+    bad = stream.with_name("bad.jsonl")
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
 def _write_depth_profile(path, m=6.0, s=1.0):
     save_profile(path, DepthProfile(vip_id="S1", m=m, s=s, unit="m", pair=(2.5, 4.0),
                                     smooth_window=1))
@@ -317,6 +328,28 @@ class TestEstimate:
         assert len(errors) == 1
         assert len([r for r in records if "event" not in r]) == 9
 
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("missing", "not found"), ("directory", "unreadable (Is a directory)")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_depth_map_is_missing_data(self, tmp_path, capsys, kind, message):
+        s1, s2 = synth_calibration_streams(tmp_path)
+        victim = sorted((s1.parent / "maps").iterdir())[2]
+        victim.unlink()
+        if kind == "directory":
+            victim.mkdir()
+        profile_path = _write_depth_profile(tmp_path / "depth.json")
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", s1, "--estimator", "neo_norc",
+                       "--depth-profile", profile_path, "--out", est) == 0
+        errors = [r for r in read_jsonl(est) if r.get("event") == "error"]
+        assert len(errors) == 1
+        assert errors[0]["reason"] == f"frame frame_000002: depth map {victim} {message}"
+        assert run_cli("calibrate", "depth", "--stream", s1, "--stream", s2,
+                       "--pair", "2.5,4.0", "--out", tmp_path / "x.json") == 4
+        assert f"depth map {victim} {message}" in capsys.readouterr().err
+
     def test_corrupt_depth_map_exits_2_without_partial_output(self, tmp_path):
         out = tmp_path / "run"
         run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out, "--seed", 3)
@@ -364,6 +397,43 @@ class TestEstimate:
                        "--out", est) == 2
         assert f"{stream}:3: timestamp" in capsys.readouterr().err
         assert not est.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_ground_truth_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out, "--seed", 5)
+        stream = _edit_third_record(out / "frames.jsonl",
+                                    lambda r: r["ground_truth"].update(vip=value))
+        profile_path = _write_depth_profile(tmp_path / "depth.json")
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "neo",
+                       "--depth-profile", profile_path, "--gt-source", "truth",
+                       "--out", est) == 2
+        assert f"{stream}:3: ground truth 'vip' is {value}" in capsys.readouterr().err
+        assert not est.exists()
+        assert run_cli("estimate", "--stream", out / "frames.jsonl",
+                       "--estimator", "neo_norc", "--depth-profile", profile_path,
+                       "--out", est) == 0
+        assert run_cli("evaluate", "--estimates", est, "--truth", stream,
+                       "--out-dir", tmp_path / "m") == 2
+        assert f"{stream}:3: ground truth 'vip' is {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("x_min", float("nan"), "x extent [nan, 740.296] invalid for width 1280"),
+         ("y_max", 721.0, "y extent [192.84000000000003, 721.0] invalid for height 720"),
+         ("resolution_w", 0, "resolution must be positive, got 0x720")],
+        ids=["nan", "outside", "resolution"],
+    )
+    def test_invalid_box_exits_2(self, tmp_path, capsys, field, value, message):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out, "--seed", 5)
+        stream = _edit_third_record(
+            out / "frames.jsonl", lambda r: r["detections"][0]["bbox"].update({field: value}))
+        assert run_cli("estimate", "--stream", stream, "--estimator", "geometric",
+                       "--camera-profile", "builtin:tello",
+                       "--out", tmp_path / "est.jsonl") == 2
+        assert f"{stream}:3: malformed frame annotation ({message})" in capsys.readouterr().err
 
     def test_malformed_stream_exits_2(self, tmp_path):
         stream = tmp_path / "frames.jsonl"

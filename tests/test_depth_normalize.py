@@ -184,6 +184,40 @@ def _normal(rng, shape):
     return rng.normal(0.33, 0.01, size=shape)
 
 
+def _positive(rng, shape):
+    """Strictly positive scores, like real depth maps: the int32 selection path."""
+    return rng.uniform(2.0**-10, 60.0, size=shape)
+
+
+def _positive_with_zeros(rng, shape):
+    """Positive scores, a third of them +0.0, so low tails are often all zero."""
+    return np.where(rng.random(shape) < 0.3, 0.0, rng.uniform(0.01, 5.0, size=shape))
+
+
+def _positive_subnormal(rng, shape):
+    """Non-negative subnormals with some +0.0 and tiny normals."""
+    values = rng.integers(0, 2**23, size=shape) * 2.0**-149
+    values[rng.random(shape) < 0.1] = rng.choice([0.0, 2.0**-126, 2.0**-120])
+    return values
+
+
+def _one_sign_bit(rng, shape):
+    """Positive scores but one pixel with its sign bit set: the float fallback."""
+    values = rng.uniform(0.5, 9.0, size=shape)
+    values[rng.integers(shape[0]), rng.integers(shape[1])] = rng.choice([-0.0, -3.0])
+    return values
+
+
+def _all_negative(rng, shape):
+    """Every score negative: int32 order would run backwards."""
+    return -rng.uniform(2.0**-10, 60.0, size=shape)
+
+
+def _one_sign_wide_range(rng, shape):
+    """One sign per map over 2**-120 .. 2**120: sums must still reach fsum."""
+    return rng.choice([-1.0, 1.0]) * np.exp2(rng.uniform(-120, 120, size=shape))
+
+
 def _random_box(rng, w, h):
     """A box that touches the map border on a random subset of its sides."""
     x0 = 0.0 if rng.random() < 0.3 else float(rng.uniform(0, w - 1))
@@ -203,7 +237,20 @@ def _random_method(rng, kind):
     )
 
 
-VALUE_KINDS = (_normal, _negative, _patches, _wide_range, _subnormal, _signed_zeros)
+VALUE_KINDS = (
+    _normal,
+    _negative,
+    _patches,
+    _wide_range,
+    _subnormal,
+    _signed_zeros,
+    _positive,
+    _positive_with_zeros,
+    _positive_subnormal,
+    _one_sign_bit,
+    _all_negative,
+    _one_sign_wide_range,
+)
 
 
 class TestExactAgainstReference:
@@ -242,6 +289,21 @@ class TestExactAgainstReference:
         method = NormalizationMethod(kind, lt_percentile=100.0)
         got = normalize_region(dm, BoundingBox(0, 0, 3, 1, 3, 1), method)
         assert got == 2.0**-20 / 3
+
+    @pytest.mark.parametrize("lt_take", ("lowest", "highest"))
+    @pytest.mark.parametrize("odd", (-0.0, -3.0, 0.0))
+    def test_one_zero_or_sign_bit_in_a_positive_box(self, odd, lt_take):
+        # random boxes only sometimes hold _one_sign_bit's pixel; these all do
+        rng = np.random.default_rng(11)
+        scores = rng.uniform(0.5, 9.0, size=(12, 17)).astype(np.float32)
+        scores[5, 8] = odd
+        dm = DepthMap(scores)
+        bbox = BoundingBox(2.5, 1.25, 15.5, 11.0, 17, 12)
+        for pct in (0.5, 10.0, 50.0, 99.5, 100.0):
+            method = NormalizationMethod(LOW_THRESHOLD, lt_percentile=pct, lt_take=lt_take)
+            assert_matches_reference(dm, bbox, method)
+        for kind in (MEAN, DISC_CENTER, CENTER_RING, MEDIAN):
+            assert_matches_reference(dm, bbox, NormalizationMethod(kind, diameter_px=6))
 
     def test_all_zero_regions(self):
         scores = np.array([[-0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]], dtype=np.float32)

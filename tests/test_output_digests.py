@@ -4,6 +4,11 @@ A small noisy drift scene is synthesized and run through ``estimate neo``
 and ``estimate neo_norc`` with every normalization method. The sha256 of
 each output file is pinned: a change to the depth path that alters a single
 output byte is a behaviour change and must update these digests on purpose.
+
+A second scene keeps every score negative (its law puts even the 50 m
+background at -1.67), so it pins the sign-bit code paths of
+:func:`monorange.depth.normalize_region` that the usual non-negative maps
+never reach.
 """
 
 import hashlib
@@ -37,6 +42,17 @@ SCENE = {
 PROFILE = {"vip_id": "S1", "m": 6.0, "s": 1.0, "unit": "m", "pair": [2.5, 4.0],
            "lt_percentile": 10.0, "smooth_window": 1}
 
+NEGATIVE_SCENE = {
+    **SCENE,
+    "law": {"m_true": 6.0, "s_true": 60.0, "noise_sigma": 0.01},
+    "drift": {"switch_time_s": 5.0,
+              "post_law": {"m_true": 6.0, "s_true": 60.45, "noise_sigma": 0.01}},
+}
+
+NEGATIVE_PROFILE = {**PROFILE, "s": 60.0}
+
+NEGATIVE_METHODS = ("disc_center", "low_threshold", "mean")
+
 EXPECTED = {
     "frames.jsonl": "c468b259fc9e8ad3f440fdd55da0bba7269f5c0f4356a03a281c24b1283a2851",
     "maps": "05c8fdf51880b63fb0c5db720c2faee3063e7d3da74fa9f1f0da46e62fddbfe2",
@@ -54,17 +70,26 @@ EXPECTED = {
 }
 
 
+EXPECTED_NEGATIVE = {
+    "frames.jsonl": "c468b259fc9e8ad3f440fdd55da0bba7269f5c0f4356a03a281c24b1283a2851",
+    "maps": "b6e20fc27c40fe7b7565bc57e36125b7ff7169bfa967c51de0ec1e79a2546942",
+    "neo": "f5d90a24fab1ce8dc73b83c5a1786786a1432322705c4e2362c201c75de9c468",
+    "neo_norc.disc_center": "74ebd21150f490c793a7c230e34c9ee01e95c1a2f92086e722299ff57fcad1fb",
+    "neo_norc.low_threshold": "14996afe379d1482e63c7d58eddab890951e523cedbd4e66a5db4e4e1b4bd3d5",
+    "neo_norc.mean": "402606d7b90282e5d0ab2d717247b2a322f807ab004008e7956fa2ff65378725",
+}
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    base = tmp_path_factory.mktemp("digests")
+def run_scene(base, scene_spec, profile_spec, methods):
+    """Synthesize the scene and return the digests of its inputs and estimates."""
     scene = base / "scene.json"
-    scene.write_text(json.dumps(SCENE))
+    scene.write_text(json.dumps(scene_spec))
     profile = base / "depth.json"
-    profile.write_text(json.dumps(PROFILE))
+    profile.write_text(json.dumps(profile_spec))
     run = base / "run"
     assert main(["synth", "--scene", str(scene), "--out-dir", str(run), "--seed", "29"]) == 0
     stream = run / "frames.jsonl"
@@ -83,9 +108,20 @@ def outputs(tmp_path_factory):
 
     estimate("neo", "--estimator", "neo", "--gt-source", "truth", "--fps", "10",
              "--seed", "29")
-    for kind in METHOD_KINDS:
+    for kind in methods:
         estimate(f"neo_norc.{kind}", "--estimator", "neo_norc", "--norm-method", kind)
     return digests
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return run_scene(tmp_path_factory.mktemp("digests"), SCENE, PROFILE, METHOD_KINDS)
+
+
+@pytest.fixture(scope="module")
+def negative_outputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("negative")
+    return run_scene(base, NEGATIVE_SCENE, NEGATIVE_PROFILE, NEGATIVE_METHODS)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -95,3 +131,12 @@ def test_output_is_byte_identical(outputs, name):
 
 def test_every_output_is_pinned(outputs):
     assert sorted(outputs) == sorted(EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_NEGATIVE))
+def test_negative_scene_output_is_byte_identical(negative_outputs, name):
+    assert negative_outputs[name] == EXPECTED_NEGATIVE[name]
+
+
+def test_every_negative_scene_output_is_pinned(negative_outputs):
+    assert sorted(negative_outputs) == sorted(EXPECTED_NEGATIVE)

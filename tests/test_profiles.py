@@ -104,6 +104,25 @@ class TestErrors:
         with pytest.raises(FormatError):
             load_depth_profile(path)
 
+    @pytest.mark.parametrize(
+        "loader, text",
+        [
+            (load_camera_profile,
+             '{"focal_length_px": NaN, "image_w": 1280, "image_h": 720}'),
+            (load_regression_profile,
+             '{"vip_id": "P1", "mode": "three", "a": NaN, "b": -1.29, "c": 0.0043}'),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": -Infinity}'),
+            (load_height_table, '{"car": {"expected_m": 1.7, "actual_m": [Infinity]}}'),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1e999}'),
+        ],
+        ids=["camera", "regression", "depth", "height_table", "overflow"],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, loader, text):
+        path = tmp_path / "profile.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"{path}: invalid JSON .*non-finite"):
+            loader(path)
+
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"vip_id": "P1"}))
