@@ -36,7 +36,6 @@ from .depth import (
     normalize_region,
     recalibrate,
     select_calibration_pair,
-    smooth_scores,
     step,
 )
 from .geometry import (

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input-format error, 3 calibration-fit error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -23,6 +24,7 @@ from typing import Iterator, Sequence
 from . import depth as depth_mod
 from . import metrics, neod, profiles, synth
 from .common import (
+    PARSE_ERRORS,
     DegenerateGeometryError,
     DistanceEstimate,
     DomainError,
@@ -33,6 +35,8 @@ from .common import (
     NoPixelsError,
     SingularFitError,
     canonical_jsonl_line,
+    read_lines,
+    unreadable,
 )
 from .geometry import (
     BoundingBox,
@@ -57,8 +61,6 @@ EXIT_OK = 0
 EXIT_FORMAT = 2
 EXIT_FIT = 3
 EXIT_MISSING = 4
-
-ESTIMATORS = ("regression", "geometric", "geometric_star", "neo", "neo_norc")
 
 
 @dataclass(frozen=True)
@@ -130,62 +132,62 @@ def annotation_payload(ann: FrameAnnotation) -> dict:
 
 
 def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
-    """Stream frame annotations, enforcing non-decreasing timestamps."""
+    """Stream frame annotations, enforcing non-decreasing timestamps.
+
+    A frame holds at most one followed person, and its ground-truth distances
+    are positive and finite.
+    """
     p = Path(path)
-    if not p.exists():
-        raise MissingDataError(f"stream file not found: {p}")
     previous_ts = None
-    with open(p) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                ann = FrameAnnotation(
-                    frame_id=str(payload["frame_id"]),
-                    timestamp_s=float(payload["timestamp_s"]),
-                    detections=tuple(
-                        _detection_from_payload(d) for d in payload.get("detections", [])
-                    ),
-                    depth_map_path=payload.get("depth_map_path"),
-                    ground_truth={
-                        str(k): float(v)
-                        for k, v in (payload.get("ground_truth") or {}).items()
-                    }
-                    or None,
-                    vip_id=str(payload.get("vip_id", "")),
-                    scene=str(payload.get("scene", "")),
-                )
-            except (DomainError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{p}:{lineno}: malformed frame annotation ({exc})") from exc
-            if not math.isfinite(ann.timestamp_s):
-                raise FormatError(f"{p}:{lineno}: timestamp {ann.timestamp_s} is not finite")
-            for key, truth in (ann.ground_truth or {}).items():
-                if not math.isfinite(truth):
-                    raise FormatError(f"{p}:{lineno}: ground truth {key!r} is {truth}")
-            if previous_ts is not None and ann.timestamp_s < previous_ts:
+    for lineno, line in read_lines(p, "stream file"):
+        try:
+            payload = json.loads(line)
+            ann = FrameAnnotation(
+                frame_id=str(payload["frame_id"]),
+                timestamp_s=float(payload["timestamp_s"]),
+                detections=tuple(
+                    _detection_from_payload(d) for d in payload.get("detections", [])
+                ),
+                depth_map_path=payload.get("depth_map_path"),
+                ground_truth={
+                    str(k): float(v) for k, v in (payload.get("ground_truth") or {}).items()
+                }
+                or None,
+                vip_id=str(payload.get("vip_id", "")),
+                scene=str(payload.get("scene", "")),
+            )
+        except (DomainError, *PARSE_ERRORS) as exc:
+            raise FormatError(f"{p}:{lineno}: malformed frame annotation ({exc})") from exc
+        if not math.isfinite(ann.timestamp_s):
+            raise FormatError(f"{p}:{lineno}: timestamp {ann.timestamp_s} is not finite")
+        for key, truth in (ann.ground_truth or {}).items():
+            if not (truth > 0.0 and math.isfinite(truth)):
                 raise FormatError(
-                    f"{p}:{lineno}: timestamps must be non-decreasing "
-                    f"({ann.timestamp_s} after {previous_ts})"
+                    f"{p}:{lineno}: ground truth {key!r} is {truth}, "
+                    "not a positive finite distance"
                 )
-            previous_ts = ann.timestamp_s
-            yield ann
+        vips = sum(det.is_vip for det in ann.detections)
+        if vips > 1:
+            raise FormatError(
+                f"{p}:{lineno}: {vips} detections flagged is_vip; "
+                "a frame has at most one followed person"
+            )
+        if previous_ts is not None and ann.timestamp_s < previous_ts:
+            raise FormatError(
+                f"{p}:{lineno}: timestamps must be non-decreasing "
+                f"({ann.timestamp_s} after {previous_ts})"
+            )
+        previous_ts = ann.timestamp_s
+        yield ann
 
 
 def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    p = Path(path)
-    if not p.exists():
-        raise MissingDataError(f"input file not found: {p}")
-    with open(p) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{p}:{lineno}: invalid JSON ({exc})") from exc
+    for lineno, line in read_lines(path, "input file"):
+        try:
+            payload = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError included
+            raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        yield lineno, payload
 
 
 def _resolve_map_path(stream_path: Path, depth_map_path: str) -> Path:
@@ -199,12 +201,8 @@ def _load_depth_map(stream_path: Path, ann: FrameAnnotation) -> depth_mod.DepthM
     map_path = _resolve_map_path(stream_path, ann.depth_map_path)
     try:
         return neod.read_depth_map(map_path)
-    except FileNotFoundError as exc:
-        raise MissingDataError(f"frame {ann.frame_id}: depth map {map_path} not found") from exc
     except OSError as exc:
-        raise MissingDataError(
-            f"frame {ann.frame_id}: depth map {map_path} unreadable ({exc.strerror})"
-        ) from exc
+        raise unreadable(f"frame {ann.frame_id}: depth map {map_path}", exc) from exc
 
 
 def _norm_method_from_args(args, depth_profile=None) -> depth_mod.NormalizationMethod:
@@ -236,7 +234,7 @@ def _cmd_calibrate_regression(args) -> int:
                     true_distance_m=float(payload["true_distance_m"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except PARSE_ERRORS as exc:
             raise FormatError(f"{args.frames}:{lineno}: malformed labeled frame ({exc})") from exc
     model = fit_regression(frames, mode=args.mode, vip_id=args.vip_id)
     residual = math.sqrt(
@@ -268,7 +266,7 @@ def _cmd_calibrate_focal(args) -> int:
             samples.append(
                 (det.bbox, float(payload["object_height_m"]), float(payload["true_distance_m"]))
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except PARSE_ERRORS as exc:
             raise FormatError(f"{args.samples}:{lineno}: malformed focal sample ({exc})") from exc
         resolution = (det.bbox.resolution_w, det.bbox.resolution_h)
     estimate = estimate_focal_length(samples)
@@ -299,7 +297,7 @@ def _collect_vip_scores(
             if truth is None:
                 continue
             vips = [d for d in ann.detections if d.is_vip]
-            if len(vips) != 1:
+            if not vips:
                 continue
             depth_map = _load_depth_map(stream_path, ann)
             scaled = scale_bbox(vips[0].bbox, depth_map.width, depth_map.height)
@@ -377,93 +375,11 @@ def cmd_calibrate(args) -> int:
 # estimate
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one estimation run needs, resolved from flags and profiles."""
-
-    estimator: str
-    camera: profiles.CameraProfile | None
-    regression: profiles.RegressionProfile | None
-    depth_profile: profiles.DepthProfile | None
-    heights: "profiles.HeightTable | None"
-    method: depth_mod.NormalizationMethod | None
-    recal: depth_mod.RecalibrationConfig | None
-    policy: RiskPolicy
-    seed: int
-    gt_source: str
-    smooth_window: int
-
-
-def _run_config_from_args(args) -> RunConfig:
-    estimator = args.estimator
-    camera = profiles.load_camera_profile(args.camera_profile) if args.camera_profile else None
-    regression = (
-        profiles.load_regression_profile(args.regression_profile)
-        if args.regression_profile
-        else None
-    )
-    depth_profile = (
-        profiles.load_depth_profile(args.depth_profile) if args.depth_profile else None
-    )
-    heights = profiles.load_height_table(args.height_table) if args.height_table else None
-
-    if estimator == "regression" and regression is None:
-        raise MissingDataError("estimator 'regression' needs --regression-profile")
-    if estimator in ("geometric", "geometric_star"):
-        if camera is None:
-            raise MissingDataError(f"estimator {estimator!r} needs --camera-profile")
-        if heights is None:
-            heights = profiles.DEFAULT_HEIGHTS
-    if estimator in ("neo", "neo_norc") and depth_profile is None:
-        raise MissingDataError(f"estimator {estimator!r} needs --depth-profile")
-
-    method = None
-    recal = None
-    smooth_window = 1
-    if estimator in ("neo", "neo_norc"):
-        method = _norm_method_from_args(args, depth_profile)
-        smooth_window = (
-            args.smooth_window if args.smooth_window is not None
-            else depth_profile.smooth_window
-        )
-        if smooth_window < 1:
-            raise DomainError(f"smooth window must be >= 1, got {smooth_window}")
-    if estimator == "neo":
-        recal = depth_mod.RecalibrationConfig(
-            w=args.window,
-            w_prime_s=args.train_window_s,
-            fps=args.fps,
-            alpha=args.alpha,
-            tau_m=args.tau_cm / 100.0,
-            n_o=args.n_o,
-        )
-        if args.gt_source == "regression" and regression is None:
-            raise MissingDataError(
-                "estimator 'neo' with --gt-source regression needs --regression-profile"
-            )
-    return RunConfig(
-        estimator=estimator,
-        camera=camera,
-        regression=regression,
-        depth_profile=depth_profile,
-        heights=heights,
-        method=method,
-        recal=recal,
-        policy=RiskPolicy(near_threshold_m=args.near_threshold_m, far_limit_m=args.far_limit_m),
-        seed=args.seed,
-        gt_source=args.gt_source,
-        smooth_window=smooth_window,
-    )
-
-
-def _check_detector_resolution(det: Detection, camera: profiles.CameraProfile | None):
-    if camera is None:
-        return
-    if (det.bbox.resolution_w, det.bbox.resolution_h) != (camera.image_w, camera.image_h):
-        raise DomainError(
-            f"detection resolution {det.bbox.resolution_w}x{det.bbox.resolution_h} does not "
-            f"match the camera profile {camera.image_w}x{camera.image_h}; scale the box first"
-        )
+def _profile(source, flag: str, loader, who: str):
+    """Load the profile ``flag`` names; ``who`` needs it, so it must be given."""
+    if not source:
+        raise MissingDataError(f"{who} needs {flag}")
+    return loader(source)
 
 
 def _object_record(
@@ -497,15 +413,19 @@ class _RegressionRunner:
     comes from the camera profile when given, otherwise from the first frame.
     """
 
-    def __init__(self, config: RunConfig):
-        self.model = config.regression.to_model()
-        self.camera = config.camera
-        self.native = (
-            (config.camera.image_w, config.camera.image_h) if config.camera else None
+    needs_depth_map = False
+
+    def __init__(self, name: str, args):
+        regression = _profile(
+            args.regression_profile, "--regression-profile",
+            profiles.load_regression_profile, f"estimator {name!r}",
         )
+        self.model = regression.to_model()
+        camera = profiles.load_camera_profile(args.camera_profile) if args.camera_profile else None
+        self.native = (camera.image_w, camera.image_h) if camera else None
         self._warned_vip = False
 
-    def run_frame(self, ann: FrameAnnotation, out: list[dict]):
+    def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
         if (
             not self._warned_vip
             and ann.vip_id
@@ -534,191 +454,215 @@ class _RegressionRunner:
             out.append(_object_record(ann, det, estimate, flags))
 
 
-def _estimate_geometric(config: RunConfig, ann: FrameAnnotation, out: list[dict]):
-    intrinsics = config.camera.to_intrinsics()
-    use_actual = config.estimator == "geometric_star"
-    for det in ann.detections:
-        _check_detector_resolution(det, config.camera)
-        label = truth_key(det)
-        try:
-            height = (
-                config.heights.actual(label) if use_actual else config.heights.expected(label)
-            )
-        except MissingDataError:
-            out.append(_object_record(ann, det, None, ["no-height"]))
-            continue
-        value = estimate_distance_geometric(det.bbox, height, intrinsics)
-        out.append(_object_record(ann, det, DistanceEstimate(value), []))
+class _GeometricRunner:
+    """Pinhole distances from class-average heights, or measured ones with ``actual``."""
+
+    needs_depth_map = False
+
+    def __init__(self, name: str, args, actual: bool):
+        camera = _profile(
+            args.camera_profile, "--camera-profile", profiles.load_camera_profile,
+            f"estimator {name!r}",
+        )
+        heights = (
+            profiles.load_height_table(args.height_table) if args.height_table
+            else profiles.DEFAULT_HEIGHTS
+        )
+        self.height = heights.actual if actual else heights.expected
+        self.intrinsics = camera.to_intrinsics()
+        self.resolution = (camera.image_w, camera.image_h)
+
+    def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
+        for det in ann.detections:
+            resolution = (det.bbox.resolution_w, det.bbox.resolution_h)
+            if resolution != self.resolution:
+                raise DomainError(
+                    f"detection resolution {resolution[0]}x{resolution[1]} does not match "
+                    f"the camera profile {self.resolution[0]}x{self.resolution[1]}; "
+                    "scale the box first"
+                )
+            try:
+                height = self.height(truth_key(det))
+            except MissingDataError:
+                out.append(_object_record(ann, det, None, ["no-height"]))
+                continue
+            value = estimate_distance_geometric(det.bbox, height, self.intrinsics)
+            out.append(_object_record(ann, det, DistanceEstimate(value), []))
 
 
 class _NeoRunner:
-    """Carries depth-estimator state across frames of one stream."""
+    """Calibrated depth-score distances, with online recalibration when asked.
 
-    def __init__(self, config: RunConfig, recal_samples):
-        self.config = config
-        self.coeffs = config.depth_profile.to_coefficients()
-        self.smoother = (
-            depth_mod.ScoreSmoother(config.smooth_window) if config.smooth_window > 1 else None
+    Without ``recalibrate`` (``neo_norc``) the profile's line is kept for the
+    whole stream; both go through :func:`monorange.depth.step`.
+    """
+
+    needs_depth_map = True
+
+    def __init__(self, name: str, args, recalibrate: bool):
+        profile = _profile(
+            args.depth_profile, "--depth-profile", profiles.load_depth_profile,
+            f"estimator {name!r}",
         )
-        self.state = None
-        self._gt_model = None
-        if config.estimator == "neo":
-            self.state = depth_mod.RecalibrationState(
-                config.recal, recal_samples, seed=config.seed
+        self.method = _norm_method_from_args(args, profile)
+        window = args.smooth_window if args.smooth_window is not None else profile.smooth_window
+        if window < 1:
+            raise DomainError(f"smooth window must be >= 1, got {window}")
+        self.smoother = depth_mod.ScoreSmoother(window) if window > 1 else None
+        self.coeffs = profile.to_coefficients()
+        self.config = self.state = self.gt_model = None
+        if not recalibrate:
+            return
+        self.config = depth_mod.RecalibrationConfig(
+            w=args.window,
+            w_prime_s=args.train_window_s,
+            fps=args.fps,
+            alpha=args.alpha,
+            tau_m=args.tau_cm / 100.0,
+            n_o=args.n_o,
+        )
+        if args.gt_source == "regression":
+            self.gt_model = _profile(
+                args.regression_profile, "--regression-profile",
+                profiles.load_regression_profile,
+                f"estimator {name!r} with --gt-source regression",
+            ).to_model()
+        self.state = depth_mod.RecalibrationState(
+            self.config, self._load_recal_samples(args, profile), seed=args.seed
+        )
+
+    def _load_recal_samples(self, args, profile: profiles.DepthProfile):
+        """Offline anchor samples for recalibration.
+
+        Prefers an explicit sidecar file; otherwise reconstructs ``n_o`` anchors
+        from the profile's fitted line at its calibration pair distances.
+        """
+        n_o = self.config.n_o
+        if args.recal_samples:
+            samples = []
+            for lineno, payload in _read_jsonl(args.recal_samples):
+                try:
+                    samples.append(
+                        depth_mod.CalibrationSample(
+                            normalized_score=float(payload["normalized_score"]),
+                            true_distance_m=float(payload["true_distance_m"]),
+                        )
+                    )
+                except PARSE_ERRORS as exc:
+                    raise FormatError(
+                        f"{args.recal_samples}:{lineno}: malformed sample ({exc})"
+                    ) from exc
+            if len(samples) != n_o:
+                raise DomainError(
+                    f"--n-o is {n_o} but {args.recal_samples} holds {len(samples)}"
+                )
+            return samples
+        if profile.pair is None:
+            raise MissingDataError(
+                "depth profile has no calibration pair; provide --recal-samples"
             )
+        coeffs = profile.to_coefficients()
+        d1, d2 = profile.pair
+        n1 = n_o // 2
+        anchors = [depth_mod.CalibrationSample((d1 - coeffs.s) / coeffs.m, d1)] * n1
+        anchors += [depth_mod.CalibrationSample((d2 - coeffs.s) / coeffs.m, d2)] * (n_o - n1)
+        return anchors
 
     def vip_truth(self, ann: FrameAnnotation) -> DistanceEstimate | None:
-        if self.config.gt_source == "truth":
+        if self.gt_model is None:
             value = (ann.ground_truth or {}).get("vip")
             return None if value is None else DistanceEstimate(float(value))
-        if self._gt_model is None:
-            self._gt_model = self.config.regression.to_model()
         vips = [d for d in ann.detections if d.is_vip]
-        if len(vips) != 1:
+        if not vips:
             return None
-        return predict_distance(self._gt_model, RegressionFeatures.from_bbox(vips[0].bbox))
+        return predict_distance(self.gt_model, RegressionFeatures.from_bbox(vips[0].bbox))
 
     def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
         frame = depth_mod.FrameObservation(
             detections=ann.detections, depth_map=depth_map, timestamp_s=ann.timestamp_s
         )
-        if self.state is not None:
-            result = depth_mod.step(
-                frame,
-                self.vip_truth(ann),
-                self.state,
-                self.config.recal,
-                self.coeffs,
-                method=self.config.method,
-                smoother=self.smoother,
-            )
-            self.coeffs = result.coeffs
-            if result.recalibrated:
-                out.append(
-                    {
-                        "event": "recalibration",
-                        "frame_id": ann.frame_id,
-                        "timestamp_s": ann.timestamp_s,
-                        "m": result.coeffs.m,
-                        "s": result.coeffs.s,
-                        "sample_count": result.coeffs.sample_count,
-                    }
-                )
-            for est in result.estimates:
-                flags = ["out-of-domain"] if est.distance.out_of_domain else []
-                out.append(
-                    _object_record(
-                        ann, est.detection, est.distance, flags,
-                        provenance=self.coeffs.provenance, score=est.score,
-                    )
-                )
-        else:
-            for det in ann.detections:
-                scaled = scale_bbox(det.bbox, depth_map.width, depth_map.height)
-                score = depth_mod.normalize_region(depth_map, scaled, self.config.method)
-                if det.is_vip and self.smoother is not None:
-                    score = self.smoother.push(score)
-                estimate = depth_mod.estimate_distance_depth(score, self.coeffs)
-                flags = ["out-of-domain"] if estimate.out_of_domain else []
-                out.append(
-                    _object_record(
-                        ann, det, estimate, flags,
-                        provenance=self.coeffs.provenance, score=score,
-                    )
-                )
-
-
-def _load_recal_samples(args, config: RunConfig):
-    """Offline anchor samples for recalibration.
-
-    Prefers an explicit sidecar file; otherwise reconstructs ``n_o`` anchors
-    from the profile's fitted line at its calibration pair distances.
-    """
-    if config.estimator != "neo":
-        return None
-    if args.recal_samples:
-        samples = []
-        for lineno, payload in _read_jsonl(args.recal_samples):
-            try:
-                samples.append(
-                    depth_mod.CalibrationSample(
-                        normalized_score=float(payload["normalized_score"]),
-                        true_distance_m=float(payload["true_distance_m"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(
-                    f"{args.recal_samples}:{lineno}: malformed sample ({exc})"
-                ) from exc
-        if len(samples) != config.recal.n_o:
-            raise DomainError(
-                f"--n-o is {config.recal.n_o} but {args.recal_samples} holds {len(samples)}"
-            )
-        return samples
-    profile = config.depth_profile
-    if profile.pair is None:
-        raise MissingDataError(
-            "depth profile has no calibration pair; provide --recal-samples"
+        result = depth_mod.step(
+            frame,
+            None if self.state is None else self.vip_truth(ann),
+            self.state,
+            self.config,
+            self.coeffs,
+            method=self.method,
+            smoother=self.smoother,
         )
-    coeffs = profile.to_coefficients()
-    d1, d2 = profile.pair
-    n1 = config.recal.n_o // 2
-    n2 = config.recal.n_o - n1
-    anchors = [depth_mod.CalibrationSample((d1 - coeffs.s) / coeffs.m, d1)] * n1
-    anchors += [depth_mod.CalibrationSample((d2 - coeffs.s) / coeffs.m, d2)] * n2
-    return anchors
+        self.coeffs = result.coeffs
+        if result.recalibrated:
+            out.append(
+                {
+                    "event": "recalibration",
+                    "frame_id": ann.frame_id,
+                    "timestamp_s": ann.timestamp_s,
+                    "m": result.coeffs.m,
+                    "s": result.coeffs.s,
+                    "sample_count": result.coeffs.sample_count,
+                }
+            )
+        for est in result.estimates:
+            flags = ["out-of-domain"] if est.distance.out_of_domain else []
+            out.append(
+                _object_record(
+                    ann, est.detection, est.distance, flags,
+                    provenance=self.coeffs.provenance, score=est.score,
+                )
+            )
+
+
+# Each estimator's runner, built once per run as ``runner(name, args)``. It
+# loads and checks the profiles it needs, and ``run_frame(ann, depth_map,
+# out)`` appends the frame's records to ``out``; ``depth_map`` is None unless
+# ``needs_depth_map``.
+RUNNERS = {
+    "regression": _RegressionRunner,
+    "geometric": functools.partial(_GeometricRunner, actual=False),
+    "geometric_star": functools.partial(_GeometricRunner, actual=True),
+    "neo": functools.partial(_NeoRunner, recalibrate=True),
+    "neo_norc": functools.partial(_NeoRunner, recalibrate=False),
+}
+
+ESTIMATORS = tuple(RUNNERS)
 
 
 def cmd_estimate(args) -> int:
-    config = _run_config_from_args(args)
+    runner = RUNNERS[args.estimator](args.estimator, args)
     stream_path = Path(args.stream)
     out_path = Path(args.out)
-    runner = None
-    regression_runner = None
-    if config.estimator in ("neo", "neo_norc"):
-        runner = _NeoRunner(config, _load_recal_samples(args, config))
-    elif config.estimator == "regression":
-        regression_runner = _RegressionRunner(config)
-
-    records: list[dict] = []
-    frames = 0
-    errors = 0
-    for ann in read_annotations(stream_path):
-        frames += 1
-        if config.estimator == "regression":
-            regression_runner.run_frame(ann, records)
-        elif config.estimator in ("geometric", "geometric_star"):
-            _estimate_geometric(config, ann, records)
-        else:
-            frame_records: list[dict] = []
-            try:
-                depth_map = _load_depth_map(stream_path, ann)
-                runner.run_frame(ann, depth_map, frame_records)
-            except (MissingDataError, NoPixelsError, DegenerateGeometryError) as exc:
-                records.append(
-                    {
-                        "event": "error",
-                        "frame_id": ann.frame_id,
-                        "timestamp_s": ann.timestamp_s,
-                        "reason": str(exc),
-                    }
-                )
-                errors += 1
-                continue
-            records.extend(frame_records)
-
     tmp_path = out_path.with_name(out_path.name + ".tmp")
+    frames = records = recals = errors = 0
     try:
         with open(tmp_path, "w") as fh:
-            for record in records:
-                fh.write(canonical_jsonl_line(record))
+            for ann in read_annotations(stream_path):
+                frames += 1
+                out: list[dict] = []
+                try:
+                    depth_map = (
+                        _load_depth_map(stream_path, ann) if runner.needs_depth_map else None
+                    )
+                    runner.run_frame(ann, depth_map, out)
+                except (MissingDataError, NoPixelsError, DegenerateGeometryError) as exc:
+                    out = [
+                        {
+                            "event": "error",
+                            "frame_id": ann.frame_id,
+                            "timestamp_s": ann.timestamp_s,
+                            "reason": str(exc),
+                        }
+                    ]
+                    errors += 1
+                for record in out:
+                    fh.write(canonical_jsonl_line(record))
+                    recals += record.get("event") == "recalibration"
+                records += len(out)
         os.replace(tmp_path, out_path)
     finally:
         if tmp_path.exists():
             tmp_path.unlink()
-    recals = sum(1 for r in records if r.get("event") == "recalibration")
     print(
-        f"estimates -> {out_path}  frames={frames} records={len(records)} "
+        f"estimates -> {out_path}  frames={frames} records={records} "
         f"recalibrations={recals} frame_errors={errors}"
     )
     return EXIT_OK
@@ -750,7 +694,7 @@ def cmd_evaluate(args) -> int:
                 distance = float(distance)
                 if not math.isfinite(distance):
                     raise ValueError(f"distance_m {distance} is not finite")
-        except (KeyError, TypeError, ValueError) as exc:
+        except PARSE_ERRORS as exc:
             raise FormatError(f"{args.estimates}:{lineno}: malformed record ({exc})") from exc
         key = (frame_id, "vip" if is_vip else label)
         if distance is None or key not in truth:
@@ -894,8 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--n-o", type=int, default=20)
     est.add_argument("--smooth-window", type=int, default=None)
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--near-threshold-m", type=float, default=4.0)
-    est.add_argument("--far-limit-m", type=float, default=8.0)
     est.add_argument("--out", required=True)
     _add_norm_flags(est)
     est.set_defaults(func=cmd_estimate)

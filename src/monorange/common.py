@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 
 class MonorangeError(Exception):
@@ -56,6 +57,12 @@ class FormatError(MonorangeError):
     """A file does not conform to its declared format."""
 
 
+# What turning a parsed JSON field into a number or a record can raise: a
+# missing key, a wrong type, an invalid value, or an integer too large for a
+# float.
+PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
 class NeodMagicError(FormatError):
     """Depth-map file does not start with the NEOD magic bytes."""
 
@@ -74,6 +81,36 @@ class DistanceEstimate:
 
     value_m: float
     out_of_domain: bool = False
+
+
+def unreadable(what: str, exc: OSError) -> MissingDataError:
+    """The missing-data error for an input file ``what`` that could not be opened or read."""
+    if isinstance(exc, FileNotFoundError):
+        return MissingDataError(f"{what} not found")
+    return MissingDataError(f"{what} unreadable ({exc.strerror})")
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """Whole text of an input file; an OSError becomes :class:`MissingDataError`."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise unreadable(f"{what} {path}", exc) from exc
+
+
+def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line of an input file.
+
+    An OSError from opening or reading becomes :class:`MissingDataError`.
+    """
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+    except OSError as exc:
+        raise unreadable(f"{what} {path}", exc) from exc
 
 
 def mean_exact(values: Iterable[float]) -> float:

@@ -9,7 +9,7 @@ covers the whole lifecycle:
   (:func:`normalize_region`),
 * fitting and selecting the ``(m, s)`` coefficients
   (:func:`fit_coefficients`, :func:`select_calibration_pair`),
-* temporal smoothing (:func:`smooth_scores`),
+* temporal smoothing (:class:`ScoreSmoother`),
 * online drift detection against a trusted per-frame distance
   (:func:`detect_drift`) and weighted recalibration (:func:`recalibrate`),
 * the per-frame driver tying it together (:func:`step`).
@@ -97,15 +97,6 @@ class DepthMap:
         if not isinstance(owner, bytes):  # numpy never writes through bytes
             arr = np.frombuffer(arr.tobytes(), dtype=np.float32).reshape(arr.shape)
         self._scores = arr
-
-    @classmethod
-    def from_flat(cls, width: int, height: int, flat) -> "DepthMap":
-        arr = np.asarray(flat, dtype=np.float32)
-        if arr.size != width * height:
-            raise DomainError(
-                f"expected {width * height} scores for {width}x{height}, got {arr.size}"
-            )
-        return cls(arr.reshape(height, width))
 
     @property
     def scores(self) -> np.ndarray:
@@ -397,13 +388,6 @@ def select_calibration_pair(
     return best_pair, best_coeffs
 
 
-def smooth_scores(history: Sequence[float]) -> float:
-    """Mean of the scores seen so far in a sliding window (partial windows allowed)."""
-    if len(history) == 0:
-        raise EmptyInputError("cannot smooth an empty history")
-    return mean_exact(history)
-
-
 class ScoreSmoother:
     """Sliding-window mean over the last ``window`` scores of one tracked object."""
 
@@ -413,8 +397,9 @@ class ScoreSmoother:
         self._history: deque[float] = deque(maxlen=window)
 
     def push(self, score: float) -> float:
+        """Add a score; the mean of the window so far (partial windows allowed)."""
         self._history.append(float(score))
-        return smooth_scores(list(self._history))
+        return mean_exact(self._history)
 
 
 @dataclass(frozen=True)
@@ -502,6 +487,20 @@ class RecalibrationState:
         self._last_second: int | None = None
         self._rng = np.random.default_rng(seed)
 
+    def sample_second(self, timestamp_s: float, trusted_m: float, estimated_m: float) -> None:
+        """Feed ``R`` and ``D`` from the first frame of each wall-clock second."""
+        second = int(math.floor(timestamp_s))
+        if self._last_second is None or second > self._last_second:
+            self.R.append(trusted_m)
+            self.D.append(estimated_m)
+            self.seconds_seen += 1
+            self._last_second = second
+
+    def draw(self, n: int) -> list[CalibrationSample]:
+        """``n`` distinct entries of ``T`` drawn uniformly by the state's seeded generator."""
+        snapshot = list(self.T)
+        return [snapshot[i] for i in self._rng.choice(len(snapshot), size=n, replace=False)]
+
 
 def detect_drift(state: RecalibrationState, config: RecalibrationConfig) -> bool:
     """True (and latches the flag) when the windowed mean absolute error exceeds tau.
@@ -540,10 +539,7 @@ def recalibrate(state: RecalibrationState, config: RecalibrationConfig) -> Depth
         raise NotReadyError(
             f"train buffer holds {len(state.T)} samples, need {n_new}"
         )
-    snapshot = list(state.T)
-    picked_idx = state._rng.choice(len(snapshot), size=n_new, replace=False)
-    drawn = [snapshot[i] for i in picked_idx]
-    fit_set = list(state.original_samples) + drawn
+    fit_set = list(state.original_samples) + state.draw(n_new)
     m, s = _fit_line(
         [smp.normalized_score for smp in fit_set],
         [smp.true_distance_m for smp in fit_set],
@@ -591,13 +587,13 @@ class StepResult:
 def step(
     frame: FrameObservation,
     vip_truth: DistanceEstimate | float | None,
-    state: RecalibrationState,
-    config: RecalibrationConfig,
+    state: RecalibrationState | None,
+    config: RecalibrationConfig | None,
     coeffs: DepthCoefficients,
     method: NormalizationMethod | None = None,
     smoother: ScoreSmoother | None = None,
 ) -> StepResult:
-    """Process one frame: update buffers, detect drift, recalibrate, estimate.
+    """Process one frame: score, update buffers, detect drift, recalibrate, estimate.
 
     ``vip_truth`` is the trusted distance to the followed person for this
     frame (typically the regression estimate). Frames without a usable truth
@@ -609,10 +605,12 @@ def step(
 
     All objects in the frame are estimated with the coefficients current at
     the end of the step, so a recalibration applies from its own frame onward.
+    With ``state`` and ``config`` None there is no drift handling: the frame
+    is scored and estimated with ``coeffs``, and ``vip_truth`` is not used.
     """
     if method is None:
         method = NormalizationMethod()
-    vips = [d for d in frame.detections if d.is_vip]
+    vips = [i for i, det in enumerate(frame.detections) if det.is_vip]
     if len(vips) > 1:
         raise DomainError(f"{len(vips)} detections flagged as the followed person; expected one")
 
@@ -638,21 +636,16 @@ def step(
     recalibrated = False
     if not vips:
         warning = "no-vip-detection"
-    else:
-        vip_idx = next(i for i, det in enumerate(frame.detections) if det.is_vip)
-        vip_score = scores[vip_idx]
+    elif state is not None:
+        vip_score = scores[vips[0]]
         if truth is None:
             warning = "no-vip-truth"
         elif truth.out_of_domain:
             warning = "vip-truth-out-of-domain"
         elif not state.flag:
             state.T.append(CalibrationSample(vip_score, truth.value_m))
-            second = int(math.floor(frame.timestamp_s))
-            if state._last_second is None or second > state._last_second:
-                state.R.append(truth.value_m)
-                state.D.append(coeffs.m * vip_score + coeffs.s)
-                state.seconds_seen += 1
-                state._last_second = second
+            estimated_m = coeffs.m * vip_score + coeffs.s
+            state.sample_second(frame.timestamp_s, truth.value_m, estimated_m)
 
         was_flagged = state.flag
         detect_drift(state, config)
@@ -672,13 +665,9 @@ def step(
         )
         for i, det in enumerate(frame.detections)
     )
-    vip_distance = None
-    if vips:
-        vip_idx = next(i for i, det in enumerate(frame.detections) if det.is_vip)
-        vip_distance = estimates[vip_idx].distance
     return StepResult(
         timestamp_s=frame.timestamp_s,
-        vip_distance=vip_distance,
+        vip_distance=estimates[vips[0]].distance if vips else None,
         estimates=estimates,
         coeffs=coeffs,
         drift_detected=drift_detected,

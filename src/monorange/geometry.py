@@ -275,17 +275,13 @@ class PositioningEnvelope:
     """Valid (height-offset, distance) pairs for the drone behind the person.
 
     Pairs lie on the line ``offset = tan(fov/2) * distance`` with the distance
-    clamped to the policy's ``[d_min_m, d_max_m]`` range. ``visible_fraction``
-    records how much of the person (from the head down) must stay in frame at
-    the near endpoint; it parameterizes deployment tuning rather than the
-    returned line itself.
+    clamped to the policy's ``[d_min_m, d_max_m]`` range.
     """
 
     fov_deg: float
     vip_height_m: float
     d_min_m: float
     d_max_m: float
-    visible_fraction: float = 2.0 / 3.0
 
     @property
     def slope(self) -> float:
@@ -304,34 +300,20 @@ class PositioningEnvelope:
         offset, _ = self.offset_at(distance_m)
         return self.vip_height_m + offset
 
-    @property
-    def near_point(self) -> tuple[float, float]:
-        return self.offset_at(self.d_min_m)
-
-    @property
-    def far_point(self) -> tuple[float, float]:
-        return self.offset_at(self.d_max_m)
-
 
 def positioning_envelope(
-    fov_deg: float,
-    vip_height_m: float,
-    policy: RiskPolicy,
-    visible_fraction: float = 2.0 / 3.0,
+    fov_deg: float, vip_height_m: float, policy: RiskPolicy
 ) -> PositioningEnvelope:
     """Build the follow-envelope for a camera FoV and person height."""
     if not 0 < fov_deg < 180:
         raise DomainError(f"field of view {fov_deg} must be in (0, 180) degrees")
     if not vip_height_m > 0:
         raise DomainError(f"person height must be positive, got {vip_height_m}")
-    if not 0 < visible_fraction <= 1:
-        raise DomainError(f"visible fraction {visible_fraction} outside (0, 1]")
     return PositioningEnvelope(
         fov_deg=fov_deg,
         vip_height_m=vip_height_m,
         d_min_m=policy.d_min_m,
         d_max_m=policy.d_max_m,
-        visible_fraction=visible_fraction,
     )
 
 

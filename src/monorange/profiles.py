@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .common import DomainError, FormatError, MissingDataError, canonical_json
-from .depth import DepthCoefficients, NormalizationMethod, PROVENANCE_STATIC
+from .common import (
+    PARSE_ERRORS, DomainError, FormatError, MissingDataError, canonical_json, read_text,
+)
+from .depth import DepthCoefficients, PROVENANCE_STATIC
 from .geometry import CameraIntrinsics, HeightTable
 from .regression import MODE_THREE, MODE_TWO, RegressionModel
 
@@ -88,9 +90,6 @@ class DepthProfile:
             fitted_pair=self.pair,
         )
 
-    def normalization(self) -> NormalizationMethod:
-        return NormalizationMethod(lt_percentile=self.lt_percentile)
-
     def payload(self) -> dict:
         return {
             "vip_id": self.vip_id,
@@ -149,17 +148,13 @@ def _finite_float(text: str) -> float:
 
 
 def _read_json(path: str | Path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise MissingDataError(f"profile file not found: {p}")
+    text = read_text(path, "profile file")
     try:
-        payload = json.loads(
-            p.read_text(), parse_float=_finite_float, parse_constant=_finite_float
-        )
+        payload = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except ValueError as exc:  # JSONDecodeError included
-        raise FormatError(f"{p}: invalid JSON ({exc})") from exc
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
-        raise FormatError(f"{p}: expected a JSON object")
+        raise FormatError(f"{path}: expected a JSON object")
     return payload
 
 
@@ -178,7 +173,7 @@ def load_camera_profile(source: str | Path) -> CameraProfile:
             image_h=int(payload["image_h"]),
             fov_deg=float(payload["fov_deg"]) if "fov_deg" in payload else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except PARSE_ERRORS as exc:
         raise FormatError(f"{source}: malformed camera profile ({exc})") from exc
 
 
@@ -201,7 +196,7 @@ def load_regression_profile(source: str | Path) -> RegressionProfile:
             b=float(payload["b"]),
             c=float(payload["c"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except PARSE_ERRORS as exc:
         raise FormatError(f"{source}: malformed regression profile ({exc})") from exc
 
 
@@ -224,7 +219,7 @@ def load_depth_profile(source: str | Path) -> DepthProfile:
             lt_percentile=float(payload.get("lt_percentile", 10.0)),
             smooth_window=int(payload.get("smooth_window", 5)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except PARSE_ERRORS as exc:
         raise FormatError(f"{source}: malformed depth profile ({exc})") from exc
 
 
@@ -240,7 +235,7 @@ def load_height_table(source: str | Path) -> HeightTable:
             if "actual_m" in entry and entry["actual_m"]:
                 actual[label] = tuple(float(h) for h in entry["actual_m"])
         return HeightTable(expected_m=expected, actual_m=actual)
-    except (KeyError, TypeError, ValueError) as exc:
+    except PARSE_ERRORS as exc:
         raise FormatError(f"{source}: malformed height table ({exc})") from exc
 
 

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .common import DomainError, FormatError
+from .common import PARSE_ERRORS, DomainError, FormatError, read_text
 from .depth import DepthMap, FrameObservation
 from .geometry import (
     BoundingBox,
@@ -286,35 +286,20 @@ class SceneSpec:
     vip_id: str = ""
 
     def frames(self, seed: int = 0) -> Iterator[SynthFrame]:
-        if self.post_law is not None:
-            yield from drift_sequence(
-                self.objects,
-                self.intrinsics,
-                self.pose,
-                self.law,
-                self.post_law,
-                self.switch_time_s,
-                self.duration_s,
-                self.fps,
-                seed=seed,
-                depth_w=self.depth_w,
-                depth_h=self.depth_h,
-            )
-            return
-        rng = np.random.default_rng(seed)
-        n_frames = int(round(self.duration_s * self.fps))
-        for i in range(n_frames):
-            yield _render(
-                self.objects,
-                self.intrinsics,
-                self.pose,
-                self.law,
-                rng,
-                self.depth_w,
-                self.depth_h,
-                False,
-                i / self.fps,
-            )
+        """The scene's frames; without a ``post_law`` the law never switches."""
+        yield from drift_sequence(
+            self.objects,
+            self.intrinsics,
+            self.pose,
+            self.law,
+            self.law if self.post_law is None else self.post_law,
+            self.switch_time_s,
+            self.duration_s,
+            self.fps,
+            seed=seed,
+            depth_w=self.depth_w,
+            depth_h=self.depth_h,
+        )
 
 
 def _parse_law(payload: dict) -> DepthLawSpec:
@@ -331,8 +316,8 @@ def _parse_law(payload: dict) -> DepthLawSpec:
 def load_scene_spec(path: str | Path) -> SceneSpec:
     """Parse a scene description JSON file."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(read_text(path, "scene file"))
+    except ValueError as exc:  # JSONDecodeError included
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
         cam = payload["camera"]
@@ -368,5 +353,5 @@ def load_scene_spec(path: str | Path) -> SceneSpec:
             switch_time_s=float(drift["switch_time_s"]) if drift else 0.0,
             vip_id=payload.get("vip_id", ""),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except PARSE_ERRORS as exc:
         raise FormatError(f"{path}: malformed scene spec ({exc})") from exc

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monorange.cli import main
+from monorange.cli import ESTIMATORS, RUNNERS, build_parser, main
 from monorange.common import canonical_jsonl_line
 from monorange.profiles import DepthProfile, load_camera_profile, load_depth_profile, save_profile
 
@@ -441,6 +441,113 @@ class TestEstimate:
         assert run_cli("estimate", "--stream", stream, "--estimator", "geometric",
                        "--camera-profile", "builtin:tello",
                        "--out", tmp_path / "est.jsonl") == 2
+
+
+HUGE = 10**400  # an integer literal too large for a float
+
+
+class TestInputFaults:
+    """Inputs that end in their documented exit code and name their file."""
+
+    @pytest.mark.parametrize("estimator, flags", [
+        ("neo", ("--depth-profile", "builtin:P1", "--gt-source", "truth")),
+        ("neo_norc", ("--depth-profile", "builtin:P1")),
+        ("regression", ("--regression-profile", "builtin:P1")),
+    ])
+    def test_several_followed_persons_exit_2(self, tmp_path, capsys, estimator, flags):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "static_mixed.json", "--out-dir", out, "--seed", 1)
+        stream = _edit_third_record(
+            out / "frames.jsonl", lambda r: [d.update(is_vip=True) for d in r["detections"]])
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", estimator, *flags,
+                       "--out", est) == 2
+        assert f"{stream}:3: 3 detections flagged is_vip" in capsys.readouterr().err
+        assert not est.exists()
+        est.write_text("")
+        assert run_cli("evaluate", "--estimates", est, "--truth", stream,
+                       "--out-dir", tmp_path / "m") == 2
+        assert f"{stream}:3: 3 detections flagged is_vip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_ground_truth_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out, "--seed", 5)
+        stream = _edit_third_record(out / "frames.jsonl",
+                                    lambda r: r["ground_truth"].update(vip=value))
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", out / "frames.jsonl",
+                       "--estimator", "neo_norc", "--depth-profile", "builtin:P1",
+                       "--out", est) == 0
+        assert run_cli("evaluate", "--estimates", est, "--truth", stream,
+                       "--out-dir", tmp_path / "m") == 2
+        assert f"{stream}:3: ground truth 'vip' is {value}" in capsys.readouterr().err
+
+    def test_directory_or_missing_input_is_missing_data(self, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        missing = tmp_path / "missing.json"
+        stream = tmp_path / "frames.jsonl"
+        stream.write_text("")
+        cases = [
+            (("estimate", "--stream", folder, "--estimator", "neo_norc",
+              "--depth-profile", "builtin:P1"), f"stream file {folder} unreadable"),
+            (("estimate", "--stream", stream, "--estimator", "neo_norc",
+              "--depth-profile", folder), f"profile file {folder} unreadable"),
+            (("evaluate", "--estimates", folder, "--truth", stream),
+             f"input file {folder} unreadable"),
+            (("synth", "--scene", folder), f"scene file {folder} unreadable"),
+            (("synth", "--scene", missing), f"scene file {missing} not found"),
+        ]
+        for argv, message in cases:
+            target = ("--out-dir", tmp_path / "o") if argv[0] != "estimate" else (
+                "--out", tmp_path / "est.jsonl")
+            assert run_cli(*argv, *target) == 4, argv
+            assert message in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out, "--seed", 5)
+        stream = _edit_third_record(out / "frames.jsonl",
+                                    lambda r: r.update(timestamp_s=HUGE))
+        assert run_cli("estimate", "--stream", stream, "--estimator", "geometric",
+                       "--camera-profile", "builtin:tello",
+                       "--out", tmp_path / "est.jsonl") == 2
+        assert f"{stream}:3: malformed frame annotation" in capsys.readouterr().err
+
+        reg = tmp_path / "reg.json"
+        reg.write_text(json.dumps({"vip_id": "P9", "mode": "three", "a": HUGE, "b": 0.1,
+                                   "c": 0.0}))
+        assert run_cli("estimate", "--stream", out / "frames.jsonl",
+                       "--estimator", "regression", "--regression-profile", reg,
+                       "--out", tmp_path / "est.jsonl") == 2
+        assert f"{reg}: malformed regression profile" in capsys.readouterr().err
+
+        est = tmp_path / "est.jsonl"
+        est.write_text(json.dumps({"frame_id": "frame_000000", "class_label": "vip",
+                                   "is_vip": True, "distance_m": HUGE}) + "\n")
+        assert run_cli("evaluate", "--estimates", est, "--truth", out / "frames.jsonl",
+                       "--out-dir", tmp_path / "m") == 2
+        assert f"{est}:1: malformed record" in capsys.readouterr().err
+
+        scene = json.loads((SCENES / "static_mixed.json").read_text())
+        scene["camera"]["focal_length_px"] = HUGE
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        assert run_cli("synth", "--scene", scene_path, "--out-dir", tmp_path / "s") == 2
+        assert f"{scene_path}: malformed scene spec" in capsys.readouterr().err
+
+
+def test_every_estimator_has_a_runner():
+    parser = build_parser()
+    profiles = ("--camera-profile", "builtin:tello", "--regression-profile", "builtin:P1",
+                "--depth-profile", "builtin:P1")
+    assert set(ESTIMATORS) == set(RUNNERS)
+    for name in ESTIMATORS:
+        args = parser.parse_args(["estimate", "--stream", "frames.jsonl", "--estimator", name,
+                                  "--out", "est.jsonl", *profiles])
+        runner = RUNNERS[name](name, args)
+        assert isinstance(runner.needs_depth_map, bool) and callable(runner.run_frame)
 
 
 class TestEvaluate:

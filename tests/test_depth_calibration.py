@@ -17,7 +17,6 @@ from monorange.depth import (
     estimate_distance_depth,
     fit_coefficients,
     select_calibration_pair,
-    smooth_scores,
 )
 
 
@@ -176,14 +175,11 @@ class TestSelectCalibrationPair:
 
 class TestSmoothScores:
     def test_singleton(self):
-        assert smooth_scores([5.0]) == 5.0
+        assert ScoreSmoother(window=5).push(5.0) == 5.0
 
     def test_full_window(self):
-        assert smooth_scores([1, 2, 3, 4, 5]) == 3.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            smooth_scores([])
+        smoother = ScoreSmoother(window=5)
+        assert [smoother.push(v) for v in (1, 2, 3, 4, 5)][-1] == 3.0
 
     def test_step_change_ramps(self):
         smoother = ScoreSmoother(window=5)

@@ -1,24 +1,32 @@
-"""Byte-identity guard for the depth estimators.
+"""Byte-identity guard for the estimators and the synthetic suite.
 
-A small noisy drift scene is synthesized and run through ``estimate neo``
-and ``estimate neo_norc`` with every normalization method. The sha256 of
-each output file is pinned: a change to the depth path that alters a single
-output byte is a behaviour change and must update these digests on purpose.
+A small noisy drift scene is synthesized and run through ``estimate neo``,
+``estimate neo_norc`` with every normalization method, and the three
+estimators that read no depth map. The sha256 of each output file is pinned:
+a change that alters a single output byte is a behaviour change and must
+update these digests on purpose.
 
 A second scene keeps every score negative (its law puts even the 50 m
 background at -1.67), so it pins the sign-bit code paths of
 :func:`monorange.depth.normalize_region` that the usual non-negative maps
 never reach.
+
+Last, ``scripts/run_synthetic_suite.py`` is run and one sha256 over the
+sorted (relative path, sha256) pairs of all its output files is pinned.
 """
 
 import hashlib
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 from monorange.cli import main
 from monorange.depth import METHOD_KINDS
+
+SUITE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_synthetic_suite.py"
 
 SCENE = {
     "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
@@ -67,6 +75,9 @@ EXPECTED = {
     "neo_norc.low_threshold": "bcfc1a8880145cf1a35f9e826a79a4f3b6b72d59b354932b181be7f84bdd398d",
     "neo_norc.mean": "57768397db1df028e1681dab82b5741c6ff2badeb186d4bb68ccb268a6a23d33",
     "neo_norc.median": "3a53da2ea1657c77d85dc6e38f105beee7507b7a9110dbbff76521daa9f13bb2",
+    "regression": "834406f94086f6a6cb3d68c51c43348a775ba9b4679f535b833cbd38bfa5d687",
+    "geometric": "d83caa137e4427914874ef35a9e12faf2f0ec84a05e98dc025fb9bcff8314f97",
+    "geometric_star": "db5aee1813baab5590b6af1811303ce6c1cd234920f36919057ce867c57b4987",
 }
 
 
@@ -79,13 +90,20 @@ EXPECTED_NEGATIVE = {
     "neo_norc.mean": "402606d7b90282e5d0ab2d717247b2a322f807ab004008e7956fa2ff65378725",
 }
 
+SUITE_FILES = 355
+SUITE_SHA256 = "32d6142a9f0c24f11cc64da76ff2342e3a4b1c984bca38dc934cda659947d6e0"
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_scene(base, scene_spec, profile_spec, methods):
-    """Synthesize the scene and return the digests of its inputs and estimates."""
+def run_scene(base, scene_spec, profile_spec, methods, box_estimators=False):
+    """Synthesize the scene and return the digests of its inputs and estimates.
+
+    ``box_estimators`` adds the regression and pinhole estimators, which read
+    the boxes alone.
+    """
     scene = base / "scene.json"
     scene.write_text(json.dumps(scene_spec))
     profile = base / "depth.json"
@@ -101,21 +119,28 @@ def run_scene(base, scene_spec, profile_spec, methods):
 
     def estimate(name, *flags):
         out = base / f"{name}.jsonl"
-        argv = ["estimate", "--stream", str(stream), "--depth-profile", str(profile),
-                "--out", str(out), *flags]
+        argv = ["estimate", "--stream", str(stream), "--out", str(out), *flags]
         assert main(argv) == 0
         digests[name] = sha256(out)
 
-    estimate("neo", "--estimator", "neo", "--gt-source", "truth", "--fps", "10",
+    depth = ("--depth-profile", str(profile))
+    estimate("neo", "--estimator", "neo", *depth, "--gt-source", "truth", "--fps", "10",
              "--seed", "29")
     for kind in methods:
-        estimate(f"neo_norc.{kind}", "--estimator", "neo_norc", "--norm-method", kind)
+        estimate(f"neo_norc.{kind}", "--estimator", "neo_norc", *depth, "--norm-method", kind)
+    if box_estimators:
+        estimate("regression", "--estimator", "regression",
+                 "--regression-profile", "builtin:P1")
+        for name in ("geometric", "geometric_star"):
+            estimate(name, "--estimator", name, "--camera-profile", "builtin:tello")
     return digests
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    return run_scene(tmp_path_factory.mktemp("digests"), SCENE, PROFILE, METHOD_KINDS)
+    return run_scene(
+        tmp_path_factory.mktemp("digests"), SCENE, PROFILE, METHOD_KINDS, box_estimators=True
+    )
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +165,15 @@ def test_negative_scene_output_is_byte_identical(negative_outputs, name):
 
 def test_every_negative_scene_output_is_pinned(negative_outputs):
     assert sorted(negative_outputs) == sorted(EXPECTED_NEGATIVE)
+
+
+def test_synthetic_suite_is_byte_identical(tmp_path, monkeypatch):
+    out = tmp_path / "suite"
+    monkeypatch.setattr(sys, "argv", [str(SUITE_SCRIPT), "--out", str(out), "--seed", "17"])
+    runpy.run_path(str(SUITE_SCRIPT), run_name="__main__")
+    pairs = sorted(
+        (p.relative_to(out).as_posix(), sha256(p)) for p in out.rglob("*") if p.is_file()
+    )
+    text = "".join(f"{rel} {digest}\n" for rel, digest in pairs)
+    assert len(pairs) == SUITE_FILES
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256

@@ -182,6 +182,17 @@ def run_stream(frames, state, config, coeffs, truth=3.0):
     return results
 
 
+class TestStateMethods:
+    def test_sample_second_keeps_the_first_frame_of_each_second(self):
+        state = fresh_state(RecalibrationConfig())
+        for t, trusted, estimated in [(0.0, 1, 2), (0.5, 3, 4), (1.2, 5, 6), (1.9, 7, 8),
+                                      (3.0, 9, 10)]:
+            state.sample_second(t, trusted, estimated)
+        assert list(state.R) == [1, 5, 9]
+        assert list(state.D) == [2, 6, 10]
+        assert state.seconds_seen == 3
+
+
 class TestStep:
     CONFIG = RecalibrationConfig(alpha=0.75, n_o=20, w=5, w_prime_s=3.0, fps=30)
 
@@ -310,6 +321,19 @@ class TestStep:
         assert result.warning == "vip-truth-out-of-domain"
         assert len(state.T) == 0
         assert result.vip_distance is not None  # estimation still happens
+
+    def test_without_state_no_drift_handling(self):
+        coeffs = self.static_coeffs()
+        frames = drift_sequence(
+            [VIP], INTR, POSE, PRE_LAW, POST_LAW, 2.0, 4.0, 10,
+            depth_w=DEPTH_W, depth_h=DEPTH_H,
+        )
+        for frame in frames:
+            result = step(frame.to_observation(), 3.0, None, None, coeffs)
+            assert result.coeffs is coeffs
+            assert not result.drift_detected and not result.recalibrated
+            assert result.warning is None
+            assert result.vip_distance.value_m == coeffs.m * result.estimates[0].score + coeffs.s
 
     def test_estimates_use_post_recalibration_coefficients(self):
         config = self.CONFIG
