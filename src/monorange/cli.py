@@ -37,6 +37,7 @@ from .common import (
     canonical_jsonl_line,
     read_lines,
     unreadable,
+    unwritable,
 )
 from .geometry import (
     BoundingBox,
@@ -634,7 +635,11 @@ def cmd_estimate(args) -> int:
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     frames = records = recals = errors = 0
     try:
-        with open(tmp_path, "w") as fh:
+        try:
+            fh = open(tmp_path, "w")
+        except OSError as exc:
+            raise unwritable(f"output file {tmp_path}", exc) from exc
+        with fh:
             for ann in read_annotations(stream_path):
                 frames += 1
                 out: list[dict] = []
@@ -657,7 +662,10 @@ def cmd_estimate(args) -> int:
                     fh.write(canonical_jsonl_line(record))
                     recals += record.get("event") == "recalibration"
                 records += len(out)
-        os.replace(tmp_path, out_path)
+        try:
+            os.replace(tmp_path, out_path)
+        except OSError as exc:
+            raise unwritable(f"output file {out_path}", exc) from exc
     finally:
         if tmp_path.exists():
             tmp_path.unlink()
@@ -714,17 +722,20 @@ def cmd_evaluate(args) -> int:
         )
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if joined:
-        metrics.write_records_csv(joined, out_dir / "records.csv")
-        per_class: dict[str, list[metrics.ErrorRecord]] = {"overall": list(joined)}
-        for rec in joined:
-            per_class.setdefault(rec.class_label, []).append(rec)
-        metrics.write_summary_csv(per_class, out_dir / "summary.csv")
-        metrics.write_quadrant_csv(
-            metrics.quadrant_matrix(joined, policy.near_threshold_m),
-            out_dir / "quadrant.csv",
-        )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if joined:
+            metrics.write_records_csv(joined, out_dir / "records.csv")
+            per_class: dict[str, list[metrics.ErrorRecord]] = {"overall": list(joined)}
+            for rec in joined:
+                per_class.setdefault(rec.class_label, []).append(rec)
+            metrics.write_summary_csv(per_class, out_dir / "summary.csv")
+            metrics.write_quadrant_csv(
+                metrics.quadrant_matrix(joined, policy.near_threshold_m),
+                out_dir / "quadrant.csv",
+            )
+    except OSError as exc:
+        raise unwritable(f"output path {exc.filename or out_dir}", exc) from exc
     print(
         f"metrics -> {out_dir}  joined={len(joined)} unmatched={unmatched_estimates} "
         f"beyond_{policy.far_limit_m:g}m={beyond_limit}"
@@ -740,13 +751,20 @@ def cmd_synth(args) -> int:
     spec = synth.load_scene_spec(args.scene)
     out_dir = Path(args.out_dir)
     maps_dir = out_dir / "maps"
-    maps_dir.mkdir(parents=True, exist_ok=True)
     stream_path = out_dir / "frames.jsonl"
+    try:
+        maps_dir.mkdir(parents=True, exist_ok=True)
+        fh = open(stream_path, "w")
+    except OSError as exc:
+        raise unwritable(f"output path {exc.filename or out_dir}", exc) from exc
     frames = 0
-    with open(stream_path, "w") as fh:
+    with fh:
         for i, frame in enumerate(spec.frames(seed=args.seed)):
             map_name = f"maps/frame_{i:06d}.neod"
-            neod.write_depth_map(out_dir / map_name, frame.depth_map)
+            try:
+                neod.write_depth_map(out_dir / map_name, frame.depth_map)
+            except OSError as exc:
+                raise unwritable(f"depth map {out_dir / map_name}", exc) from exc
             ground_truth = {
                 truth_key(det): dist for det, dist in zip(frame.detections, frame.truths)
             }

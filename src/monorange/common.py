@@ -90,27 +90,73 @@ def unreadable(what: str, exc: OSError) -> MissingDataError:
     return MissingDataError(f"{what} unreadable ({exc.strerror})")
 
 
+def unwritable(what: str, exc: OSError) -> MissingDataError:
+    """The missing-data error for an output ``what`` that could not be created or written."""
+    return MissingDataError(f"{what} cannot be written ({exc.strerror})")
+
+
+def _not_utf8(where: str, exc: UnicodeDecodeError) -> FormatError:
+    return FormatError(f"{where}: not UTF-8 text ({exc.reason})")
+
+
 def read_text(path: str | Path, what: str) -> str:
-    """Whole text of an input file; an OSError becomes :class:`MissingDataError`."""
+    """Whole text of a UTF-8 input file.
+
+    An OSError becomes :class:`MissingDataError`; bytes that are not UTF-8
+    become :class:`FormatError` naming the file and line.
+    """
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise unreadable(f"{what} {path}", exc) from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise _not_utf8(f"{path}:{line}", exc) from exc
 
 
 def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each non-blank line of an input file.
+    """(line number, stripped text) of each non-blank line of a UTF-8 input file.
 
-    An OSError from opening or reading becomes :class:`MissingDataError`.
+    An OSError from opening or reading becomes :class:`MissingDataError`; a
+    line that is not UTF-8 becomes :class:`FormatError` naming the file and line.
     """
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise _not_utf8(f"{path}:{lineno}", exc) from exc
                 if line:
                     yield lineno, line
     except OSError as exc:
         raise unreadable(f"{what} {path}", exc) from exc
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)  # "NaN", "Infinity" and overflowing literals land here
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in an input file, read as :func:`read_text` does.
+
+    ``NaN``, ``Infinity`` and float literals that overflow, like ``1e999``,
+    are rejected: each of these, invalid JSON, and a top level that is not
+    an object become :class:`FormatError` naming the file.
+    """
+    text = read_text(path, what)
+    try:
+        payload = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+    except ValueError as exc:  # JSONDecodeError included
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    return payload
 
 
 def mean_exact(values: Iterable[float]) -> float:

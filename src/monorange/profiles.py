@@ -8,13 +8,12 @@ working coefficients. Loaders accept a filesystem path or ``builtin:<name>``.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .common import (
-    PARSE_ERRORS, DomainError, FormatError, MissingDataError, canonical_json, read_text,
+    PARSE_ERRORS, DomainError, FormatError, MissingDataError, canonical_json, read_json,
+    unwritable,
 )
 from .depth import DepthCoefficients, PROVENANCE_STATIC
 from .geometry import CameraIntrinsics, HeightTable
@@ -140,24 +139,6 @@ DEFAULT_HEIGHTS = HeightTable(
 _BUILTIN_PREFIX = "builtin:"
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)  # "NaN", "Infinity" and overflowing literals land here
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
-
-
-def _read_json(path: str | Path) -> dict:
-    text = read_text(path, "profile file")
-    try:
-        payload = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
-    except ValueError as exc:  # JSONDecodeError included
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: expected a JSON object")
-    return payload
-
-
 def load_camera_profile(source: str | Path) -> CameraProfile:
     if isinstance(source, str) and source.startswith(_BUILTIN_PREFIX):
         name = source[len(_BUILTIN_PREFIX):]
@@ -165,7 +146,7 @@ def load_camera_profile(source: str | Path) -> CameraProfile:
             return BUILTIN_CAMERA[name]
         except KeyError:
             raise MissingDataError(f"no builtin camera profile {name!r}") from None
-    payload = _read_json(source)
+    payload = read_json(source, "profile file")
     try:
         return CameraProfile(
             focal_length_px=float(payload["focal_length_px"]),
@@ -184,7 +165,7 @@ def load_regression_profile(source: str | Path) -> RegressionProfile:
             return BUILTIN_REGRESSION[name]
         except KeyError:
             raise MissingDataError(f"no builtin regression profile {name!r}") from None
-    payload = _read_json(source)
+    payload = read_json(source, "profile file")
     try:
         mode = payload["mode"]
         if mode not in (MODE_THREE, MODE_TWO):
@@ -207,7 +188,7 @@ def load_depth_profile(source: str | Path) -> DepthProfile:
             return BUILTIN_DEPTH[name]
         except KeyError:
             raise MissingDataError(f"no builtin depth profile {name!r}") from None
-    payload = _read_json(source)
+    payload = read_json(source, "profile file")
     try:
         pair = payload.get("pair")
         return DepthProfile(
@@ -226,7 +207,7 @@ def load_depth_profile(source: str | Path) -> DepthProfile:
 def load_height_table(source: str | Path) -> HeightTable:
     if isinstance(source, str) and source == _BUILTIN_PREFIX + "default":
         return DEFAULT_HEIGHTS
-    payload = _read_json(source)
+    payload = read_json(source, "profile file")
     expected = {}
     actual = {}
     try:
@@ -239,10 +220,17 @@ def load_height_table(source: str | Path) -> HeightTable:
         raise FormatError(f"{source}: malformed height table ({exc})") from exc
 
 
+def _write_json(path: str | Path, payload: dict) -> None:
+    try:
+        Path(path).write_text(canonical_json(payload))
+    except OSError as exc:
+        raise unwritable(f"profile file {path}", exc) from exc
+
+
 def save_profile(
     path: str | Path, profile: CameraProfile | RegressionProfile | DepthProfile
 ) -> None:
-    Path(path).write_text(canonical_json(profile.payload()))
+    _write_json(path, profile.payload())
 
 
 def save_height_table(path: str | Path, table: HeightTable) -> None:
@@ -252,4 +240,4 @@ def save_height_table(path: str | Path, table: HeightTable) -> None:
         if label in table.actual_m:
             entry["actual_m"] = list(table.actual_m[label])
         payload[label] = entry
-    Path(path).write_text(canonical_json(payload))
+    _write_json(path, payload)

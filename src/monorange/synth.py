@@ -14,7 +14,6 @@ depth maps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .common import PARSE_ERRORS, DomainError, FormatError, read_text
+from .common import PARSE_ERRORS, DomainError, FormatError, read_json
 from .depth import DepthMap, FrameObservation
 from .geometry import (
     BoundingBox,
@@ -190,6 +189,12 @@ def _render(
         truths.append(obj.distance_m)
         boxes.append(bbox)
 
+    # The map is painted in float64 and rounded to float32 once, by DepthMap.
+    # Painting straight into float32 saves a pass, but then the largest block
+    # synth frees is one float32 map, which keeps glibc's dynamic trim
+    # threshold at twice a map's size: a process that goes on to read maps
+    # (estimate after synth in one process) then has its heap trimmed and
+    # faulted back in on some frames, which raised its p98 frame time by 40 %.
     background = law.score_for_distance(BACKGROUND_DISTANCE_M)
     scores = np.full((depth_h, depth_w), background, dtype=np.float64)
     # Paint far to near so closer objects overwrite overlapping regions.
@@ -201,10 +206,9 @@ def _render(
         r0 = max(0, int(math.floor(scaled.y_min)))
         r1 = min(depth_h, int(math.ceil(scaled.y_max)))
         value = law.score_for_distance(objects[i].distance_m)
-        patch = np.full((r1 - r0, c1 - c0), value, dtype=np.float64)
         if law.noise_sigma > 0:
-            patch += rng.normal(0.0, law.noise_sigma, size=patch.shape)
-        scores[r0:r1, c0:c1] = patch
+            value = value + rng.normal(0.0, law.noise_sigma, size=(r1 - r0, c1 - c0))
+        scores[r0:r1, c0:c1] = value
 
     return SynthFrame(
         detections=tuple(detections),
@@ -315,10 +319,7 @@ def _parse_law(payload: dict) -> DepthLawSpec:
 
 def load_scene_spec(path: str | Path) -> SceneSpec:
     """Parse a scene description JSON file."""
-    try:
-        payload = json.loads(read_text(path, "scene file"))
-    except ValueError as exc:  # JSONDecodeError included
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    payload = read_json(path, "scene file")
     try:
         cam = payload["camera"]
         intrinsics = CameraIntrinsics(

@@ -537,6 +537,106 @@ class TestInputFaults:
         assert run_cli("synth", "--scene", scene_path, "--out-dir", tmp_path / "s") == 2
         assert f"{scene_path}: malformed scene spec" in capsys.readouterr().err
 
+    def test_input_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out, "--seed", 5)
+        neod_map = out / "maps" / "frame_000000.neod"
+        assert run_cli("estimate", "--stream", neod_map, "--estimator", "geometric",
+                       "--camera-profile", "builtin:tello",
+                       "--out", tmp_path / "est.jsonl") == 2
+        assert f"{neod_map}:1: not UTF-8 text" in capsys.readouterr().err
+
+        est = tmp_path / "est.jsonl"
+        est.write_bytes(b'{"event": "x"}\n\n{"frame_id": "caf\xe9"}\n')
+        assert run_cli("evaluate", "--estimates", est, "--truth", out / "frames.jsonl",
+                       "--out-dir", tmp_path / "m") == 2
+        assert f"{est}:3: not UTF-8 text" in capsys.readouterr().err
+
+        scene = json.loads((SCENES / "calib_2p5m.json").read_text())
+        scene["objects"][0]["class_label"] = "caf\xe9"
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_bytes(json.dumps(scene, indent=2, ensure_ascii=False).encode("latin-1"))
+        line = next(i for i, text in enumerate(scene_path.read_bytes().splitlines(), 1)
+                    if b"caf" in text)
+        assert run_cli("synth", "--scene", scene_path, "--out-dir", tmp_path / "s") == 2
+        assert f"{scene_path}:{line}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_scene_number_exits_2(self, tmp_path, capsys, literal):
+        text = (SCENES / "calib_2p5m.json").read_text()
+        assert '"distance_m": 2.5' in text
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(text.replace('"distance_m": 2.5', f'"distance_m": {literal}'))
+        assert run_cli("synth", "--scene", scene_path, "--out-dir", tmp_path / "s") == 2
+        assert f"{scene_path}: invalid JSON (non-finite number {literal})" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "s").exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be created or written exits 4 naming the path."""
+
+    @pytest.fixture
+    def stream(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out) == 0
+        return out / "frames.jsonl"
+
+    @pytest.fixture
+    def regular_file(self, tmp_path):
+        path = tmp_path / "regular"
+        path.write_text("")
+        return path
+
+    def test_estimate(self, tmp_path, capsys, stream):
+        out = tmp_path / "nodir" / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "neo_norc",
+                       "--depth-profile", "builtin:P1", "--out", out) == 4
+        assert f"output file {out}.tmp cannot be written (No such file or directory)" in (
+            capsys.readouterr().err)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert run_cli("estimate", "--stream", stream, "--estimator", "neo_norc",
+                       "--depth-profile", "builtin:P1", "--out", folder) == 4
+        assert f"output file {folder} cannot be written" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_calibrate(self, tmp_path, capsys):
+        frames = TestCalibrateRegression.labeled_file(tmp_path)
+        out = tmp_path / "nodir" / "p.json"
+        assert run_cli("calibrate", "regression", "--frames", frames, "--out", out) == 4
+        assert f"profile file {out} cannot be written" in capsys.readouterr().err
+
+    def test_focal(self, tmp_path, capsys):
+        samples = tmp_path / "focal.jsonl"
+        bbox = {"x_min": 100, "y_min": 100, "x_max": 200, "y_max": 434.32,
+                "resolution_w": 1280, "resolution_h": 720}
+        samples.write_text(json.dumps({"bbox": bbox, "object_height_m": 0.63,
+                                       "true_distance_m": 3.0}) + "\n")
+        out = tmp_path / "nodir" / "p.json"
+        assert run_cli("focal", "--samples", samples, "--out", out) == 4
+        assert f"profile file {out} cannot be written" in capsys.readouterr().err
+
+    def test_synth(self, tmp_path, capsys, stream, regular_file):
+        assert run_cli("synth", "--scene", SCENES / "calib_2p5m.json",
+                       "--out-dir", regular_file) == 4
+        assert f"output path {regular_file / 'maps'} cannot be written" in (
+            capsys.readouterr().err)
+        first = stream.parent / "maps" / "frame_000000.neod"
+        first.unlink()
+        first.mkdir()
+        assert run_cli("synth", "--scene", SCENES / "calib_2p5m.json",
+                       "--out-dir", stream.parent) == 4
+        assert f"depth map {first} cannot be written" in capsys.readouterr().err
+
+    def test_evaluate(self, tmp_path, capsys, stream, regular_file):
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "neo_norc",
+                       "--depth-profile", "builtin:P1", "--out", est) == 0
+        assert run_cli("evaluate", "--estimates", est, "--truth", stream,
+                       "--out-dir", regular_file) == 4
+        assert f"output path {regular_file} cannot be written" in capsys.readouterr().err
+
 
 def test_every_estimator_has_a_runner():
     parser = build_parser()

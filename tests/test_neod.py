@@ -1,6 +1,10 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
+from monorange import neod
 from monorange.common import DomainError, NeodMagicError, NeodTruncatedError
 from monorange.depth import DepthMap
 from monorange.neod import MAGIC, read_depth_map, write_depth_map
@@ -37,6 +41,53 @@ class TestRoundTrip:
         assert int.from_bytes(raw[4:8], "little") == 3
         assert int.from_bytes(raw[8:12], "little") == 2
         assert len(raw) == 12 + 4 * 6
+
+
+class TestOverwrite:
+    def test_longer_file_is_trimmed(self, tmp_path):
+        path = tmp_path / "map.neod"
+        write_depth_map(path, sample_map(seed=1, w=40, h=30))
+        small = sample_map(seed=2)
+        write_depth_map(path, small)
+        assert path.stat().st_size == 12 + 4 * small.width * small.height
+        assert np.array_equal(read_depth_map(path).scores, small.scores)
+
+    def test_failed_write_leaves_no_map(self, tmp_path, monkeypatch):
+        path = tmp_path / "map.neod"
+        write_depth_map(path, sample_map(seed=1))
+        real_write = os.write
+        calls = []
+
+        def write_header_and_half_the_scores(fd, data):
+            calls.append(len(data))
+            if len(calls) == 1:
+                return real_write(fd, data)
+            if len(calls) == 2:
+                return real_write(fd, bytes(data)[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(neod.os, "write", write_header_and_half_the_scores)
+        with pytest.raises(OSError):
+            write_depth_map(path, sample_map(seed=2))
+        monkeypatch.undo()
+        assert len(calls) == 3  # header, half the scores, then the failure
+        with pytest.raises(NeodTruncatedError):
+            read_depth_map(path)
+
+    def test_non_contiguous_scores_written_in_row_order(self, tmp_path):
+        path = tmp_path / "map.neod"
+        write_depth_map(path, sample_map(w=5, h=3))
+        frozen = read_depth_map(path).scores.T  # read-only view over bytes, kept uncopied
+        writable = np.arange(15, dtype=np.float32).reshape(3, 5).T
+        for arr in (frozen, writable):
+            dm = DepthMap(arr)
+            write_depth_map(path, dm)
+            raw = path.read_bytes()
+            assert int.from_bytes(raw[4:8], "little") == 3
+            assert int.from_bytes(raw[8:12], "little") == 5
+            assert raw[12:] == np.ascontiguousarray(arr, dtype="<f4").tobytes()
+            assert np.array_equal(read_depth_map(path).scores, arr)
+        assert not DepthMap(frozen).scores.flags.c_contiguous
 
 
 class TestRejection:

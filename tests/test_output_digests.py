@@ -11,6 +11,10 @@ background at -1.67), so it pins the sign-bit code paths of
 :func:`monorange.depth.normalize_region` that the usual non-negative maps
 never reach.
 
+Synthesizing into a directory that already holds outputs, including larger
+maps, must give the same pinned digests: maps are overwritten in place and
+trimmed.
+
 Last, ``scripts/run_synthetic_suite.py`` is run and one sha256 over the
 sorted (relative path, sha256) pairs of all its output files is pinned.
 """
@@ -98,24 +102,28 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def synth(base, scene_spec, run, seed=29):
+    """Synthesize the scene into ``run``; the digests of the stream and of all maps."""
+    scene = base / "scene.json"
+    scene.write_text(json.dumps(scene_spec))
+    assert main(["synth", "--scene", str(scene), "--out-dir", str(run), "--seed", str(seed)]) == 0
+    maps = hashlib.sha256()
+    for path in sorted((run / "maps").iterdir()):
+        maps.update(path.read_bytes())
+    return {"frames.jsonl": sha256(run / "frames.jsonl"), "maps": maps.hexdigest()}
+
+
 def run_scene(base, scene_spec, profile_spec, methods, box_estimators=False):
     """Synthesize the scene and return the digests of its inputs and estimates.
 
     ``box_estimators`` adds the regression and pinhole estimators, which read
     the boxes alone.
     """
-    scene = base / "scene.json"
-    scene.write_text(json.dumps(scene_spec))
     profile = base / "depth.json"
     profile.write_text(json.dumps(profile_spec))
     run = base / "run"
-    assert main(["synth", "--scene", str(scene), "--out-dir", str(run), "--seed", "29"]) == 0
+    digests = synth(base, scene_spec, run)
     stream = run / "frames.jsonl"
-    digests = {"frames.jsonl": sha256(stream)}
-    maps = hashlib.sha256()
-    for path in sorted((run / "maps").iterdir()):
-        maps.update(path.read_bytes())
-    digests["maps"] = maps.hexdigest()
 
     def estimate(name, *flags):
         out = base / f"{name}.jsonl"
@@ -165,6 +173,17 @@ def test_negative_scene_output_is_byte_identical(negative_outputs, name):
 
 def test_every_negative_scene_output_is_pinned(negative_outputs):
     assert sorted(negative_outputs) == sorted(EXPECTED_NEGATIVE)
+
+
+@pytest.mark.parametrize("first_seed, first_resolution", [
+    (29, [256, 96]),  # the same run again
+    (30, [512, 192]),  # other scores in larger maps, which must be overwritten and trimmed
+])
+def test_synth_over_existing_outputs_is_byte_identical(tmp_path, first_seed, first_resolution):
+    run = tmp_path / "run"
+    synth(tmp_path, {**SCENE, "depth_resolution": first_resolution}, run, seed=first_seed)
+    digests = synth(tmp_path, SCENE, run)
+    assert digests == {name: EXPECTED[name] for name in ("frames.jsonl", "maps")}
 
 
 def test_synthetic_suite_is_byte_identical(tmp_path, monkeypatch):
