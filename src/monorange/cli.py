@@ -635,11 +635,7 @@ def cmd_estimate(args) -> int:
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     frames = records = recals = errors = 0
     try:
-        try:
-            fh = open(tmp_path, "w")
-        except OSError as exc:
-            raise unwritable(f"output file {tmp_path}", exc) from exc
-        with fh:
+        with open(tmp_path, "w") as fh:
             for ann in read_annotations(stream_path):
                 frames += 1
                 out: list[dict] = []
@@ -662,10 +658,9 @@ def cmd_estimate(args) -> int:
                     fh.write(canonical_jsonl_line(record))
                     recals += record.get("event") == "recalibration"
                 records += len(out)
-        try:
-            os.replace(tmp_path, out_path)
-        except OSError as exc:
-            raise unwritable(f"output file {out_path}", exc) from exc
+        os.replace(tmp_path, out_path)
+    except OSError as exc:
+        raise unwritable(f"output file {out_path}", exc) from exc
     finally:
         if tmp_path.exists():
             tmp_path.unlink()
@@ -752,32 +747,31 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     maps_dir = out_dir / "maps"
     stream_path = out_dir / "frames.jsonl"
+    frames = 0
     try:
         maps_dir.mkdir(parents=True, exist_ok=True)
-        fh = open(stream_path, "w")
+        with open(stream_path, "w") as fh:
+            for i, frame in enumerate(spec.frames(seed=args.seed)):
+                map_name = f"maps/frame_{i:06d}.neod"
+                try:
+                    neod.write_depth_map(out_dir / map_name, frame.depth_map)
+                except OSError as exc:
+                    raise unwritable(f"depth map {out_dir / map_name}", exc) from exc
+                ground_truth = {
+                    truth_key(det): dist for det, dist in zip(frame.detections, frame.truths)
+                }
+                ann = FrameAnnotation(
+                    frame_id=f"frame_{i:06d}",
+                    timestamp_s=frame.timestamp_s,
+                    detections=frame.detections,
+                    depth_map_path=map_name,
+                    ground_truth=ground_truth,
+                    vip_id=spec.vip_id,
+                )
+                fh.write(canonical_jsonl_line(annotation_payload(ann)))
+                frames += 1
     except OSError as exc:
-        raise unwritable(f"output path {exc.filename or out_dir}", exc) from exc
-    frames = 0
-    with fh:
-        for i, frame in enumerate(spec.frames(seed=args.seed)):
-            map_name = f"maps/frame_{i:06d}.neod"
-            try:
-                neod.write_depth_map(out_dir / map_name, frame.depth_map)
-            except OSError as exc:
-                raise unwritable(f"depth map {out_dir / map_name}", exc) from exc
-            ground_truth = {
-                truth_key(det): dist for det, dist in zip(frame.detections, frame.truths)
-            }
-            ann = FrameAnnotation(
-                frame_id=f"frame_{i:06d}",
-                timestamp_s=frame.timestamp_s,
-                detections=frame.detections,
-                depth_map_path=map_name,
-                ground_truth=ground_truth,
-                vip_id=spec.vip_id,
-            )
-            fh.write(canonical_jsonl_line(annotation_payload(ann)))
-            frames += 1
+        raise unwritable(f"output path {exc.filename or stream_path}", exc) from exc
     print(f"synthetic stream -> {stream_path}  frames={frames} maps={frames}")
     return EXIT_OK
 

@@ -26,29 +26,19 @@ def write_depth_map(path: str | Path, depth_map: DepthMap) -> None:
     The file is not truncated when opened: truncating a file to zero frees
     its blocks, writing it again allocates new ones, and ext4 starts
     writeback on close, which made the open cost more than the write. It is
-    trimmed to its length after the write instead, so a longer older file
-    loses its tail. If a write fails, the file is truncated to zero bytes
-    before the error propagates, so it never passes for a map that mixes
-    old and new scores. Nothing is fsynced.
+    trimmed to its length after the scores are written instead, so a longer
+    older file loses its tail. The header is zeroed first and written last,
+    so a write that stops partway, by an error or by the process being
+    killed, leaves a file whose magic ``read_depth_map`` rejects, never a
+    map that mixes old and new scores. Nothing is fsynced.
     """
     scores = np.ascontiguousarray(depth_map.scores, dtype="<f4")
-    header = _HEADER.pack(MAGIC, depth_map.width, depth_map.height)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        _write_all(fd, header)
-        _write_all(fd, memoryview(scores).cast("B"))
-        os.ftruncate(fd, len(header) + scores.nbytes)
-    except BaseException:
-        os.ftruncate(fd, 0)
-        raise
-    finally:
-        os.close(fd)
-
-
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(bytes(_HEADER.size))
+        fh.write(memoryview(scores))
+        fh.truncate()
+        fh.seek(0)
+        fh.write(_HEADER.pack(MAGIC, depth_map.width, depth_map.height))
 
 
 def read_depth_map(path: str | Path) -> DepthMap:

@@ -592,7 +592,7 @@ class TestUnwritableOutput:
         out = tmp_path / "nodir" / "est.jsonl"
         assert run_cli("estimate", "--stream", stream, "--estimator", "neo_norc",
                        "--depth-profile", "builtin:P1", "--out", out) == 4
-        assert f"output file {out}.tmp cannot be written (No such file or directory)" in (
+        assert f"output file {out} cannot be written (No such file or directory)" in (
             capsys.readouterr().err)
         folder = tmp_path / "folder"
         folder.mkdir()
@@ -600,6 +600,16 @@ class TestUnwritableOutput:
                        "--depth-profile", "builtin:P1", "--out", folder) == 4
         assert f"output file {folder} cannot be written" in capsys.readouterr().err
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_estimate_full_disk(self, tmp_path, capsys, stream):
+        out = tmp_path / "est.jsonl"
+        (tmp_path / "est.jsonl.tmp").symlink_to("/dev/full")  # every write fails with ENOSPC
+        assert run_cli("estimate", "--stream", stream, "--estimator", "neo_norc",
+                       "--depth-profile", "builtin:P1", "--out", out) == 4
+        assert f"output file {out} cannot be written (No space left on device)" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_calibrate(self, tmp_path, capsys):
         frames = TestCalibrateRegression.labeled_file(tmp_path)
@@ -628,6 +638,15 @@ class TestUnwritableOutput:
         assert run_cli("synth", "--scene", SCENES / "calib_2p5m.json",
                        "--out-dir", stream.parent) == 4
         assert f"depth map {first} cannot be written" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_synth_full_disk(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "frames.jsonl").symlink_to("/dev/full")  # every write fails with ENOSPC
+        assert run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out) == 4
+        assert f"output path {out / 'frames.jsonl'} cannot be written (No space left on device)" in (
+            capsys.readouterr().err)
 
     def test_evaluate(self, tmp_path, capsys, stream, regular_file):
         est = tmp_path / "est.jsonl"

@@ -1,5 +1,9 @@
 import errno
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,40 @@ from monorange import neod
 from monorange.common import DomainError, NeodMagicError, NeodTruncatedError
 from monorange.depth import DepthMap
 from monorange.neod import MAGIC, read_depth_map, write_depth_map
+
+
+# Writes a second map (seed 2) over argv[1] and is killed with SIGKILL just
+# before the file method call numbered argv[2], as the OOM killer would: what
+# the file object still buffers is lost.
+_KILLED_WRITE = """
+import os, signal, sys
+import numpy as np
+from monorange import neod
+from monorange.depth import DepthMap
+
+path, stop = sys.argv[1], int(sys.argv[2])
+calls = 0
+
+class Killed:
+    def __init__(self, fh):
+        self.fh = fh
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+    def __getattr__(self, name):
+        def call(*args):
+            global calls
+            if calls == stop:
+                os.kill(os.getpid(), signal.SIGKILL)
+            calls += 1
+            return getattr(self.fh, name)(*args)
+        return call
+
+neod.open = lambda *a: Killed(open(*a))
+rng = np.random.default_rng(2)
+neod.write_depth_map(path, DepthMap(rng.normal(0, 3, size=(48, 64)).astype(np.float32)))
+"""
 
 
 def sample_map(seed=0, w=17, h=9):
@@ -55,24 +93,60 @@ class TestOverwrite:
     def test_failed_write_leaves_no_map(self, tmp_path, monkeypatch):
         path = tmp_path / "map.neod"
         write_depth_map(path, sample_map(seed=1))
-        real_write = os.write
-        calls = []
+        writes = []
 
-        def write_header_and_half_the_scores(fd, data):
-            calls.append(len(data))
-            if len(calls) == 1:
-                return real_write(fd, data)
-            if len(calls) == 2:
-                return real_write(fd, bytes(data)[: len(data) // 2])
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        class HalfTheScoresThenFull:
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(neod.os, "write", write_header_and_half_the_scores)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == 1:
+                    return self.fh.write(data)
+                self.fh.write(memoryview(data).cast("B")[: len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(neod, "open", lambda *a: HalfTheScoresThenFull(open(*a)),
+                            raising=False)
         with pytest.raises(OSError):
             write_depth_map(path, sample_map(seed=2))
         monkeypatch.undo()
-        assert len(calls) == 3  # header, half the scores, then the failure
-        with pytest.raises(NeodTruncatedError):
+        assert len(writes) == 2  # the zeroed header, then half the scores
+        with pytest.raises(NeodMagicError):
             read_depth_map(path)
+
+    @pytest.mark.parametrize("killed_before_call", range(6))
+    def test_killed_write_leaves_old_new_or_rejected_map(self, tmp_path, killed_before_call):
+        # A map larger than the file buffer, so the scores reach the file
+        # before the header does; the old map has the same size as the new.
+        path = tmp_path / "map.neod"
+        old, new = sample_map(seed=1, w=64, h=48), sample_map(seed=2, w=64, h=48)
+        write_depth_map(path, old)
+        src = Path(neod.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", _KILLED_WRITE, str(path), str(killed_before_call)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        )
+        calls = 5  # write, write, truncate, seek, write
+        if killed_before_call < calls:
+            assert result.returncode == -signal.SIGKILL, result.stderr
+        else:
+            assert result.returncode == 0, result.stderr
+        try:
+            scores = read_depth_map(path).scores
+        except (NeodMagicError, NeodTruncatedError):
+            scores = None
+        if killed_before_call == 2:  # after the scores, before the trim and the header
+            assert scores is None
+        if killed_before_call == calls:
+            assert np.array_equal(scores, new.scores)
+        assert scores is None or any(np.array_equal(scores, m.scores) for m in (old, new))
 
     def test_non_contiguous_scores_written_in_row_order(self, tmp_path):
         path = tmp_path / "map.neod"
