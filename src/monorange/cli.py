@@ -33,6 +33,7 @@ from .common import (
     MissingDataError,
     MonorangeError,
     NoPixelsError,
+    NonFiniteError,
     SingularFitError,
     canonical_jsonl_line,
     read_lines,
@@ -98,20 +99,14 @@ def _detection_payload(det: Detection) -> dict:
     }
 
 
-def _detection_from_payload(payload: dict) -> Detection:
-    box = payload["bbox"]
-    return Detection(
-        bbox=BoundingBox(
-            x_min=float(box["x_min"]),
-            y_min=float(box["y_min"]),
-            x_max=float(box["x_max"]),
-            y_max=float(box["y_max"]),
-            resolution_w=int(box["resolution_w"]),
-            resolution_h=int(box["resolution_h"]),
-        ),
-        class_label=str(payload["class_label"]),
-        confidence=float(payload.get("confidence", 1.0)),
-        is_vip=bool(payload.get("is_vip", False)),
+def _bbox_from_payload(box: dict) -> BoundingBox:
+    return BoundingBox(
+        float(box["x_min"]),
+        float(box["y_min"]),
+        float(box["x_max"]),
+        float(box["y_max"]),
+        int(box["resolution_w"]),
+        int(box["resolution_h"]),
     )
 
 
@@ -132,6 +127,44 @@ def annotation_payload(ann: FrameAnnotation) -> dict:
     return payload
 
 
+def _annotation(payload: dict) -> tuple[FrameAnnotation, int]:
+    """The frame a decoded stream line describes, and its count of is_vip detections.
+
+    A field of the wrong JSON type raises one of ``PARSE_ERRORS``.
+    """
+    frame_id = str(payload["frame_id"])
+    timestamp_s = float(payload["timestamp_s"])
+    detections = []
+    vips = 0
+    for det in payload.get("detections", ()):
+        bbox = _bbox_from_payload(det["bbox"])
+        is_vip = bool(det.get("is_vip", False))
+        vips += is_vip
+        detections.append(
+            Detection(bbox, str(det["class_label"]), float(det.get("confidence", 1.0)), is_vip)
+        )
+    depth_map_path = payload.get("depth_map_path")
+    if depth_map_path is not None and type(depth_map_path) is not str:
+        raise TypeError(f"depth_map_path is {type(depth_map_path).__name__}, not a string")
+    truth = payload.get("ground_truth")
+    if not truth:
+        ground_truth = None
+    elif type(truth) is dict:
+        ground_truth = {str(k): float(v) for k, v in truth.items()}
+    else:
+        raise TypeError(f"ground_truth is {type(truth).__name__}, not an object")
+    ann = FrameAnnotation(
+        frame_id,
+        timestamp_s,
+        tuple(detections),
+        depth_map_path,
+        ground_truth,
+        str(payload.get("vip_id", "")),
+        str(payload.get("scene", "")),
+    )
+    return ann, vips
+
+
 def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
     """Stream frame annotations, enforcing non-decreasing timestamps.
 
@@ -142,21 +175,7 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
     previous_ts = None
     for lineno, line in read_lines(p, "stream file"):
         try:
-            payload = json.loads(line)
-            ann = FrameAnnotation(
-                frame_id=str(payload["frame_id"]),
-                timestamp_s=float(payload["timestamp_s"]),
-                detections=tuple(
-                    _detection_from_payload(d) for d in payload.get("detections", [])
-                ),
-                depth_map_path=payload.get("depth_map_path"),
-                ground_truth={
-                    str(k): float(v) for k, v in (payload.get("ground_truth") or {}).items()
-                }
-                or None,
-                vip_id=str(payload.get("vip_id", "")),
-                scene=str(payload.get("scene", "")),
-            )
+            ann, vips = _annotation(json.loads(line))
         except (DomainError, *PARSE_ERRORS) as exc:
             raise FormatError(f"{p}:{lineno}: malformed frame annotation ({exc})") from exc
         if not math.isfinite(ann.timestamp_s):
@@ -167,7 +186,6 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
                     f"{p}:{lineno}: ground truth {key!r} is {truth}, "
                     "not a positive finite distance"
                 )
-        vips = sum(det.is_vip for det in ann.detections)
         if vips > 1:
             raise FormatError(
                 f"{p}:{lineno}: {vips} detections flagged is_vip; "
@@ -183,11 +201,14 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
 
 
 def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) of each non-blank line of a JSONL input file."""
     for lineno, line in read_lines(path, "input file"):
         try:
             payload = json.loads(line)
         except ValueError as exc:  # JSONDecodeError included
             raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        if type(payload) is not dict:
+            raise FormatError(f"{path}:{lineno}: expected a JSON object")
         yield lineno, payload
 
 
@@ -235,7 +256,7 @@ def _cmd_calibrate_regression(args) -> int:
                     true_distance_m=float(payload["true_distance_m"]),
                 )
             )
-        except PARSE_ERRORS as exc:
+        except (DomainError, *PARSE_ERRORS) as exc:
             raise FormatError(f"{args.frames}:{lineno}: malformed labeled frame ({exc})") from exc
     model = fit_regression(frames, mode=args.mode, vip_id=args.vip_id)
     residual = math.sqrt(
@@ -261,15 +282,13 @@ def _cmd_calibrate_focal(args) -> int:
     resolution = None
     for lineno, payload in _read_jsonl(args.samples):
         try:
-            det = _detection_from_payload(
-                {"bbox": payload["bbox"], "class_label": "reference", "confidence": 1.0}
-            )
+            bbox = _bbox_from_payload(payload["bbox"])
             samples.append(
-                (det.bbox, float(payload["object_height_m"]), float(payload["true_distance_m"]))
+                (bbox, float(payload["object_height_m"]), float(payload["true_distance_m"]))
             )
-        except PARSE_ERRORS as exc:
+        except (DomainError, *PARSE_ERRORS) as exc:
             raise FormatError(f"{args.samples}:{lineno}: malformed focal sample ({exc})") from exc
-        resolution = (det.bbox.resolution_w, det.bbox.resolution_h)
+        resolution = (bbox.resolution_w, bbox.resolution_h)
     estimate = estimate_focal_length(samples)
     profile = profiles.CameraProfile(
         focal_length_px=estimate.median,
@@ -549,7 +568,7 @@ class _NeoRunner:
                             true_distance_m=float(payload["true_distance_m"]),
                         )
                     )
-                except PARSE_ERRORS as exc:
+                except (DomainError, *PARSE_ERRORS) as exc:
                     raise FormatError(
                         f"{args.recal_samples}:{lineno}: malformed sample ({exc})"
                     ) from exc
@@ -613,6 +632,20 @@ class _NeoRunner:
             )
 
 
+def _record_lines(ann: FrameAnnotation, records: list[dict]) -> list[str]:
+    """The frame's records as JSONL lines; a NaN or infinite number is a frame error."""
+    try:
+        return [canonical_jsonl_line(record) for record in records]
+    except ValueError:  # the encoder refuses non-finite numbers
+        key, value = next(
+            (key, value)
+            for record in records
+            for key, value in record.items()
+            if isinstance(value, float) and not math.isfinite(value)
+        )
+        raise NonFiniteError(f"frame {ann.frame_id}: {key} {value} is not finite") from None
+
+
 # Each estimator's runner, built once per run as ``runner(name, args)``. It
 # loads and checks the profiles it needs, and ``run_frame(ann, depth_map,
 # out)`` appends the frame's records to ``out``; ``depth_map`` is None unless
@@ -644,7 +677,10 @@ def cmd_estimate(args) -> int:
                         _load_depth_map(stream_path, ann) if runner.needs_depth_map else None
                     )
                     runner.run_frame(ann, depth_map, out)
-                except (MissingDataError, NoPixelsError, DegenerateGeometryError) as exc:
+                    lines = _record_lines(ann, out)
+                except (
+                    MissingDataError, NoPixelsError, DegenerateGeometryError, NonFiniteError
+                ) as exc:
                     out = [
                         {
                             "event": "error",
@@ -653,9 +689,10 @@ def cmd_estimate(args) -> int:
                             "reason": str(exc),
                         }
                     ]
+                    lines = [canonical_jsonl_line(out[0])]
                     errors += 1
-                for record in out:
-                    fh.write(canonical_jsonl_line(record))
+                for record, line in zip(out, lines):
+                    fh.write(line)
                     recals += record.get("event") == "recalibration"
                 records += len(out)
         os.replace(tmp_path, out_path)
@@ -772,6 +809,8 @@ def cmd_synth(args) -> int:
                 frames += 1
     except OSError as exc:
         raise unwritable(f"output path {exc.filename or stream_path}", exc) from exc
+    except DomainError as exc:  # the scene renders a frame outside some domain
+        raise FormatError(f"{args.scene}: scene cannot be rendered ({exc})") from exc
     print(f"synthetic stream -> {stream_path}  frames={frames} maps={frames}")
     return EXIT_OK
 
@@ -796,7 +835,15 @@ def _add_focal_flags(parser):
     parser.add_argument("--out", required=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after that.
+
+    Building it takes milliseconds, and callers such as the synthetic suite
+    run many commands in one process. Every caller gets the same object, so
+    none may add arguments to it or change its defaults. Each command names
+    its handler, which :func:`main` looks up in this module when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="monorange",
         description="Distance estimation from monocular drone video.",
@@ -811,11 +858,11 @@ def build_parser() -> argparse.ArgumentParser:
     cal_reg.add_argument("--mode", choices=(MODE_THREE, MODE_TWO), default=MODE_THREE)
     cal_reg.add_argument("--vip-id", default="")
     cal_reg.add_argument("--out", required=True)
-    cal_reg.set_defaults(func=cmd_calibrate)
+    cal_reg.set_defaults(handler="cmd_calibrate")
 
     cal_focal = cal_sub.add_parser("focal", help="estimate the focal length")
     _add_focal_flags(cal_focal)
-    cal_focal.set_defaults(func=cmd_calibrate)
+    cal_focal.set_defaults(handler="cmd_calibrate")
 
     cal_depth = cal_sub.add_parser("depth", help="fit depth-map scale/shift")
     cal_depth.add_argument("--stream", action="append", required=True)
@@ -827,11 +874,11 @@ def build_parser() -> argparse.ArgumentParser:
     cal_depth.add_argument("--smooth-window", type=int, default=5)
     cal_depth.add_argument("--out", required=True)
     _add_norm_flags(cal_depth)
-    cal_depth.set_defaults(func=cmd_calibrate)
+    cal_depth.set_defaults(handler="cmd_calibrate")
 
     focal = sub.add_parser("focal", help="alias for 'calibrate focal'")
     _add_focal_flags(focal)
-    focal.set_defaults(func=cmd_calibrate, subject="focal")
+    focal.set_defaults(handler="cmd_calibrate", subject="focal")
 
     est = sub.add_parser("estimate", help="estimate distances over a frame stream")
     est.add_argument("--stream", required=True)
@@ -852,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--out", required=True)
     _add_norm_flags(est)
-    est.set_defaults(func=cmd_estimate)
+    est.set_defaults(handler="cmd_estimate")
 
     ev = sub.add_parser("evaluate", help="join estimates with truth and emit metric CSVs")
     ev.add_argument("--estimates", required=True)
@@ -860,13 +907,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--near-threshold-m", type=float, default=4.0)
     ev.add_argument("--far-limit-m", type=float, default=8.0)
     ev.add_argument("--out-dir", required=True)
-    ev.set_defaults(func=cmd_evaluate)
+    ev.set_defaults(handler="cmd_evaluate")
 
     sy = sub.add_parser("synth", help="generate a synthetic stream from a scene spec")
     sy.add_argument("--scene", required=True)
     sy.add_argument("--out-dir", required=True)
     sy.add_argument("--seed", type=int, default=0)
-    sy.set_defaults(func=cmd_synth)
+    sy.set_defaults(handler="cmd_synth")
 
     return parser
 
@@ -874,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (SingularFitError, EmptyInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT

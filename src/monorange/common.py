@@ -57,6 +57,10 @@ class FormatError(MonorangeError):
     """A file does not conform to its declared format."""
 
 
+class NonFiniteError(DomainError):
+    """A number to be written is NaN or infinite."""
+
+
 # What turning a parsed JSON field into a number or a record can raise: a
 # missing key, a wrong type, an invalid value, or an integer too large for a
 # float.
@@ -207,15 +211,24 @@ def round_half_away(x: float) -> int:
     return -int(math.floor(-x + 0.5))
 
 
+# The canonical encoders, built once: ``json.dumps`` with options builds a new
+# encoder on every call. Without ``indent`` the separators are ", " and ": ".
+# ``allow_nan=False`` makes a NaN or an infinity a ValueError instead of a
+# token no strict JSON reader accepts.
+_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def canonical_json(payload) -> str:
     """Stable JSON text (sorted keys, two-space indent, trailing newline).
 
     Used for every profile and stream record this package writes so that
-    write -> read -> write round trips are byte-identical.
+    write -> read -> write round trips are byte-identical. A non-finite
+    number raises ValueError.
     """
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _JSON_ENCODER.encode(payload) + "\n"
 
 
 def canonical_jsonl_line(payload) -> str:
-    """One-line stable JSON for stream records."""
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
+    """One-line stable JSON for stream records; a non-finite number raises ValueError."""
+    return _JSONL_ENCODER.encode(payload) + "\n"

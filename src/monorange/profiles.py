@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .common import (
-    PARSE_ERRORS, DomainError, FormatError, MissingDataError, canonical_json, read_json,
-    unwritable,
+    PARSE_ERRORS, DomainError, FormatError, MissingDataError, NonFiniteError, canonical_json,
+    read_json, unwritable,
 )
 from .depth import DepthCoefficients, PROVENANCE_STATIC
 from .geometry import CameraIntrinsics, HeightTable
@@ -222,7 +222,11 @@ def load_height_table(source: str | Path) -> HeightTable:
 
 def _write_json(path: str | Path, payload: dict) -> None:
     try:
-        Path(path).write_text(canonical_json(payload))
+        text = canonical_json(payload)
+    except ValueError as exc:  # the encoder refuses non-finite numbers
+        raise NonFiniteError(f"profile file {path} not written: {exc}") from None
+    try:
+        Path(path).write_text(text)
     except OSError as exc:
         raise unwritable(f"profile file {path}", exc) from exc
 

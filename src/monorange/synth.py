@@ -289,6 +289,12 @@ class SceneSpec:
     switch_time_s: float = 0.0
     vip_id: str = ""
 
+    def __post_init__(self):
+        if self.depth_w < 1 or self.depth_h < 1:
+            raise DomainError(
+                f"depth resolution must be positive, got {self.depth_w}x{self.depth_h}"
+            )
+
     def frames(self, seed: int = 0) -> Iterator[SynthFrame]:
         """The scene's frames; without a ``post_law`` the law never switches."""
         yield from drift_sequence(
@@ -317,15 +323,27 @@ def _parse_law(payload: dict) -> DepthLawSpec:
     )
 
 
+def _whole(value, name: str) -> int:
+    """A count or a size given as a number with no fractional part."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} {value} is not a whole number")
+    return int(number)
+
+
 def load_scene_spec(path: str | Path) -> SceneSpec:
-    """Parse a scene description JSON file."""
+    """Parse a scene description JSON file.
+
+    Every fault, a value outside its domain included, is a
+    :class:`FormatError` that names the file.
+    """
     payload = read_json(path, "scene file")
     try:
         cam = payload["camera"]
         intrinsics = CameraIntrinsics(
             focal_length_px=float(cam["focal_length_px"]),
-            image_width_px=int(cam["image_w"]),
-            image_height_px=int(cam["image_h"]),
+            image_width_px=_whole(cam["image_w"], "image_w"),
+            image_height_px=_whole(cam["image_h"], "image_h"),
             fov_deg=float(cam["fov_deg"]) if "fov_deg" in cam else None,
         )
         objects = tuple(
@@ -339,20 +357,20 @@ def load_scene_spec(path: str | Path) -> SceneSpec:
             )
             for obj in payload["objects"]
         )
-        depth_res = payload.get("depth_resolution", [DEFAULT_DEPTH_W, DEFAULT_DEPTH_H])
+        depth_w, depth_h = payload.get("depth_resolution", (DEFAULT_DEPTH_W, DEFAULT_DEPTH_H))
         drift = payload.get("drift")
         return SceneSpec(
             intrinsics=intrinsics,
             pose=DronePose(height_m=float(payload.get("drone_height_m", 1.5))),
             objects=objects,
             law=_parse_law(payload["law"]),
-            fps=int(payload.get("fps", 30)),
+            fps=_whole(payload.get("fps", 30), "fps"),
             duration_s=float(payload.get("duration_s", 1.0)),
-            depth_w=int(depth_res[0]),
-            depth_h=int(depth_res[1]),
+            depth_w=_whole(depth_w, "depth width"),
+            depth_h=_whole(depth_h, "depth height"),
             post_law=_parse_law(drift["post_law"]) if drift else None,
             switch_time_s=float(drift["switch_time_s"]) if drift else 0.0,
             vip_id=payload.get("vip_id", ""),
         )
-    except PARSE_ERRORS as exc:
+    except (DomainError, *PARSE_ERRORS) as exc:
         raise FormatError(f"{path}: malformed scene spec ({exc})") from exc

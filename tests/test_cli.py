@@ -573,6 +573,146 @@ class TestInputFaults:
         assert not (tmp_path / "s").exists()
 
 
+class TestCodecFaults:
+    """Values of the wrong JSON type and numbers that cannot be written."""
+
+    def test_non_finite_distance_is_a_frame_error(self, tmp_path, capsys):
+        camera = tmp_path / "camera.json"
+        camera.write_text(json.dumps({"focal_length_px": 1e308, "image_w": 1280,
+                                      "image_h": 720}))
+        box = {"x_min": 100.0, "y_min": 100.0, "x_max": 101.0, "y_max": 100.5,
+               "resolution_w": 1280, "resolution_h": 720}
+        stream = tmp_path / "frames.jsonl"
+        stream.write_text(json.dumps({"frame_id": "f0", "timestamp_s": 0.0, "detections": [
+            {"bbox": box, "class_label": "car"}]}) + "\n")
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "geometric",
+                       "--camera-profile", camera, "--out", est) == 0
+        assert "frames=1 records=1 recalibrations=0 frame_errors=1" in capsys.readouterr().out
+        assert read_jsonl(est) == [{"event": "error", "frame_id": "f0", "timestamp_s": 0.0,
+                                    "reason": "frame f0: distance_m inf is not finite"}]
+
+    def test_non_finite_profile_is_not_written(self, tmp_path, capsys):
+        box = {"x_min": 540.0, "y_min": 193.0, "x_max": 740.0, "y_max": 527.0,
+               "resolution_w": 1280, "resolution_h": 720}
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(json.dumps({"bbox": box, "object_height_m": 0.5,
+                                       "true_distance_m": 1e308}) + "\n")
+        out = tmp_path / "camera.json"
+        assert run_cli("focal", "--samples", samples, "--out", out) == 2
+        assert f"profile file {out} not written" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [[1], "abc", 5], ids=["list", "string", "number"])
+    @pytest.mark.parametrize("command", ["estimate", "evaluate", "calibrate"])
+    def test_ground_truth_not_an_object_exits_2(self, tmp_path, capsys, command, value):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out)
+        stream = _edit_third_record(out / "frames.jsonl",
+                                    lambda r: r.update(ground_truth=value))
+        est = tmp_path / "est.jsonl"
+        est.write_text("")
+        argv = {
+            "estimate": ("estimate", "--stream", stream, "--estimator", "geometric",
+                         "--camera-profile", "builtin:tello", "--out", est),
+            "evaluate": ("evaluate", "--estimates", est, "--truth", stream,
+                         "--out-dir", tmp_path / "m"),
+            "calibrate": ("calibrate", "depth", "--stream", stream,
+                          "--out", tmp_path / "depth.json"),
+        }[command]
+        assert run_cli(*argv) == 2
+        kind = type(value).__name__
+        assert (f"{stream}:3: malformed frame annotation (ground_truth is {kind}, "
+                "not an object)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["regression", "focal", "recal"])
+    def test_sample_outside_its_domain_names_file_and_line(self, tmp_path, capsys, reader):
+        box = {"x_min": 540.0, "y_min": 193.0, "x_max": 740.0, "y_max": 527.0,
+               "resolution_w": 1280, "resolution_h": 720}
+        good, bad, what, message = {
+            "regression": ({"w_b": 5.0, "h_b": 300.0, "true_distance_m": 3.0},
+                           {"w_b": -5.0, "h_b": 300.0, "true_distance_m": 3.0},
+                           "labeled frame", "box dimensions must be positive, got -5.0x300.0"),
+            "focal": ({"bbox": box, "object_height_m": 0.63, "true_distance_m": 3.0},
+                      {"bbox": {**box, "x_max": 2000.0}, "object_height_m": 0.63,
+                       "true_distance_m": 3.0},
+                      "focal sample", "x extent [540.0, 2000.0] invalid for width 1280"),
+            "recal": ({"normalized_score": 0.3, "true_distance_m": 3.0},
+                      {"normalized_score": 0.3, "true_distance_m": -1.0},
+                      "sample", "true distance must be positive, got -1.0"),
+        }[reader]
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        stream = tmp_path / "frames.jsonl"
+        stream.write_text("")
+        argv = {
+            "regression": ("calibrate", "regression", "--frames", samples,
+                           "--out", tmp_path / "p.json"),
+            "focal": ("focal", "--samples", samples, "--out", tmp_path / "p.json"),
+            "recal": ("estimate", "--stream", stream, "--estimator", "neo",
+                      "--depth-profile", "builtin:P1", "--gt-source", "truth",
+                      "--recal-samples", samples, "--out", tmp_path / "est.jsonl"),
+        }[reader]
+        assert run_cli(*argv) == 2
+        assert f"{samples}:2: malformed {what} ({message})" in capsys.readouterr().err
+
+    def test_depth_map_path_not_a_string_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out)
+        stream = _edit_third_record(out / "frames.jsonl",
+                                    lambda r: r.update(depth_map_path=5))
+        assert run_cli("estimate", "--stream", stream, "--estimator", "neo_norc",
+                       "--depth-profile", "builtin:P1", "--out", tmp_path / "est.jsonl") == 2
+        assert (f"{stream}:3: malformed frame annotation (depth_map_path is int, "
+                "not a string)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["5", '"an event"', "[1]", "null"])
+    def test_estimates_line_not_an_object_exits_2(self, tmp_path, capsys, line):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out)
+        est = tmp_path / "est.jsonl"
+        est.write_text('{"event": "error"}\n' + line + "\n")
+        assert run_cli("evaluate", "--estimates", est, "--truth", out / "frames.jsonl",
+                       "--out-dir", tmp_path / "m") == 2
+        assert f"{est}:2: expected a JSON object" in capsys.readouterr().err
+
+
+class TestSceneFaults:
+    """A scene that cannot be loaded or rendered exits 2 naming the scene file."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s.update(depth_resolution=[-4, 10]),
+         "malformed scene spec (depth resolution must be positive, got -4x10)"),
+        (lambda s: s.update(depth_resolution=[0, 10]),
+         "malformed scene spec (depth resolution must be positive, got 0x10)"),
+        (lambda s: s.update(depth_resolution=[64]),
+         "malformed scene spec (not enough values to unpack"),
+        (lambda s: s.update(fps=2.7), "malformed scene spec (fps 2.7 is not a whole number)"),
+        (lambda s: s["law"].update(score_orientation="up"),
+         "malformed scene spec (unknown orientation 'up')"),
+        (lambda s: s["law"].update(m_true=1e-300),
+         "scene cannot be rendered (depth map contains non-finite scores)"),
+        (lambda s: s.update(fps=0), "scene cannot be rendered (fps must be >= 1, got 0)"),
+    ], ids=["negative-resolution", "zero-resolution", "short-resolution", "fractional-fps",
+            "orientation", "tiny-slope", "zero-fps"])
+    def test_bad_scene_exits_2_naming_the_file(self, tmp_path, capsys, edit, message):
+        scene = json.loads((SCENES / "calib_2p5m.json").read_text())
+        edit(scene)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        assert run_cli("synth", "--scene", scene_path, "--out-dir", tmp_path / "s") == 2
+        assert f"error: {scene_path}: {message}" in capsys.readouterr().err
+
+    def test_whole_float_fps_is_accepted(self, tmp_path, capsys):
+        scene = json.loads((SCENES / "calib_2p5m.json").read_text())
+        scene["fps"] = float(scene["fps"])
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        assert run_cli("synth", "--scene", scene_path, "--out-dir", tmp_path / "s") == 0
+        frames = scene["fps"] * scene["duration_s"]
+        assert f"frames={frames:g} " in capsys.readouterr().out
+
+
 class TestUnwritableOutput:
     """An output path that cannot be created or written exits 4 naming the path."""
 
