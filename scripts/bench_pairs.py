@@ -6,18 +6,23 @@ Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed N \\
         --pairs 10 --out BENCH.json
 
-Each pair runs ``perfbench/run.py --workload W --seed N --seconds 55`` once
-in each checkout, one run at a time; even pairs run the parent first, odd
-pairs the change, so slow drift of the host hits both sides alike. Only the
-last line of each run's output, its JSON result, is read.
+Each pair runs ``perfbench/run.py --workload W --seed N --seconds S`` once
+in each checkout, one run at a time, with the run length ``S`` that
+``CHANGE_DIR/BENCHMARK.json`` sets as ``run_seconds``; even pairs run the
+parent first, odd pairs the change, so slow drift of the host hits both
+sides alike. Only the last line of each run's output, its JSON result, is
+read.
 
-For every end-to-end metric that ``CHANGE_DIR/BENCHMARK.json`` declares it
-prints the median and quartiles of each side, the pairs the change won, and
-two verdicts: ``gain`` (the change won at least 90 % of the pairs and its
-median is better by more than the parent's interquartile range) and
-``bound`` (the change's median is not worse than the parent's by more than
-the metric's bound). The summary goes to ``--out`` under the workload's
-name, next to other workloads already in that file.
+For every end-to-end metric that the same file declares it prints the
+median and quartiles of each side, the pairs the change won, and two
+verdicts: ``gain`` (the change won at least 90 % of the pairs and its median
+is better by more than the parent's interquartile range) and ``bound`` (the
+change's median is not worse than the parent's by more than the metric's
+bound). A metric within its bound is ``unresolved`` instead when the
+parent's interquartile range is wider than the bound and not every change
+run beats every parent run: its runs spread too widely to tell. The summary
+goes to ``--out`` under the workload's name, next to other workloads already
+in that file.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     c1, c_med, c3 = statistics.quantiles(change, n=4, method="inclusive")
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gap = sign * (c_med - p_med)  # > 0 when the change is better
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "parent": {"median": p_med, "q1": p1, "q3": p3},
         "change": {"median": c_med, "q1": c1, "q3": c3},
@@ -74,6 +80,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "ratio": c_med / p_med,
         "gain": wins >= math.ceil(0.9 * len(parent)) and gap > p3 - p1,
         "bound": -gap <= bound * abs(p_med),
+        "unresolved": p3 - p1 > bound * abs(p_med) and not beats_all,
     }
 
 
@@ -84,17 +91,17 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--out", type=Path, required=True, help="JSON summary file")
     args = parser.parse_args(argv)
 
-    declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    declared_doc = json.loads((args.change / "BENCHMARK.json").read_text())
+    declared, seconds = declared_doc["end_to_end"], declared_doc["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            results[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+            results[side].append(run_once(sides[side], args.workload, args.seed, seconds))
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", flush=True)
 
     summary = {}
@@ -109,7 +116,8 @@ def main(argv=None) -> int:
                    parent_runs=parent, change_runs=change)
         summary[name] = row
         verdict = ("gain" if row["gain"] else "no gain") + (
-            ", within bound" if row["bound"] else ", WORSE than bound")
+            ", WORSE than bound" if not row["bound"]
+            else ", unresolved" if row["unresolved"] else ", within bound")
         print(f"{name:<28} {spread(row['parent']):>30} {spread(row['change']):>30} "
               f"{row['ratio']:>6.3f} {row['wins']:>2}/{row['pairs']:<2}  {verdict}")
 
@@ -118,7 +126,7 @@ def main(argv=None) -> int:
     document = json.loads(args.out.read_text()) if args.out.exists() else {}
     document[args.workload] = {
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": args.pairs,
         "order": "even pairs run the parent first, odd pairs the change",
         "src_sha256": {side: src_sha256(path) for side, path in sides.items()},

@@ -147,10 +147,10 @@ def _annotation(payload: dict) -> tuple[FrameAnnotation, int]:
     if depth_map_path is not None and type(depth_map_path) is not str:
         raise TypeError(f"depth_map_path is {type(depth_map_path).__name__}, not a string")
     truth = payload.get("ground_truth")
-    if not truth:
+    if truth is None:
         ground_truth = None
     elif type(truth) is dict:
-        ground_truth = {str(k): float(v) for k, v in truth.items()}
+        ground_truth = {str(k): float(v) for k, v in truth.items()} or None
     else:
         raise TypeError(f"ground_truth is {type(truth).__name__}, not an object")
     ann = FrameAnnotation(

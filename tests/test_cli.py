@@ -603,7 +603,8 @@ class TestCodecFaults:
         assert f"profile file {out} not written" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", [[1], "abc", 5], ids=["list", "string", "number"])
+    @pytest.mark.parametrize("value", [[1], "abc", 5, []],
+                             ids=["list", "string", "number", "empty-list"])
     @pytest.mark.parametrize("command", ["estimate", "evaluate", "calibrate"])
     def test_ground_truth_not_an_object_exits_2(self, tmp_path, capsys, command, value):
         out = tmp_path / "run"

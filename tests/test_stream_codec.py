@@ -4,8 +4,9 @@
 box, generator expressions, and a second pass to count ``is_vip``. The lean
 parser must yield equal frames or raise the same ``FormatError`` on every
 valid stream and on every one-field mutation of one. Where the reference
-crashed with another exception, or let a value through that a later command
-crashed on, the lean parser must raise a ``FormatError`` naming file:line.
+crashed with another exception, or let through a ``depth_map_path`` that is
+not a string or a ``ground_truth`` that is neither null nor an object, the
+lean parser must raise a ``FormatError`` naming file:line.
 """
 
 import copy
@@ -87,6 +88,13 @@ def reference_read_annotations(path):
             )
         previous_ts = ann.timestamp_s
         yield ann
+
+
+def typed_as_documented(frame):
+    """Whether the optional fields the reference passed on unchecked have their types."""
+    map_path, truth = frame.get("depth_map_path"), frame.get("ground_truth")
+    return (map_path is None or isinstance(map_path, str)) and (
+        truth is None or isinstance(truth, dict))
 
 
 def outcome(reader, path):
@@ -214,30 +222,32 @@ def test_lean_parser_matches_reference(stream_file, case):
     ref_kind, ref = outcome(reference_read_annotations, stream_file)
     new_kind, new = outcome(read_annotations, stream_file)
     event(f"reference {ref_kind} {type(ref).__name__}, lean {new_kind} {type(new).__name__}")
-    map_path = frames[index].get("depth_map_path")
-    if ref_kind == "ok" and all(
-        a.depth_map_path is None or isinstance(a.depth_map_path, str) for a in ref
-    ):
+    documented = typed_as_documented(frames[index])
+    if ref_kind == "ok" and documented:
         assert new_kind == "ok", new
         assert new == ref
     elif ref_kind == "raised" and isinstance(ref, FormatError):
         assert new_kind == "raised" and type(new) is FormatError
         assert str(new) == str(ref)
     else:
-        # The reference crashed (a ground truth that is not an object) or
-        # let a depth_map_path through that is not a string.
+        # The reference crashed (a truthy ground truth that is not an
+        # object) or let a field of another type through.
         assert new_kind == "raised" and type(new) is FormatError, (ref, new)
         assert str(new).startswith(f"{stream_file}:{index + 1}: malformed frame annotation (")
-        assert not (ref_kind == "ok" and isinstance(map_path, str))
+        assert not (ref_kind == "ok" and documented)
 
 
-def test_reference_crashes_are_format_errors(stream_file):
-    """The inputs the reference crashed on, each named by file:line."""
+def test_fields_of_another_type_are_format_errors(stream_file):
+    """The inputs the reference crashed on or let through, each named by file:line."""
     valid = {"frame_id": "f", "timestamp_s": 0.0, "detections": []}
     for field, value, text in [
         ("ground_truth", [1], "ground_truth is list, not an object"),
         ("ground_truth", "abc", "ground_truth is str, not an object"),
         ("ground_truth", 5, "ground_truth is int, not an object"),
+        ("ground_truth", 0, "ground_truth is int, not an object"),
+        ("ground_truth", False, "ground_truth is bool, not an object"),
+        ("ground_truth", "", "ground_truth is str, not an object"),
+        ("ground_truth", [], "ground_truth is list, not an object"),
         ("depth_map_path", 5, "depth_map_path is int, not a string"),
     ]:
         stream_file.write_text(json.dumps(valid) + "\n" + json.dumps({**valid, field: value}))
