@@ -46,6 +46,7 @@ from .geometry import (
     RiskPolicy,
     estimate_distance_geometric,
     estimate_focal_length,
+    sample_focal_length,
     scale_bbox,
 )
 from .regression import (
@@ -283,11 +284,11 @@ def _cmd_calibrate_focal(args) -> int:
     for lineno, payload in _read_jsonl(args.samples):
         try:
             bbox = _bbox_from_payload(payload["bbox"])
-            samples.append(
-                (bbox, float(payload["object_height_m"]), float(payload["true_distance_m"]))
-            )
+            sample = (bbox, float(payload["object_height_m"]), float(payload["true_distance_m"]))
+            sample_focal_length(*sample)
         except (DomainError, *PARSE_ERRORS) as exc:
             raise FormatError(f"{args.samples}:{lineno}: malformed focal sample ({exc})") from exc
+        samples.append(sample)
         resolution = (bbox.resolution_w, bbox.resolution_h)
     estimate = estimate_focal_length(samples)
     profile = profiles.CameraProfile(

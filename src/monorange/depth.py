@@ -79,6 +79,10 @@ class DepthMap:
     (as :func:`monorange.neod.read_depth_map` produces) is kept without a
     copy. Any other input, writable or not, is copied into a new ``bytes``
     object, so later writes to the caller's array never reach the map.
+
+    The map keeps the extremes that its finiteness check computes, as
+    ``bounds`` ``(min, max)``; they bracket every score of every box, so the
+    exact sums of :func:`normalize_region` need not scan a box for them.
     """
 
     def __init__(self, scores):
@@ -89,7 +93,9 @@ class DepthMap:
             raise DomainError("depth map must not be empty")
         # min and max propagate NaN and reach +-inf, so finite extremes mean
         # every score is finite
-        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        lo = float(arr.min())
+        hi = float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("depth map contains non-finite scores")
         owner = arr
         while isinstance(owner, np.ndarray):
@@ -97,10 +103,16 @@ class DepthMap:
         if not isinstance(owner, bytes):  # numpy never writes through bytes
             arr = np.frombuffer(arr.tobytes(), dtype=np.float32).reshape(arr.shape)
         self._scores = arr
+        self._bounds = (lo, hi)
 
     @property
     def scores(self) -> np.ndarray:
         return self._scores
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """The smallest and largest score of the map."""
+        return self._bounds
 
     @property
     def width(self) -> int:
@@ -146,7 +158,14 @@ def _pixel_value(region: np.ndarray, x: float, y: float, c0: int, r0: int) -> fl
     return float(region[row, col])
 
 
-def _exact_sum(values: np.ndarray) -> float:
+def _float64_sum_is_exact(n: int, lo: float, hi: float) -> bool:
+    """Whether ``n`` float32 values with magnitudes within ``[lo, hi]``, both
+    nonzero, add exactly in float64 in any order (see :func:`_exact_sum`)."""
+    spread = abs(math.frexp(hi)[1] - math.frexp(lo)[1])
+    return n <= 2.0 ** (29 - spread)
+
+
+def _exact_sum(values: np.ndarray, bounds: tuple[float, float]) -> float:
     """Correctly rounded sum of float32 ``values``, equal to ``math.fsum`` of them.
 
     A nonzero float32 whose frexp exponent is ``e`` is a whole multiple of
@@ -154,7 +173,21 @@ def _exact_sum(values: np.ndarray) -> float:
     nonzero magnitude present. When ``n * max|x|`` is at most ``2**53`` such
     units, every partial sum is a float64 integer multiple of that unit, so
     float64 addition in any order is exact. Otherwise ``math.fsum`` decides.
+
+    ``bounds`` ``(lo, hi)`` must bracket every value, as a depth map's
+    extremes bracket the scores of any of its boxes. When both have one
+    sign, ``lo > 0`` or ``hi < 0``, the values hold no zero and their
+    magnitudes lie between ``|lo|`` and ``|hi|``: the smallest magnitude
+    present is a multiple of the unit of the bound nearer zero (its exponent
+    is no smaller), and the largest is at most the farther bound. The proof
+    above then holds with the bounds in place of the values' own extremes, so
+    the two reductions that find those are skipped. When the bounds straddle
+    zero or are too wide to prove the sum exact, the values' own extremes
+    decide as above; the result is the same either way.
     """
+    lo, hi = bounds
+    if (lo > 0.0 or hi < 0.0) and _float64_sum_is_exact(values.size, lo, hi):
+        return float(values.sum(dtype=np.float64))
     # with one sign and no zeros, the extremes are the smallest and largest
     # magnitudes; otherwise those come from the absolute values
     lo = float(values.min())
@@ -163,10 +196,8 @@ def _exact_sum(values: np.ndarray) -> float:
         mags = np.abs(values)
         hi = float(mags.max())
         lo = float(mags.min(where=mags > 0.0, initial=math.inf))
-    if hi != 0.0:
-        spread = abs(math.frexp(hi)[1] - math.frexp(lo)[1])
-        if values.size <= 2.0 ** (29 - spread):
-            return float(values.sum(dtype=np.float64))
+    if hi != 0.0 and _float64_sum_is_exact(values.size, lo, hi):
+        return float(values.sum(dtype=np.float64))
     # a range too wide to prove exact, or all zeros (fsum picks their sign)
     return math.fsum(values.ravel().tolist())
 
@@ -239,7 +270,7 @@ def normalize_region(
             raise DegenerateGeometryError(
                 f"{kind} of diameter {method.diameter_px} px has no pixels inside the box"
             )
-        return _exact_sum(picked) / picked.size
+        return _exact_sum(picked, depth_map.bounds) / picked.size
 
     n = region.size
     if kind == LOW_THRESHOLD:
@@ -253,19 +284,20 @@ def normalize_region(
         # into the tail. A set sign bit breaks this: negative values order
         # backwards as int32, and -0.0 ties with +0.0 as a float but not as
         # bits, while the float partition's tie order decides the sign of an
-        # all-zero tail. Boxes with any sign bit set keep the float order.
-        keys = bits if bits.min() >= 0 else flat
+        # all-zero tail. Boxes with any sign bit set keep the float order. A
+        # map whose scores are all above zero has no sign bit set anywhere.
+        keys = bits if depth_map.bounds[0] > 0.0 or bits.min() >= 0 else flat
         if method.lt_take == "lowest":
             keys.partition(k - 1)
             tail = flat[:k]
         else:
             keys.partition(n - k)
             tail = flat[n - k :]
-        return _exact_sum(tail) / k
+        return _exact_sum(tail, depth_map.bounds) / k
     if kind == MEDIAN:
         return linear_quantile(np.sort(region, axis=None), 0.5)
     # MEAN
-    return _exact_sum(region) / n
+    return _exact_sum(region, depth_map.bounds) / n
 
 
 @dataclass(frozen=True)

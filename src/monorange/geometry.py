@@ -246,27 +246,34 @@ class FocalEstimate:
     q3: float
 
 
+def sample_focal_length(
+    bbox: BoundingBox, object_height_m: float, true_distance_m: float
+) -> float:
+    """Focal length of one reference frame: ``distance * pixel_height / real_height``."""
+    if not object_height_m > 0:
+        raise DomainError(f"object height must be positive, got {object_height_m}")
+    if not true_distance_m > 0:
+        raise DomainError(f"true distance must be positive, got {true_distance_m}")
+    h_i = bbox.height_px
+    if not h_i > 0:
+        raise DegenerateBoxError("bounding box has zero pixel height")
+    focal = true_distance_m * h_i / object_height_m
+    if not math.isfinite(focal):
+        raise DomainError(f"focal length {focal} px is not finite")
+    return focal
+
+
 def estimate_focal_length(
     samples: Sequence[tuple[BoundingBox, float, float]]
 ) -> FocalEstimate:
     """Estimate the focal length from reference frames of an object of known size.
 
-    Each sample is ``(bbox, object_height_m, true_distance_m)``; the per-sample
-    focal length is ``distance * pixel_height / real_height``.
+    Each sample is ``(bbox, object_height_m, true_distance_m)``; its focal
+    length is :func:`sample_focal_length`.
     """
     if not samples:
         raise EmptyInputError("focal-length estimation needs at least one sample")
-    per_sample = []
-    for bbox, object_height_m, true_distance_m in samples:
-        if not object_height_m > 0:
-            raise DomainError(f"object height must be positive, got {object_height_m}")
-        if not true_distance_m > 0:
-            raise DomainError(f"true distance must be positive, got {true_distance_m}")
-        h_i = bbox.height_px
-        if not h_i > 0:
-            raise DegenerateBoxError("bounding box has zero pixel height")
-        per_sample.append(true_distance_m * h_i / object_height_m)
-    q1, q2, q3 = quartiles(per_sample)
+    q1, q2, q3 = quartiles([sample_focal_length(*sample) for sample in samples])
     return FocalEstimate(q1=q1, median=q2, q3=q3)
 
 

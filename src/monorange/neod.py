@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import NeodMagicError, NeodTruncatedError
+from .common import DomainError, NeodMagicError, NeodTruncatedError
 from .depth import DepthMap
 
 MAGIC = b"NEOD"
@@ -42,27 +42,42 @@ def write_depth_map(path: str | Path, depth_map: DepthMap) -> None:
 
 
 def read_depth_map(path: str | Path) -> DepthMap:
-    """Parse a NEOD file, rejecting wrong magic and wrong-size payloads.
+    """Parse a NEOD file, rejecting wrong magic, wrong sizes and bad scores.
 
-    The map's scores are a read-only view of the bytes read from the file,
-    so :class:`DepthMap` keeps them without a copy.
+    The file is opened once. Its header is checked against the file's length
+    (``fstat``) before any score is read, then exactly the payload is read
+    into the immutable ``bytes`` whose read-only view :class:`DepthMap`
+    keeps without a copy. A read that comes back short (the file shrank
+    meanwhile) is a truncation error, never a partial map. An empty map or
+    one holding a non-finite score is a :class:`DomainError` naming the file.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC):
-        raise NeodTruncatedError(f"{path}: file shorter than the magic header")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise NeodMagicError(f"{path}: bad magic {raw[:len(MAGIC)]!r}, expected {MAGIC!r}")
-    if len(raw) < _HEADER.size:
-        raise NeodTruncatedError(f"{path}: truncated header ({len(raw)} bytes)")
-    _, width, height = _HEADER.unpack_from(raw)
-    expected = _HEADER.size + 4 * width * height
-    if len(raw) < expected:
-        raise NeodTruncatedError(
-            f"{path}: payload truncated, {len(raw)} bytes < {expected} expected"
-        )
-    if len(raw) > expected:
-        raise NeodTruncatedError(
-            f"{path}: {len(raw) - expected} trailing bytes beyond declared size"
-        )
-    scores = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(height, width)
-    return DepthMap(scores)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < len(MAGIC):
+            raise NeodTruncatedError(f"{path}: file shorter than the magic header")
+        if head[: len(MAGIC)] != MAGIC:
+            raise NeodMagicError(f"{path}: bad magic {head[:len(MAGIC)]!r}, expected {MAGIC!r}")
+        if len(head) < _HEADER.size:
+            raise NeodTruncatedError(f"{path}: truncated header ({len(head)} bytes)")
+        _, width, height = _HEADER.unpack(head)
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + 4 * width * height
+        if size < expected:
+            raise NeodTruncatedError(
+                f"{path}: payload truncated, {size} bytes < {expected} expected"
+            )
+        if size > expected:
+            raise NeodTruncatedError(
+                f"{path}: {size - expected} trailing bytes beyond declared size"
+            )
+        if expected == _HEADER.size:
+            raise DomainError(f"{path}: depth map must not be empty")
+        payload = fh.read(expected - _HEADER.size)
+    got = _HEADER.size + len(payload)
+    if got < expected:
+        raise NeodTruncatedError(f"{path}: payload truncated, {got} bytes < {expected} expected")
+    scores = np.frombuffer(payload, dtype="<f4").reshape(height, width)
+    try:
+        return DepthMap(scores)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -600,7 +601,8 @@ class TestCodecFaults:
                                        "true_distance_m": 1e308}) + "\n")
         out = tmp_path / "camera.json"
         assert run_cli("focal", "--samples", samples, "--out", out) == 2
-        assert f"profile file {out} not written" in capsys.readouterr().err
+        assert (f"{samples}:1: malformed focal sample (focal length inf px is not finite)"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [[1], "abc", 5, []],
@@ -626,7 +628,8 @@ class TestCodecFaults:
         assert (f"{stream}:3: malformed frame annotation (ground_truth is {kind}, "
                 "not an object)") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("reader", ["regression", "focal", "recal"])
+    @pytest.mark.parametrize("reader", ["regression", "focal", "focal-nan", "focal-huge",
+                                        "recal"])
     def test_sample_outside_its_domain_names_file_and_line(self, tmp_path, capsys, reader):
         box = {"x_min": 540.0, "y_min": 193.0, "x_max": 740.0, "y_max": 527.0,
                "resolution_w": 1280, "resolution_h": 720}
@@ -638,6 +641,12 @@ class TestCodecFaults:
                       {"bbox": {**box, "x_max": 2000.0}, "object_height_m": 0.63,
                        "true_distance_m": 3.0},
                       "focal sample", "x extent [540.0, 2000.0] invalid for width 1280"),
+            "focal-nan": ({"bbox": box, "object_height_m": 0.63, "true_distance_m": 3.0},
+                          {"bbox": box, "object_height_m": 0.63, "true_distance_m": math.nan},
+                          "focal sample", "true distance must be positive, got nan"),
+            "focal-huge": ({"bbox": box, "object_height_m": 0.63, "true_distance_m": 3.0},
+                           {"bbox": box, "object_height_m": 0.63, "true_distance_m": 1e308},
+                           "focal sample", "focal length inf px is not finite"),
             "recal": ({"normalized_score": 0.3, "true_distance_m": 3.0},
                       {"normalized_score": 0.3, "true_distance_m": -1.0},
                       "sample", "true distance must be positive, got -1.0"),
@@ -653,9 +662,28 @@ class TestCodecFaults:
             "recal": ("estimate", "--stream", stream, "--estimator", "neo",
                       "--depth-profile", "builtin:P1", "--gt-source", "truth",
                       "--recal-samples", samples, "--out", tmp_path / "est.jsonl"),
-        }[reader]
+        }[reader.partition("-")[0]]
         assert run_cli(*argv) == 2
         assert f"{samples}:2: malformed {what} ({message})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "calibrate"])
+    def test_non_finite_map_names_the_file(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out)
+        neod_map = out / "maps" / "frame_000003.neod"
+        raw = bytearray(neod_map.read_bytes())
+        raw[100:104] = np.array([np.nan], dtype="<f4").tobytes()
+        neod_map.write_bytes(bytes(raw))
+        stream = out / "frames.jsonl"
+        argv = {
+            "estimate": ("estimate", "--stream", stream, "--estimator", "neo_norc",
+                         "--depth-profile", "builtin:P1", "--out", tmp_path / "est.jsonl"),
+            "calibrate": ("calibrate", "depth", "--stream", stream,
+                          "--out", tmp_path / "depth.json"),
+        }[command]
+        assert run_cli(*argv) == 2
+        assert f"error: {neod_map}: depth map contains non-finite scores" in (
+            capsys.readouterr().err)
 
     def test_depth_map_path_not_a_string_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -18,6 +18,7 @@ from monorange.depth import (
     METHOD_KINDS,
     DepthMap,
     NormalizationMethod,
+    _float64_sum_is_exact,
     normalize_region,
 )
 from monorange.geometry import BoundingBox
@@ -311,6 +312,45 @@ class TestExactAgainstReference:
         for kind in METHOD_KINDS:
             for bbox in (BoundingBox(0, 0, 2, 2, 3, 2), BoundingBox(0, 0, 3, 2, 3, 2)):
                 assert_matches_reference(dm, bbox, NormalizationMethod(kind, diameter_px=2))
+
+    @pytest.mark.parametrize("wide", (False, True), ids=("narrow", "wide"))
+    @pytest.mark.parametrize("sign", (1.0, -1.0), ids=("positive-box", "negative-box"))
+    @pytest.mark.parametrize("outside, bounds_prove", [
+        (0.01, True),  # near extremes: the map's bounds prove every sum exact
+        (100.0, True),
+        (2.0**-100, False),  # tiny or huge: the bounds are too wide to prove it
+        (3e38, False),
+        (0.0, False),  # a zero or the other sign: the bounds straddle zero
+        (-5.0, False),
+    ], ids=("small", "large", "tiny", "huge", "zero", "other-sign"))
+    def test_map_extremes_outside_the_box(self, outside, bounds_prove, sign, wide):
+        # The sums take the map's bounds where those prove the box's sums
+        # exact and fall back to each array's own extremes where they do not.
+        # A wide patch (2**-14 .. 2**14) has float64 sums that are not exact,
+        # so a proof wrongly granted would change the result.
+        rng = np.random.default_rng(23)
+        h, w = 40, 60
+        scores = np.full((h, w), sign * outside)
+        patch = np.exp2(rng.uniform(-14, 14, size=(24, 40))) if wide else (
+            rng.uniform(0.5, 9.0, size=(24, 40)))
+        scores[8:32, 10:50] = sign * patch
+        dm = DepthMap(scores.astype(np.float32))
+        lo, hi = dm.bounds
+        proved = (lo > 0.0 or hi < 0.0) and _float64_sum_is_exact(h * w, lo, hi)
+        assert proved == (bounds_prove and not wide)
+        boxes = [
+            BoundingBox(10, 8, 50, 32, w, h),  # exactly the inner patch
+            BoundingBox(12.5, 9.25, 47.5, 30.75, w, h),  # inside it
+            BoundingBox(5.5, 3.0, 55.0, 37.5, w, h),  # the patch and the extremes around it
+        ]
+        for bbox in boxes:
+            for kind in METHOD_KINDS:
+                for diameter in (6, 30, 90):
+                    for lt_take in ("lowest", "highest"):
+                        method = NormalizationMethod(
+                            kind, diameter_px=diameter, lt_percentile=35.0, lt_take=lt_take
+                        )
+                        assert_matches_reference(dm, bbox, method)
 
     @settings(max_examples=200, deadline=None)
     @given(

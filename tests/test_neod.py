@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -206,7 +207,8 @@ class TestRejection:
         raw = bytearray(path.read_bytes())
         raw[12:16] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(raw))
-        with pytest.raises(DomainError):
+        message = "^" + re.escape(f"{path}: depth map contains non-finite")
+        with pytest.raises(DomainError, match=message):
             read_depth_map(path)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
@@ -216,7 +218,43 @@ class TestRejection:
         raw = bytearray(path.read_bytes())
         raw[-4:] = np.array([bad], dtype="<f4").tobytes()
         path.write_bytes(bytes(raw))
-        with pytest.raises(DomainError):
+        message = "^" + re.escape(f"{path}: depth map contains non-finite")
+        with pytest.raises(DomainError, match=message):
+            read_depth_map(path)
+
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 3), (5, 0)])
+    def test_empty_map_rejected_on_read(self, tmp_path, width, height):
+        path = tmp_path / "empty.neod"
+        path.write_bytes(MAGIC + width.to_bytes(4, "little") + height.to_bytes(4, "little"))
+        message = "^" + re.escape(f"{path}: depth map must not be empty")
+        with pytest.raises(DomainError, match=message):
+            read_depth_map(path)
+
+    def test_short_payload_read_is_truncation(self, tmp_path, monkeypatch):
+        # the file has the declared length when checked, but the read of the
+        # payload comes back short, as if the file shrank in between
+        path = tmp_path / "map.neod"
+        write_depth_map(path, sample_map(w=5, h=3))
+
+        class ShortPayload:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def read(self, n):
+                data = self.fh.read(n)
+                return data if n == 12 else data[:-1]
+
+        monkeypatch.setattr(neod, "open", lambda *a: ShortPayload(open(*a)), raising=False)
+        with pytest.raises(NeodTruncatedError, match="payload truncated, 71 bytes < 72"):
             read_depth_map(path)
 
 
