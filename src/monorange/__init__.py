@@ -45,12 +45,9 @@ from .geometry import (
     DronePose,
     FocalEstimate,
     HeightTable,
-    RiskPolicy,
     WorldPoint,
     estimate_distance_geometric,
     estimate_focal_length,
-    frame_to_camera_coords,
-    positioning_envelope,
     project_world_point,
     scale_bbox,
 )
@@ -62,6 +59,6 @@ from .regression import (
     fit_regression,
     predict_distance,
 )
-from .synth import DepthLawSpec, SceneObject, drift_sequence, synth_frame
+from .synth import DepthLawSpec, SceneObject, drift_sequence
 
 __version__ = "0.1.0"

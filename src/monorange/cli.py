@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import depth as depth_mod
 from . import metrics, neod, profiles, synth
@@ -43,7 +43,6 @@ from .common import (
 from .geometry import (
     BoundingBox,
     Detection,
-    RiskPolicy,
     estimate_distance_geometric,
     estimate_focal_length,
     sample_focal_length,
@@ -201,8 +200,12 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
         yield ann
 
 
-def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, object) of each non-blank line of a JSONL input file."""
+def _read_jsonl(path: str | Path, what: str, build: Callable[[dict], object]) -> Iterator:
+    """``build(object)`` for the object on each non-blank line of a JSONL input file.
+
+    A line that is not a JSON object, or whose object ``build`` rejects with a
+    parse or domain error, is a :class:`FormatError` naming the file and line.
+    """
     for lineno, line in read_lines(path, "input file"):
         try:
             payload = json.loads(line)
@@ -210,7 +213,11 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
         if type(payload) is not dict:
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
-        yield lineno, payload
+        try:
+            item = build(payload)
+        except (DomainError, *PARSE_ERRORS) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed {what} ({exc})") from exc
+        yield item
 
 
 def _resolve_map_path(stream_path: Path, depth_map_path: str) -> Path:
@@ -245,20 +252,15 @@ def _norm_method_from_args(args, depth_profile=None) -> depth_mod.NormalizationM
 # calibrate
 
 
+def _labeled_frame(payload: dict) -> LabeledFrame:
+    return LabeledFrame(
+        features=RegressionFeatures.from_dims(float(payload["w_b"]), float(payload["h_b"])),
+        true_distance_m=float(payload["true_distance_m"]),
+    )
+
+
 def _cmd_calibrate_regression(args) -> int:
-    frames = []
-    for lineno, payload in _read_jsonl(args.frames):
-        try:
-            frames.append(
-                LabeledFrame(
-                    features=RegressionFeatures.from_dims(
-                        float(payload["w_b"]), float(payload["h_b"])
-                    ),
-                    true_distance_m=float(payload["true_distance_m"]),
-                )
-            )
-        except (DomainError, *PARSE_ERRORS) as exc:
-            raise FormatError(f"{args.frames}:{lineno}: malformed labeled frame ({exc})") from exc
+    frames = list(_read_jsonl(args.frames, "labeled frame", _labeled_frame))
     model = fit_regression(frames, mode=args.mode, vip_id=args.vip_id)
     residual = math.sqrt(
         math.fsum(
@@ -278,23 +280,25 @@ def _cmd_calibrate_regression(args) -> int:
     return EXIT_OK
 
 
+def _focal_sample(payload: dict) -> tuple[BoundingBox, float, float]:
+    """A reference sample whose domain and own focal length are checked."""
+    sample = (
+        _bbox_from_payload(payload["bbox"]),
+        float(payload["object_height_m"]),
+        float(payload["true_distance_m"]),
+    )
+    sample_focal_length(*sample)
+    return sample
+
+
 def _cmd_calibrate_focal(args) -> int:
-    samples = []
-    resolution = None
-    for lineno, payload in _read_jsonl(args.samples):
-        try:
-            bbox = _bbox_from_payload(payload["bbox"])
-            sample = (bbox, float(payload["object_height_m"]), float(payload["true_distance_m"]))
-            sample_focal_length(*sample)
-        except (DomainError, *PARSE_ERRORS) as exc:
-            raise FormatError(f"{args.samples}:{lineno}: malformed focal sample ({exc})") from exc
-        samples.append(sample)
-        resolution = (bbox.resolution_w, bbox.resolution_h)
+    samples = list(_read_jsonl(args.samples, "focal sample", _focal_sample))
     estimate = estimate_focal_length(samples)
+    bbox = samples[-1][0]
     profile = profiles.CameraProfile(
         focal_length_px=estimate.median,
-        image_w=resolution[0],
-        image_h=resolution[1],
+        image_w=bbox.resolution_w,
+        image_h=bbox.resolution_h,
         fov_deg=args.fov_deg,
     )
     profiles.save_profile(args.out, profile)
@@ -511,6 +515,13 @@ class _GeometricRunner:
             out.append(_object_record(ann, det, DistanceEstimate(value), []))
 
 
+def _calibration_sample(payload: dict) -> depth_mod.CalibrationSample:
+    return depth_mod.CalibrationSample(
+        normalized_score=float(payload["normalized_score"]),
+        true_distance_m=float(payload["true_distance_m"]),
+    )
+
+
 class _NeoRunner:
     """Calibrated depth-score distances, with online recalibration when asked.
 
@@ -560,19 +571,7 @@ class _NeoRunner:
         """
         n_o = self.config.n_o
         if args.recal_samples:
-            samples = []
-            for lineno, payload in _read_jsonl(args.recal_samples):
-                try:
-                    samples.append(
-                        depth_mod.CalibrationSample(
-                            normalized_score=float(payload["normalized_score"]),
-                            true_distance_m=float(payload["true_distance_m"]),
-                        )
-                    )
-                except (DomainError, *PARSE_ERRORS) as exc:
-                    raise FormatError(
-                        f"{args.recal_samples}:{lineno}: malformed sample ({exc})"
-                    ) from exc
+            samples = list(_read_jsonl(args.recal_samples, "sample", _calibration_sample))
             if len(samples) != n_o:
                 raise DomainError(
                     f"--n-o is {n_o} but {args.recal_samples} holds {len(samples)}"
@@ -713,8 +712,25 @@ def cmd_estimate(args) -> int:
 # evaluate
 
 
+def _estimate_entry(payload: dict) -> tuple[tuple[str, str], float | None] | None:
+    """An estimate record's truth join key and distance; None for an event line."""
+    if "event" in payload:
+        return None
+    frame_id = str(payload["frame_id"])
+    label = str(payload["class_label"])
+    is_vip = bool(payload.get("is_vip", False))
+    distance = payload["distance_m"]
+    if distance is not None:
+        distance = float(distance)
+        if not math.isfinite(distance):
+            raise ValueError(f"distance_m {distance} is not finite")
+    return (frame_id, "vip" if is_vip else label), distance
+
+
 def cmd_evaluate(args) -> int:
-    policy = RiskPolicy(near_threshold_m=args.near_threshold_m, far_limit_m=args.far_limit_m)
+    near_m, far_m = args.near_threshold_m, args.far_limit_m
+    if not near_m < far_m:
+        raise DomainError("near threshold must be below far limit")
     truth: dict[tuple[str, str], float] = {}
     for ann in read_annotations(args.truth):
         for key, value in (ann.ground_truth or {}).items():
@@ -723,31 +739,20 @@ def cmd_evaluate(args) -> int:
     joined: list[metrics.ErrorRecord] = []
     unmatched_estimates = 0
     beyond_limit = 0
-    for lineno, payload in _read_jsonl(args.estimates):
-        if "event" in payload:
+    for entry in _read_jsonl(args.estimates, "record", _estimate_entry):
+        if entry is None:
             continue
-        try:
-            frame_id = str(payload["frame_id"])
-            label = str(payload["class_label"])
-            is_vip = bool(payload.get("is_vip", False))
-            distance = payload["distance_m"]
-            if distance is not None:
-                distance = float(distance)
-                if not math.isfinite(distance):
-                    raise ValueError(f"distance_m {distance} is not finite")
-        except PARSE_ERRORS as exc:
-            raise FormatError(f"{args.estimates}:{lineno}: malformed record ({exc})") from exc
-        key = (frame_id, "vip" if is_vip else label)
+        key, distance = entry
         if distance is None or key not in truth:
             unmatched_estimates += 1
             continue
         true_m = truth[key]
-        if true_m > policy.far_limit_m:
+        if true_m > far_m:
             beyond_limit += 1
             continue
         joined.append(
             metrics.ErrorRecord(
-                frame_id=frame_id,
+                frame_id=key[0],
                 class_label=key[1],
                 true_distance_m=true_m,
                 predicted_distance_m=distance,
@@ -764,14 +769,14 @@ def cmd_evaluate(args) -> int:
                 per_class.setdefault(rec.class_label, []).append(rec)
             metrics.write_summary_csv(per_class, out_dir / "summary.csv")
             metrics.write_quadrant_csv(
-                metrics.quadrant_matrix(joined, policy.near_threshold_m),
+                metrics.quadrant_matrix(joined, near_m),
                 out_dir / "quadrant.csv",
             )
     except OSError as exc:
         raise unwritable(f"output path {exc.filename or out_dir}", exc) from exc
     print(
         f"metrics -> {out_dir}  joined={len(joined)} unmatched={unmatched_estimates} "
-        f"beyond_{policy.far_limit_m:g}m={beyond_limit}"
+        f"beyond_{far_m:g}m={beyond_limit}"
     )
     return EXIT_OK
 
@@ -830,12 +835,6 @@ def _add_norm_flags(parser):
     parser.add_argument("--center-weight", type=float, default=0.5)
 
 
-def _add_focal_flags(parser):
-    parser.add_argument("--samples", required=True, help="JSONL of reference-object samples")
-    parser.add_argument("--fov-deg", type=float, default=None)
-    parser.add_argument("--out", required=True)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after that.
@@ -861,10 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal_reg.add_argument("--out", required=True)
     cal_reg.set_defaults(handler="cmd_calibrate")
 
-    cal_focal = cal_sub.add_parser("focal", help="estimate the focal length")
-    _add_focal_flags(cal_focal)
-    cal_focal.set_defaults(handler="cmd_calibrate")
-
     cal_depth = cal_sub.add_parser("depth", help="fit depth-map scale/shift")
     cal_depth.add_argument("--stream", action="append", required=True)
     cal_depth.add_argument("--pair", default="2.5,4.0", help="calibration distances 'd1,d2'")
@@ -877,8 +872,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_norm_flags(cal_depth)
     cal_depth.set_defaults(handler="cmd_calibrate")
 
-    focal = sub.add_parser("focal", help="alias for 'calibrate focal'")
-    _add_focal_flags(focal)
+    focal = sub.add_parser("focal", help="estimate the focal length")
+    focal.add_argument("--samples", required=True, help="JSONL of reference-object samples")
+    focal.add_argument("--fov-deg", type=float, default=None)
+    focal.add_argument("--out", required=True)
     focal.set_defaults(handler="cmd_calibrate", subject="focal")
 
     est = sub.add_parser("estimate", help="estimate distances over a frame stream")
@@ -929,9 +926,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MissingDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (FormatError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except MonorangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

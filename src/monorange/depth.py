@@ -327,8 +327,12 @@ class CalibrationSample:
     true_distance_m: float
 
     def __post_init__(self):
+        if not math.isfinite(self.normalized_score):
+            raise DomainError(f"normalized score must be finite, got {self.normalized_score}")
         if not self.true_distance_m > 0:
             raise DomainError(f"true distance must be positive, got {self.true_distance_m}")
+        if self.true_distance_m == math.inf:
+            raise DomainError("true distance must be finite, got inf")
 
 
 def _fit_line(scores: Sequence[float], distances: Sequence[float]) -> tuple[float, float]:

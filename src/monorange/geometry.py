@@ -99,15 +99,11 @@ class Detection:
 
 @dataclass(frozen=True)
 class WorldPoint:
-    """A 3D point in meters; homogeneous scale is fixed at 1."""
+    """A 3D point in meters."""
 
     x_w: float
     y_w: float
     z_w: float
-
-    @property
-    def homogeneous(self) -> tuple[float, float, float, float]:
-        return (self.x_w, self.y_w, self.z_w, 1.0)
 
 
 @dataclass(frozen=True)
@@ -155,55 +151,11 @@ class HeightTable:
         return float(heights[0])
 
 
-@dataclass(frozen=True)
-class RiskPolicy:
-    """Distance bands and bounds used for positioning and reporting."""
-
-    imminent_band_m: float = 1.5
-    low_risk_band_m: float = 5.5
-    near_threshold_m: float = 4.0
-    far_limit_m: float = 8.0
-    d_min_m: float = 2.0
-    d_max_m: float = 4.0
-
-    # Lateral free-space width and walking speed also shape a deployment's
-    # envelope, but they feed no computation here and are deliberately not
-    # fields of this policy.
-
-    def __post_init__(self):
-        if not 0 < self.imminent_band_m < self.low_risk_band_m:
-            raise DomainError("bands must satisfy 0 < imminent < low_risk")
-        if not self.d_min_m < self.d_max_m:
-            raise DomainError("d_min must be below d_max")
-        if not self.near_threshold_m < self.far_limit_m:
-            raise DomainError("near threshold must be below far limit")
-
-    def risk_band(self, distance_from_vip_m: float) -> str:
-        """Classify an obstacle by its distance ahead of the followed person."""
-        if distance_from_vip_m <= self.imminent_band_m:
-            return "imminent"
-        if distance_from_vip_m <= self.low_risk_band_m:
-            return "low"
-        return "clear"
-
-
-def frame_to_camera_coords(
-    p: tuple[float, float], intrinsics: CameraIntrinsics
-) -> tuple[float, float]:
-    """Re-center a detector-frame pixel on the image center, flipping y to point up."""
-    x, y = p
-    w = intrinsics.image_width_px
-    h = intrinsics.image_height_px
-    if not (0 <= x <= w and 0 <= y <= h):
-        raise DomainError(f"point {p} outside frame {w}x{h}")
-    return x - w / 2.0, -(y - h / 2.0)
-
-
 def camera_to_frame_coords(
     p: tuple[float, float], intrinsics: CameraIntrinsics
 ) -> tuple[float, float]:
-    """Inverse of :func:`frame_to_camera_coords` (no bounds check: projections
-    of world points may legitimately fall outside the frame)."""
+    """Detector-frame pixel (y down) of a camera-centered one (y up); no bounds
+    check, since projections of world points may legitimately fall outside it."""
     x_c, y_c = p
     return x_c + intrinsics.image_width_px / 2.0, intrinsics.image_height_px / 2.0 - y_c
 
@@ -275,53 +227,6 @@ def estimate_focal_length(
         raise EmptyInputError("focal-length estimation needs at least one sample")
     q1, q2, q3 = quartiles([sample_focal_length(*sample) for sample in samples])
     return FocalEstimate(q1=q1, median=q2, q3=q3)
-
-
-@dataclass(frozen=True)
-class PositioningEnvelope:
-    """Valid (height-offset, distance) pairs for the drone behind the person.
-
-    Pairs lie on the line ``offset = tan(fov/2) * distance`` with the distance
-    clamped to the policy's ``[d_min_m, d_max_m]`` range.
-    """
-
-    fov_deg: float
-    vip_height_m: float
-    d_min_m: float
-    d_max_m: float
-
-    @property
-    def slope(self) -> float:
-        return math.tan(math.radians(self.fov_deg) / 2.0)
-
-    def clamp_distance(self, distance_m: float) -> float:
-        return min(max(distance_m, self.d_min_m), self.d_max_m)
-
-    def offset_at(self, distance_m: float) -> tuple[float, float]:
-        """(height offset above the head, clamped distance) for a requested distance."""
-        d = self.clamp_distance(distance_m)
-        return self.slope * d, d
-
-    def drone_height_at(self, distance_m: float) -> float:
-        """Ground-relative drone height for a requested follow distance."""
-        offset, _ = self.offset_at(distance_m)
-        return self.vip_height_m + offset
-
-
-def positioning_envelope(
-    fov_deg: float, vip_height_m: float, policy: RiskPolicy
-) -> PositioningEnvelope:
-    """Build the follow-envelope for a camera FoV and person height."""
-    if not 0 < fov_deg < 180:
-        raise DomainError(f"field of view {fov_deg} must be in (0, 180) degrees")
-    if not vip_height_m > 0:
-        raise DomainError(f"person height must be positive, got {vip_height_m}")
-    return PositioningEnvelope(
-        fov_deg=fov_deg,
-        vip_height_m=vip_height_m,
-        d_min_m=policy.d_min_m,
-        d_max_m=policy.d_max_m,
-    )
 
 
 def scale_bbox(bbox: BoundingBox, target_w: int, target_h: int) -> BoundingBox:

@@ -117,10 +117,6 @@ class QuadrantMatrix:
     def cell(self, name: str) -> QuadrantCell:
         return {"Q1": self.q1, "Q2": self.q2, "Q3": self.q3, "Q4": self.q4}[name]
 
-    @property
-    def total_count(self) -> int:
-        return sum(self.cell(q).count for q in QUADRANTS)
-
 
 def _route(true_m: float, pred_m: float, threshold: float) -> str:
     true_near = true_m <= threshold

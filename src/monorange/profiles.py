@@ -139,13 +139,21 @@ DEFAULT_HEIGHTS = HeightTable(
 _BUILTIN_PREFIX = "builtin:"
 
 
+def _builtin(source: str | Path, table: dict, kind: str):
+    """The shipped profile ``source`` names as ``builtin:<name>``; None for a path."""
+    if not (isinstance(source, str) and source.startswith(_BUILTIN_PREFIX)):
+        return None
+    name = source[len(_BUILTIN_PREFIX):]
+    try:
+        return table[name]
+    except KeyError:
+        raise MissingDataError(f"no builtin {kind} profile {name!r}") from None
+
+
 def load_camera_profile(source: str | Path) -> CameraProfile:
-    if isinstance(source, str) and source.startswith(_BUILTIN_PREFIX):
-        name = source[len(_BUILTIN_PREFIX):]
-        try:
-            return BUILTIN_CAMERA[name]
-        except KeyError:
-            raise MissingDataError(f"no builtin camera profile {name!r}") from None
+    builtin = _builtin(source, BUILTIN_CAMERA, "camera")
+    if builtin is not None:
+        return builtin
     payload = read_json(source, "profile file")
     try:
         return CameraProfile(
@@ -159,12 +167,9 @@ def load_camera_profile(source: str | Path) -> CameraProfile:
 
 
 def load_regression_profile(source: str | Path) -> RegressionProfile:
-    if isinstance(source, str) and source.startswith(_BUILTIN_PREFIX):
-        name = source[len(_BUILTIN_PREFIX):]
-        try:
-            return BUILTIN_REGRESSION[name]
-        except KeyError:
-            raise MissingDataError(f"no builtin regression profile {name!r}") from None
+    builtin = _builtin(source, BUILTIN_REGRESSION, "regression")
+    if builtin is not None:
+        return builtin
     payload = read_json(source, "profile file")
     try:
         mode = payload["mode"]
@@ -182,12 +187,9 @@ def load_regression_profile(source: str | Path) -> RegressionProfile:
 
 
 def load_depth_profile(source: str | Path) -> DepthProfile:
-    if isinstance(source, str) and source.startswith(_BUILTIN_PREFIX):
-        name = source[len(_BUILTIN_PREFIX):]
-        try:
-            return BUILTIN_DEPTH[name]
-        except KeyError:
-            raise MissingDataError(f"no builtin depth profile {name!r}") from None
+    builtin = _builtin(source, BUILTIN_DEPTH, "depth")
+    if builtin is not None:
+        return builtin
     payload = read_json(source, "profile file")
     try:
         pair = payload.get("pair")

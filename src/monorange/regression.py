@@ -7,6 +7,7 @@ width and height only. Models are immutable once fitted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ class RegressionFeatures:
     def __post_init__(self):
         if not self.w_b > 0 or not self.h_b > 0:
             raise DomainError(f"box dimensions must be positive, got {self.w_b}x{self.h_b}")
+        if not math.isfinite(self.area):
+            raise DomainError(f"box area {self.area} is not finite")
         if self.area != self.w_b * self.h_b:
             raise DomainError(
                 f"area {self.area} is not exactly w_b*h_b = {self.w_b * self.h_b}"

@@ -219,25 +219,6 @@ def _render(
     )
 
 
-def synth_frame(
-    objects: Sequence[SceneObject],
-    intrinsics: CameraIntrinsics,
-    pose: DronePose,
-    law: DepthLawSpec,
-    seed: int = 0,
-    depth_w: int = DEFAULT_DEPTH_W,
-    depth_h: int = DEFAULT_DEPTH_H,
-    clip: bool = False,
-    timestamp_s: float = 0.0,
-) -> SynthFrame:
-    """Generate one frame; deterministic for a fixed seed.
-
-    Objects projecting outside the frame raise unless ``clip`` is set.
-    """
-    rng = np.random.default_rng(seed)
-    return _render(objects, intrinsics, pose, law, rng, depth_w, depth_h, clip, timestamp_s)
-
-
 def drift_sequence(
     objects: Sequence[SceneObject],
     intrinsics: CameraIntrinsics,

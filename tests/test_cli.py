@@ -153,6 +153,13 @@ class TestCalibrateRegression:
 
 
 class TestFocalCommand:
+    def test_calibrate_offers_regression_and_depth_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["calibrate", "focal", "--samples", "s.jsonl",
+                                       "--out", "cam.json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'focal'" in capsys.readouterr().err
+
     def test_constant_samples_collapse_quartiles(self, tmp_path, capsys):
         samples = tmp_path / "focal.jsonl"
         bbox = {"x_min": 100, "y_min": 100, "x_max": 200, "y_max": 434.32,
@@ -628,8 +635,8 @@ class TestCodecFaults:
         assert (f"{stream}:3: malformed frame annotation (ground_truth is {kind}, "
                 "not an object)") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("reader", ["regression", "focal", "focal-nan", "focal-huge",
-                                        "recal"])
+    @pytest.mark.parametrize("reader", ["regression", "regression-huge", "focal", "focal-nan",
+                                        "focal-huge", "recal", "recal-nan", "recal-inf"])
     def test_sample_outside_its_domain_names_file_and_line(self, tmp_path, capsys, reader):
         box = {"x_min": 540.0, "y_min": 193.0, "x_max": 740.0, "y_max": 527.0,
                "resolution_w": 1280, "resolution_h": 720}
@@ -637,6 +644,9 @@ class TestCodecFaults:
             "regression": ({"w_b": 5.0, "h_b": 300.0, "true_distance_m": 3.0},
                            {"w_b": -5.0, "h_b": 300.0, "true_distance_m": 3.0},
                            "labeled frame", "box dimensions must be positive, got -5.0x300.0"),
+            "regression-huge": ({"w_b": 5.0, "h_b": 300.0, "true_distance_m": 3.0},
+                                {"w_b": 1e200, "h_b": 1e200, "true_distance_m": 3.0},
+                                "labeled frame", "box area inf is not finite"),
             "focal": ({"bbox": box, "object_height_m": 0.63, "true_distance_m": 3.0},
                       {"bbox": {**box, "x_max": 2000.0}, "object_height_m": 0.63,
                        "true_distance_m": 3.0},
@@ -650,6 +660,12 @@ class TestCodecFaults:
             "recal": ({"normalized_score": 0.3, "true_distance_m": 3.0},
                       {"normalized_score": 0.3, "true_distance_m": -1.0},
                       "sample", "true distance must be positive, got -1.0"),
+            "recal-nan": ({"normalized_score": 0.3, "true_distance_m": 3.0},
+                          {"normalized_score": math.nan, "true_distance_m": 3.0},
+                          "sample", "normalized score must be finite, got nan"),
+            "recal-inf": ({"normalized_score": 0.3, "true_distance_m": 3.0},
+                          {"normalized_score": 0.4, "true_distance_m": math.inf},
+                          "sample", "true distance must be finite, got inf"),
         }[reader]
         samples = tmp_path / "samples.jsonl"
         samples.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
@@ -927,6 +943,19 @@ class TestEvaluate:
         assert run_cli("evaluate", "--estimates", est, "--truth", truth,
                        "--out-dir", tmp_path / "m") == 0
         assert "beyond_8m=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("near", ["9", "8"])
+    def test_near_threshold_not_below_far_limit_exits_2(self, tmp_path, capsys, near):
+        est = tmp_path / "est.jsonl"
+        est.write_text("")
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("")
+        out = tmp_path / "m"
+        assert run_cli("evaluate", "--estimates", est, "--truth", truth, "--out-dir", out,
+                       "--near-threshold-m", near, "--far-limit-m", "8") == 2
+        assert ("error: near threshold must be below far limit"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestFullRunReproducibility:

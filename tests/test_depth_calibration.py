@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monorange.common import (
+    DomainError,
     EmptyInputError,
     SingularFitError,
     linear_quantile,
@@ -41,6 +42,15 @@ class TestFitCoefficients:
     def test_needs_two_samples(self):
         with pytest.raises(EmptyInputError):
             fit_coefficients([CalibrationSample(0.3, 2.0)])
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_sample_score_must_be_finite(self, score):
+        with pytest.raises(DomainError, match="normalized score must be finite"):
+            CalibrationSample(score, 2.0)
+
+    def test_sample_distance_must_be_finite(self):
+        with pytest.raises(DomainError, match="true distance must be finite, got inf"):
+            CalibrationSample(0.3, math.inf)
 
     def test_exact_on_own_two_point_training_data(self):
         samples = [CalibrationSample(0.1, 2.0), CalibrationSample(0.4, 4.0)]

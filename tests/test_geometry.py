@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,13 +14,10 @@ from monorange.geometry import (
     Detection,
     DronePose,
     HeightTable,
-    RiskPolicy,
     WorldPoint,
     camera_to_frame_coords,
     estimate_distance_geometric,
     estimate_focal_length,
-    frame_to_camera_coords,
-    positioning_envelope,
     project_world_point,
     scale_bbox,
 )
@@ -31,28 +26,22 @@ INTR = CameraIntrinsics(focal_length_px=1592.0, image_width_px=1280, image_heigh
 POSE = DronePose(height_m=1.5)
 
 
-class TestFrameToCameraCoords:
-    def test_center_maps_to_origin(self):
-        assert frame_to_camera_coords((640, 360), INTR) == (0.0, 0.0)
+class TestCameraToFrameCoords:
+    def test_origin_maps_to_center(self):
+        assert camera_to_frame_coords((0.0, 0.0), INTR) == (640.0, 360.0)
 
     def test_top_left_corner(self):
-        assert frame_to_camera_coords((0, 0), INTR) == (-640.0, 360.0)
+        assert camera_to_frame_coords((-640.0, 360.0), INTR) == (0.0, 0.0)
 
     def test_bottom_right_corner(self):
-        assert frame_to_camera_coords((1280, 720), INTR) == (640.0, -360.0)
-
-    def test_outside_frame_rejected(self):
-        with pytest.raises(DomainError):
-            frame_to_camera_coords((1281, 100), INTR)
-        with pytest.raises(DomainError):
-            frame_to_camera_coords((100, -1), INTR)
+        assert camera_to_frame_coords((640.0, -360.0), INTR) == (1280.0, 720.0)
 
     @given(
         x=st.floats(min_value=0, max_value=1280, allow_nan=False),
         y=st.floats(min_value=0, max_value=720, allow_nan=False),
     )
-    def test_round_trip_is_identity(self, x, y):
-        back = camera_to_frame_coords(frame_to_camera_coords((x, y), INTR), INTR)
+    def test_recentered_pixel_maps_back(self, x, y):
+        back = camera_to_frame_coords((x - 640.0, -(y - 360.0)), INTR)
         assert back[0] == pytest.approx(x, abs=1e-9)
         assert back[1] == pytest.approx(y, abs=1e-9)
 
@@ -190,45 +179,6 @@ class TestEstimateFocalLength:
         assert abs(estimate.median - 1592.0) <= 1.0
 
 
-class TestPositioningEnvelope:
-    def test_unit_tangent(self):
-        env = positioning_envelope(90.0, 1.7, RiskPolicy())
-        offset, d = env.offset_at(3.0)
-        assert d == 3.0
-        assert offset == pytest.approx(3.0, abs=1e-12)
-
-    def test_reference_camera_fov(self):
-        env = positioning_envelope(82.6, 1.7, RiskPolicy())
-        offset, d = env.offset_at(3.0)
-        assert offset == pytest.approx(3.0 * math.tan(math.radians(41.3)), abs=1e-12)
-
-    def test_distance_clamped_to_policy_bounds(self):
-        env = positioning_envelope(82.6, 1.7, RiskPolicy(d_min_m=2.0, d_max_m=4.0))
-        assert env.offset_at(5.0)[1] == 4.0
-        assert env.offset_at(1.0)[1] == 2.0
-
-    @given(d=st.floats(min_value=0.1, max_value=20.0))
-    def test_all_points_satisfy_tangent_relation(self, d):
-        env = positioning_envelope(82.6, 1.7, RiskPolicy())
-        offset, d_clamped = env.offset_at(d)
-        assert offset == pytest.approx(
-            math.tan(math.radians(82.6) / 2) * d_clamped, rel=1e-12
-        )
-        assert RiskPolicy().d_min_m <= d_clamped <= RiskPolicy().d_max_m
-
-    def test_invalid_inputs(self):
-        with pytest.raises(DomainError):
-            positioning_envelope(0.0, 1.7, RiskPolicy())
-        with pytest.raises(DomainError):
-            positioning_envelope(180.0, 1.7, RiskPolicy())
-        with pytest.raises(DomainError):
-            positioning_envelope(82.6, -1.0, RiskPolicy())
-
-    def test_drone_height_adds_person_height(self):
-        env = positioning_envelope(90.0, 1.7, RiskPolicy())
-        assert env.drone_height_at(3.0) == pytest.approx(1.7 + 3.0, abs=1e-12)
-
-
 class TestScaleBbox:
     def test_downscale_example(self):
         bbox = BoundingBox(100, 90, 300, 270, 1280, 720)
@@ -281,17 +231,6 @@ class TestTypesValidation:
         assert table.actual("car") == 1.56
         with pytest.raises(Exception):
             table.expected("mailbox")
-
-    def test_risk_policy_bands(self):
-        policy = RiskPolicy()
-        assert policy.risk_band(1.0) == "imminent"
-        assert policy.risk_band(3.0) == "low"
-        assert policy.risk_band(6.0) == "clear"
-        with pytest.raises(DomainError):
-            RiskPolicy(d_min_m=4.0, d_max_m=2.0)
-
-    def test_world_point_homogeneous_scale_is_one(self):
-        assert WorldPoint(1.0, 2.0, 3.0).homogeneous == (1.0, 2.0, 3.0, 1.0)
 
     def test_pose_positive(self):
         with pytest.raises(DomainError):

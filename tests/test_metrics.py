@@ -132,7 +132,7 @@ class TestQuadrantMatrix:
         matrix = quadrant_matrix([rec(3.5, 4.2)])
         assert matrix.q3.count_over == 1
         assert matrix.q3.ase_over_m == pytest.approx(0.7, abs=1e-12)
-        assert matrix.total_count == 1
+        assert sum(matrix.cell(q).count for q in QUADRANTS) == 1
 
     def test_far_truth_and_prediction_route_q1_under(self):
         matrix = quadrant_matrix([rec(5.0, 4.5)])
@@ -155,7 +155,7 @@ class TestQuadrantMatrix:
             for i in range(2000)
         ]
         matrix = quadrant_matrix(records)
-        assert matrix.total_count == len(records)
+        assert sum(matrix.cell(q).count for q in QUADRANTS) == len(records)
 
     def test_matches_brute_force_tally(self):
         rng = np.random.default_rng(33)

@@ -12,7 +12,7 @@ from monorange.depth import (
     step,
 )
 from monorange.geometry import CameraIntrinsics, DronePose
-from monorange.synth import DepthLawSpec, SceneObject, drift_sequence, synth_frame
+from monorange.synth import DepthLawSpec, SceneObject, drift_sequence
 
 INTR = CameraIntrinsics(1592.0, 1280, 720, 82.6)
 POSE = DronePose(1.5)
@@ -21,6 +21,12 @@ PRE_LAW = DepthLawSpec(m_true=6.0, s_true=1.0)
 POST_LAW = DepthLawSpec(m_true=6.0, s_true=1.32)  # 0.32 m shift, above tau
 
 DEPTH_W, DEPTH_H = 64, 40
+
+
+def one_frame(objects, intrinsics, pose, law, seed=0, **kwargs):
+    """The single frame of a one-second stream at 1 fps, rendered from ``seed``."""
+    return next(drift_sequence(objects, intrinsics, pose, law, law, 0.0, 1.0, 1,
+                               seed=seed, **kwargs))
 
 
 def anchor_samples(law, n_per=10, distances=(2.5, 4.0)):
@@ -289,8 +295,8 @@ class TestStep:
         config = RecalibrationConfig()
         state = fresh_state(config)
         bystander = SceneObject("bystander", 1.65, 4.0, lateral_offset_m=1.0)
-        frame = synth_frame([bystander], INTR, POSE, PRE_LAW,
-                            depth_w=DEPTH_W, depth_h=DEPTH_H)
+        frame = one_frame([bystander], INTR, POSE, PRE_LAW,
+                          depth_w=DEPTH_W, depth_h=DEPTH_H)
         result = step(frame.to_observation(), 3.0, state, config, self.static_coeffs())
         assert result.warning == "no-vip-detection"
         assert result.vip_distance is None
@@ -298,7 +304,7 @@ class TestStep:
         assert len(state.T) == 0 and state.seconds_seen == 0
 
     def test_multiple_vips_rejected(self):
-        frame = synth_frame(
+        frame = one_frame(
             [VIP, SceneObject("vip", 0.63, 2.0, lateral_offset_m=0.5, is_vip=True)],
             INTR, POSE, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H,
         )
@@ -312,7 +318,7 @@ class TestStep:
 
         config = RecalibrationConfig()
         state = fresh_state(config)
-        frame = synth_frame([VIP], INTR, POSE, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
+        frame = one_frame([VIP], INTR, POSE, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
         result = step(
             frame.to_observation(),
             DistanceEstimate(-1.0, out_of_domain=True),

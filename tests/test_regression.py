@@ -164,6 +164,11 @@ class TestTypes:
         with pytest.raises(DomainError):
             RegressionFeatures.from_dims(0.0, 10.0)
 
+    @pytest.mark.parametrize("w, h", [(1e200, 1e200), (float("inf"), 10.0)])
+    def test_features_area_must_be_finite(self, w, h):
+        with pytest.raises(DomainError, match="box area inf is not finite"):
+            RegressionFeatures.from_dims(w, h)
+
     def test_two_feature_model_requires_zero_c(self):
         with pytest.raises(DomainError):
             RegressionModel(a=1.0, b=1.0, c=0.5, mode=MODE_TWO)

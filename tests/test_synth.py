@@ -30,7 +30,6 @@ from monorange.synth import (
     DepthLawSpec,
     SceneObject,
     drift_sequence,
-    synth_frame,
 )
 
 INTR = CameraIntrinsics(1592.0, 1280, 720, 82.6)
@@ -38,10 +37,16 @@ POSE = DronePose(1.5)
 LAW = DepthLawSpec(m_true=6.0, s_true=1.0)
 
 
+def one_frame(objects, intrinsics, pose, law, seed=0, **kwargs):
+    """The single frame of a one-second stream at 1 fps, rendered from ``seed``."""
+    return next(drift_sequence(objects, intrinsics, pose, law, law, 0.0, 1.0, 1,
+                               seed=seed, **kwargs))
+
+
 class TestSynthFrame:
     def test_projected_box_height_matches_similar_triangles(self):
         obj = SceneObject("vip", height_m=0.63, distance_m=3.0, is_vip=True)
-        frame = synth_frame([obj], INTR, POSE, LAW, depth_w=64, depth_h=40)
+        frame = one_frame([obj], INTR, POSE, LAW, depth_w=64, depth_h=40)
         bbox = frame.detections[0].bbox
         assert bbox.height_px == pytest.approx(1592.0 * 0.63 / 3.0, abs=1e-9)
         recovered = estimate_distance_geometric(bbox, 0.63, INTR)
@@ -50,7 +55,7 @@ class TestSynthFrame:
     def test_identity_law_scores_equal_distance(self):
         law = DepthLawSpec(m_true=1.0, s_true=0.0)
         obj = SceneObject("car", height_m=1.5, distance_m=4.0)
-        frame = synth_frame([obj], INTR, POSE, law, depth_w=64, depth_h=40)
+        frame = one_frame([obj], INTR, POSE, law, depth_w=64, depth_h=40)
         scaled = scale_bbox(frame.detections[0].bbox, 64, 40)
         score = normalize_region(frame.depth_map, scaled, NormalizationMethod(LOW_THRESHOLD))
         assert score == pytest.approx(4.0, abs=1e-6)
@@ -60,7 +65,7 @@ class TestSynthFrame:
         samples = []
         for d in (2.5, 4.0):
             obj = SceneObject("vip", height_m=0.63, distance_m=d, is_vip=True)
-            frame = synth_frame([obj], INTR, POSE, LAW, depth_w=64, depth_h=40)
+            frame = one_frame([obj], INTR, POSE, LAW, depth_w=64, depth_h=40)
             scaled = scale_bbox(frame.detections[0].bbox, 64, 40)
             score = normalize_region(
                 frame.depth_map, scaled, NormalizationMethod(LOW_THRESHOLD)
@@ -77,7 +82,7 @@ class TestSynthFrame:
             SceneObject("bystander", 1.65, 4.0, lateral_offset_m=1.0),
             SceneObject("car", 1.56, 4.6, lateral_offset_m=-1.2),
         ]
-        frame = synth_frame(objects, INTR, POSE, law, depth_w=256, depth_h=160)
+        frame = one_frame(objects, INTR, POSE, law, depth_w=256, depth_h=160)
         coeffs = fit_coefficients(
             [
                 CalibrationSample(law.score_for_distance(2.5), 2.5),
@@ -93,7 +98,7 @@ class TestSynthFrame:
             assert abs(estimate.value_m - truth) < 1e-6
 
     def test_background_far_from_any_object(self):
-        frame = synth_frame(
+        frame = one_frame(
             [SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, LAW,
             depth_w=64, depth_h=40,
         )
@@ -103,7 +108,7 @@ class TestSynthFrame:
     def test_nearer_object_overwrites_overlap(self):
         near = SceneObject("bicycle", 1.0, 2.5)
         far = SceneObject("car", 1.5, 6.0)
-        frame = synth_frame([far, near], INTR, POSE, LAW, depth_w=128, depth_h=80)
+        frame = one_frame([far, near], INTR, POSE, LAW, depth_w=128, depth_h=80)
         scaled = scale_bbox(frame.detections[1].bbox, 128, 80)
         score = normalize_region(frame.depth_map, scaled, NormalizationMethod(MEDIAN))
         assert score == pytest.approx(LAW.score_for_distance(2.5), abs=1e-6)
@@ -111,20 +116,20 @@ class TestSynthFrame:
     def test_out_of_frame_rejected_unless_clipped(self):
         giant = SceneObject("car", height_m=3.0, distance_m=2.0)
         with pytest.raises(DomainError):
-            synth_frame([giant], INTR, POSE, LAW)
-        frame = synth_frame([giant], INTR, POSE, LAW, clip=True, depth_w=64, depth_h=40)
+            one_frame([giant], INTR, POSE, LAW)
+        frame = one_frame([giant], INTR, POSE, LAW, clip=True, depth_w=64, depth_h=40)
         bbox = frame.detections[0].bbox
         assert 0 <= bbox.y_min < bbox.y_max <= 720
 
     def test_determinism_identical_seeds_byte_identical(self):
         law = DepthLawSpec(m_true=6.0, s_true=1.0, noise_sigma=0.05)
-        a = synth_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, law,
-                        seed=42, depth_w=64, depth_h=40)
-        b = synth_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, law,
-                        seed=42, depth_w=64, depth_h=40)
+        a = one_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, law,
+                      seed=42, depth_w=64, depth_h=40)
+        b = one_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, law,
+                      seed=42, depth_w=64, depth_h=40)
         assert a.depth_map.scores.tobytes() == b.depth_map.scores.tobytes()
-        c = synth_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, law,
-                        seed=43, depth_w=64, depth_h=40)
+        c = one_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, law,
+                      seed=43, depth_w=64, depth_h=40)
         assert a.depth_map.scores.tobytes() != c.depth_map.scores.tobytes()
 
 
@@ -216,7 +221,7 @@ class TestLawSpec:
         statistic must then take the highest tail."""
         law = DepthLawSpec(m_true=-2.0, s_true=10.0, score_orientation="high-near")
         obj = SceneObject("vip", 0.63, 3.0, is_vip=True)
-        frame = synth_frame([obj], INTR, POSE, law, depth_w=64, depth_h=40)
+        frame = one_frame([obj], INTR, POSE, law, depth_w=64, depth_h=40)
         scaled = scale_bbox(frame.detections[0].bbox, 64, 40)
         method = NormalizationMethod(LOW_THRESHOLD, lt_take="highest")
         score = normalize_region(frame.depth_map, scaled, method)
