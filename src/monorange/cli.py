@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import depth as depth_mod
 from . import metrics, neod, profiles, synth
@@ -36,12 +36,14 @@ from .common import (
     NonFiniteError,
     SingularFitError,
     canonical_jsonl_line,
+    read_jsonl,
     read_lines,
     unreadable,
     unwritable,
 )
 from .geometry import (
     BoundingBox,
+    CameraIntrinsics,
     Detection,
     estimate_distance_geometric,
     estimate_focal_length,
@@ -127,8 +129,9 @@ def annotation_payload(ann: FrameAnnotation) -> dict:
     return payload
 
 
-def _annotation(payload: dict) -> tuple[FrameAnnotation, int]:
-    """The frame a decoded stream line describes, and its count of is_vip detections.
+def _annotation(payload: dict) -> tuple[FrameAnnotation, int, int]:
+    """The frame a decoded stream line describes, its count of is_vip detections
+    and its count of distinct truth keys.
 
     A field of the wrong JSON type raises one of ``PARSE_ERRORS``.
     """
@@ -136,13 +139,14 @@ def _annotation(payload: dict) -> tuple[FrameAnnotation, int]:
     timestamp_s = float(payload["timestamp_s"])
     detections = []
     vips = 0
+    keys = set()
     for det in payload.get("detections", ()):
         bbox = _bbox_from_payload(det["bbox"])
         is_vip = bool(det.get("is_vip", False))
         vips += is_vip
-        detections.append(
-            Detection(bbox, str(det["class_label"]), float(det.get("confidence", 1.0)), is_vip)
-        )
+        label = str(det["class_label"])
+        keys.add("vip" if is_vip else label)
+        detections.append(Detection(bbox, label, float(det.get("confidence", 1.0)), is_vip))
     depth_map_path = payload.get("depth_map_path")
     if depth_map_path is not None and type(depth_map_path) is not str:
         raise TypeError(f"depth_map_path is {type(depth_map_path).__name__}, not a string")
@@ -162,20 +166,29 @@ def _annotation(payload: dict) -> tuple[FrameAnnotation, int]:
         str(payload.get("vip_id", "")),
         str(payload.get("scene", "")),
     )
-    return ann, vips
+    return ann, vips, len(keys)
+
+
+def _shared_truth_key(detections: Sequence[Detection], truth: dict) -> str | None:
+    """Why ``truth`` is ambiguous for ``detections``: a key more than one of them carries."""
+    carried = [truth_key(det) for det in detections]
+    for key in truth:
+        if carried.count(key) > 1:
+            return f"{carried.count(key)} detections carry the ground-truth key {key!r}"
+    return None
 
 
 def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
     """Stream frame annotations, enforcing non-decreasing timestamps.
 
-    A frame holds at most one followed person, and its ground-truth distances
-    are positive and finite.
+    A frame holds at most one followed person, its ground-truth distances
+    are positive and finite, and each of their keys names one detection at most.
     """
     p = Path(path)
     previous_ts = None
     for lineno, line in read_lines(p, "stream file"):
         try:
-            ann, vips = _annotation(json.loads(line))
+            ann, vips, distinct_keys = _annotation(json.loads(line))
         except (DomainError, *PARSE_ERRORS) as exc:
             raise FormatError(f"{p}:{lineno}: malformed frame annotation ({exc})") from exc
         if not math.isfinite(ann.timestamp_s):
@@ -191,6 +204,10 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
                 f"{p}:{lineno}: {vips} detections flagged is_vip; "
                 "a frame has at most one followed person"
             )
+        if distinct_keys < len(ann.detections) and ann.ground_truth:
+            shared = _shared_truth_key(ann.detections, ann.ground_truth)
+            if shared is not None:
+                raise FormatError(f"{p}:{lineno}: ambiguous ground truth ({shared})")
         if previous_ts is not None and ann.timestamp_s < previous_ts:
             raise FormatError(
                 f"{p}:{lineno}: timestamps must be non-decreasing "
@@ -198,26 +215,6 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
             )
         previous_ts = ann.timestamp_s
         yield ann
-
-
-def _read_jsonl(path: str | Path, what: str, build: Callable[[dict], object]) -> Iterator:
-    """``build(object)`` for the object on each non-blank line of a JSONL input file.
-
-    A line that is not a JSON object, or whose object ``build`` rejects with a
-    parse or domain error, is a :class:`FormatError` naming the file and line.
-    """
-    for lineno, line in read_lines(path, "input file"):
-        try:
-            payload = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError included
-            raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-        if type(payload) is not dict:
-            raise FormatError(f"{path}:{lineno}: expected a JSON object")
-        try:
-            item = build(payload)
-        except (DomainError, *PARSE_ERRORS) as exc:
-            raise FormatError(f"{path}:{lineno}: malformed {what} ({exc})") from exc
-        yield item
 
 
 def _resolve_map_path(stream_path: Path, depth_map_path: str) -> Path:
@@ -260,7 +257,7 @@ def _labeled_frame(payload: dict) -> LabeledFrame:
 
 
 def _cmd_calibrate_regression(args) -> int:
-    frames = list(_read_jsonl(args.frames, "labeled frame", _labeled_frame))
+    frames = list(read_jsonl(args.frames, "labeled frame", _labeled_frame))
     model = fit_regression(frames, mode=args.mode, vip_id=args.vip_id)
     residual = math.sqrt(
         math.fsum(
@@ -268,10 +265,7 @@ def _cmd_calibrate_regression(args) -> int:
             for f in frames
         )
     )
-    profile = profiles.RegressionProfile(
-        vip_id=args.vip_id, mode=model.mode, a=model.a, b=model.b, c=model.c
-    )
-    profiles.save_profile(args.out, profile)
+    profiles.save_profile(args.out, model)
     print(
         f"regression profile -> {args.out}  "
         f"a={model.a:.6g} b={model.b:.6g} c={model.c:.6g} "
@@ -292,16 +286,16 @@ def _focal_sample(payload: dict) -> tuple[BoundingBox, float, float]:
 
 
 def _cmd_calibrate_focal(args) -> int:
-    samples = list(_read_jsonl(args.samples, "focal sample", _focal_sample))
+    samples = list(read_jsonl(args.samples, "focal sample", _focal_sample))
     estimate = estimate_focal_length(samples)
     bbox = samples[-1][0]
-    profile = profiles.CameraProfile(
+    camera = CameraIntrinsics(
         focal_length_px=estimate.median,
-        image_w=bbox.resolution_w,
-        image_h=bbox.resolution_h,
+        image_width_px=bbox.resolution_w,
+        image_height_px=bbox.resolution_h,
         fov_deg=args.fov_deg,
     )
-    profiles.save_profile(args.out, profile)
+    profiles.save_profile(args.out, camera)
     print(
         f"camera profile -> {args.out}  "
         f"q1={estimate.q1:.6g} median={estimate.median:.6g} q3={estimate.q3:.6g} "
@@ -441,13 +435,12 @@ class _RegressionRunner:
     needs_depth_map = False
 
     def __init__(self, name: str, args):
-        regression = _profile(
+        self.model = _profile(
             args.regression_profile, "--regression-profile",
             profiles.load_regression_profile, f"estimator {name!r}",
         )
-        self.model = regression.to_model()
         camera = profiles.load_camera_profile(args.camera_profile) if args.camera_profile else None
-        self.native = (camera.image_w, camera.image_h) if camera else None
+        self.native = (camera.image_width_px, camera.image_height_px) if camera else None
         self._warned_vip = False
 
     def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
@@ -485,7 +478,7 @@ class _GeometricRunner:
     needs_depth_map = False
 
     def __init__(self, name: str, args, actual: bool):
-        camera = _profile(
+        self.intrinsics = _profile(
             args.camera_profile, "--camera-profile", profiles.load_camera_profile,
             f"estimator {name!r}",
         )
@@ -494,8 +487,7 @@ class _GeometricRunner:
             else profiles.DEFAULT_HEIGHTS
         )
         self.height = heights.actual if actual else heights.expected
-        self.intrinsics = camera.to_intrinsics()
-        self.resolution = (camera.image_w, camera.image_h)
+        self.resolution = (self.intrinsics.image_width_px, self.intrinsics.image_height_px)
 
     def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
         for det in ann.detections:
@@ -558,7 +550,7 @@ class _NeoRunner:
                 args.regression_profile, "--regression-profile",
                 profiles.load_regression_profile,
                 f"estimator {name!r} with --gt-source regression",
-            ).to_model()
+            )
         self.state = depth_mod.RecalibrationState(
             self.config, self._load_recal_samples(args, profile), seed=args.seed
         )
@@ -571,7 +563,7 @@ class _NeoRunner:
         """
         n_o = self.config.n_o
         if args.recal_samples:
-            samples = list(_read_jsonl(args.recal_samples, "sample", _calibration_sample))
+            samples = list(read_jsonl(args.recal_samples, "sample", _calibration_sample))
             if len(samples) != n_o:
                 raise DomainError(
                     f"--n-o is {n_o} but {args.recal_samples} holds {len(samples)}"
@@ -739,7 +731,7 @@ def cmd_evaluate(args) -> int:
     joined: list[metrics.ErrorRecord] = []
     unmatched_estimates = 0
     beyond_limit = 0
-    for entry in _read_jsonl(args.estimates, "record", _estimate_entry):
+    for entry in read_jsonl(args.estimates, "record", _estimate_entry):
         if entry is None:
             continue
         key, distance = entry
@@ -795,14 +787,17 @@ def cmd_synth(args) -> int:
         maps_dir.mkdir(parents=True, exist_ok=True)
         with open(stream_path, "w") as fh:
             for i, frame in enumerate(spec.frames(seed=args.seed)):
+                ground_truth = {
+                    truth_key(det): dist for det, dist in zip(frame.detections, frame.truths)
+                }
+                if len(ground_truth) < len(frame.detections):
+                    shared = _shared_truth_key(frame.detections, ground_truth)
+                    raise FormatError(f"{args.scene}: ambiguous ground truth ({shared})")
                 map_name = f"maps/frame_{i:06d}.neod"
                 try:
                     neod.write_depth_map(out_dir / map_name, frame.depth_map)
                 except OSError as exc:
                     raise unwritable(f"depth map {out_dir / map_name}", exc) from exc
-                ground_truth = {
-                    truth_key(det): dist for det, dist in zip(frame.detections, frame.truths)
-                }
                 ann = FrameAnnotation(
                     frame_id=f"frame_{i:06d}",
                     timestamp_s=frame.timestamp_s,

@@ -1,4 +1,5 @@
-"""Shared exceptions, the flagged distance-estimate type, and small numeric helpers."""
+"""Shared exceptions, the flagged distance-estimate type, input readers that report
+every fault in one form, and small numeric helpers."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class MonorangeError(Exception):
@@ -146,12 +149,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def read_json(path: str | Path, what: str) -> dict:
-    """The JSON object in an input file, read as :func:`read_text` does.
+def read_json(path: str | Path, what: str, kind: str, build: Callable[[dict], T]) -> T:
+    """``build(object)`` for the JSON object in an input file, read as :func:`read_text` does.
 
     ``NaN``, ``Infinity`` and float literals that overflow, like ``1e999``,
-    are rejected: each of these, invalid JSON, and a top level that is not
-    an object become :class:`FormatError` naming the file.
+    are rejected: each of these, invalid JSON, a top level that is not an
+    object, and a parse or domain error from ``build`` become
+    :class:`FormatError` naming the file; the last reads
+    ``<file>: malformed <kind> (...)``.
     """
     text = read_text(path, what)
     try:
@@ -160,7 +165,30 @@ def read_json(path: str | Path, what: str) -> dict:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object")
-    return payload
+    try:
+        return build(payload)
+    except (DomainError, *PARSE_ERRORS) as exc:
+        raise FormatError(f"{path}: malformed {kind} ({exc})") from exc
+
+
+def read_jsonl(path: str | Path, what: str, build: Callable[[dict], T]) -> Iterator[T]:
+    """``build(object)`` for the object on each non-blank line of a JSONL input file.
+
+    A line that is not a JSON object, or whose object ``build`` rejects with a
+    parse or domain error, is a :class:`FormatError` naming the file and line.
+    """
+    for lineno, line in read_lines(path, "input file"):
+        try:
+            payload = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError included
+            raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        if type(payload) is not dict:
+            raise FormatError(f"{path}:{lineno}: expected a JSON object")
+        try:
+            item = build(payload)
+        except (DomainError, *PARSE_ERRORS) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed {what} ({exc})") from exc
+        yield item
 
 
 def mean_exact(values: Iterable[float]) -> float:

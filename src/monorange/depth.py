@@ -86,7 +86,10 @@ class DepthMap:
     """
 
     def __init__(self, scores):
-        arr = np.asarray(scores, dtype=np.float32)
+        arr = np.asarray(scores)
+        if arr.dtype != np.float32:
+            with np.errstate(over="ignore"):  # a score beyond float32 becomes inf, rejected below
+                arr = arr.astype(np.float32)
         if arr.ndim != 2:
             raise DomainError(f"depth map must be 2-D, got shape {arr.shape}")
         if arr.size == 0:

@@ -212,6 +212,8 @@ def sample_focal_length(
     focal = true_distance_m * h_i / object_height_m
     if not math.isfinite(focal):
         raise DomainError(f"focal length {focal} px is not finite")
+    if not focal > 0:  # an infinite height, or a product that underflows
+        raise DomainError(f"focal length {focal} px is not positive")
     return focal
 
 

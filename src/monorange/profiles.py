@@ -1,71 +1,35 @@
 """Calibration-profile files and the named profiles this package ships.
 
-Profile objects mirror their on-disk JSON exactly (including the unit a
-depth profile was recorded in), so write -> read -> write round trips are
-byte-identical; unit conversion happens only when a profile is turned into
-working coefficients. Loaders accept a filesystem path or ``builtin:<name>``.
+A camera profile loads as :class:`CameraIntrinsics` and a regression profile
+as :class:`RegressionModel`. A depth profile keeps its on-disk form exactly
+(including the unit it was recorded in), so write -> read -> write round trips
+are byte-identical; unit conversion happens only when it is turned into
+working coefficients. Loaders accept a filesystem path or ``builtin:<name>``,
+and every fault in a profile file, a value outside its domain included, is a
+:class:`FormatError` that names the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .common import (
-    PARSE_ERRORS, DomainError, FormatError, MissingDataError, NonFiniteError, canonical_json,
-    read_json, unwritable,
+    DomainError, MissingDataError, NonFiniteError, canonical_json, read_json, unwritable,
 )
-from .depth import DepthCoefficients, PROVENANCE_STATIC
+from .depth import PROVENANCE_STATIC, DepthCoefficients, NormalizationMethod, ScoreSmoother
 from .geometry import CameraIntrinsics, HeightTable
-from .regression import MODE_THREE, MODE_TWO, RegressionModel
-
-
-@dataclass(frozen=True)
-class CameraProfile:
-    focal_length_px: float
-    image_w: int
-    image_h: int
-    fov_deg: float | None = None
-
-    def to_intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(
-            focal_length_px=self.focal_length_px,
-            image_width_px=self.image_w,
-            image_height_px=self.image_h,
-            fov_deg=self.fov_deg,
-        )
-
-    def payload(self) -> dict:
-        data = {
-            "focal_length_px": self.focal_length_px,
-            "image_w": self.image_w,
-            "image_h": self.image_h,
-        }
-        if self.fov_deg is not None:
-            data["fov_deg"] = self.fov_deg
-        return data
-
-
-@dataclass(frozen=True)
-class RegressionProfile:
-    vip_id: str
-    mode: str
-    a: float
-    b: float
-    c: float
-
-    def to_model(self) -> RegressionModel:
-        return RegressionModel(
-            a=self.a, b=self.b, c=self.c, mode=self.mode, calibrated_for=self.vip_id
-        )
-
-    def payload(self) -> dict:
-        return {"vip_id": self.vip_id, "mode": self.mode, "a": self.a, "b": self.b, "c": self.c}
+from .regression import RegressionModel
 
 
 @dataclass(frozen=True)
 class DepthProfile:
-    """Scale/shift calibration as recorded, with its unit and method settings."""
+    """Scale/shift calibration as recorded, with its unit and method settings.
+
+    Construction checks every field: the unit, a pair of exactly two
+    distances, coefficients :class:`DepthCoefficients` accepts, and a
+    percentile and smoothing window the method and smoother accept.
+    """
 
     vip_id: str
     m: float
@@ -78,6 +42,11 @@ class DepthProfile:
     def __post_init__(self):
         if self.unit not in ("m", "cm"):
             raise DomainError(f"unknown unit {self.unit!r}; expected 'm' or 'cm'")
+        if self.pair is not None and len(self.pair) != 2:
+            raise DomainError(f"pair must hold two distances, got {len(self.pair)}")
+        self.to_coefficients()
+        NormalizationMethod(lt_percentile=self.lt_percentile)
+        ScoreSmoother(self.smooth_window)
 
     def to_coefficients(self) -> DepthCoefficients:
         """Working coefficients in meters regardless of the recorded unit."""
@@ -89,28 +58,18 @@ class DepthProfile:
             fitted_pair=self.pair,
         )
 
-    def payload(self) -> dict:
-        return {
-            "vip_id": self.vip_id,
-            "m": self.m,
-            "s": self.s,
-            "unit": self.unit,
-            "pair": list(self.pair) if self.pair is not None else None,
-            "lt_percentile": self.lt_percentile,
-            "smooth_window": self.smooth_window,
-        }
-
 
 # Profiles calibrated on the reference drone camera (values as published for
 # the three calibration subjects); depth profiles were recorded in centimeters.
 BUILTIN_CAMERA = {
-    "tello": CameraProfile(focal_length_px=1592.0, image_w=1280, image_h=720, fov_deg=82.6),
+    "tello": CameraIntrinsics(focal_length_px=1592.0, image_width_px=1280, image_height_px=720,
+                              fov_deg=82.6),
 }
 
 BUILTIN_REGRESSION = {
-    "P1": RegressionProfile(vip_id="P1", mode=MODE_THREE, a=-2.42, b=-1.29, c=0.0043),
-    "P2": RegressionProfile(vip_id="P2", mode=MODE_THREE, a=-2.14, b=-1.77, c=0.0050),
-    "P3": RegressionProfile(vip_id="P3", mode=MODE_THREE, a=-2.56, b=-2.10, c=0.0065),
+    "P1": RegressionModel(a=-2.42, b=-1.29, c=0.0043, calibrated_for="P1"),
+    "P2": RegressionModel(a=-2.14, b=-1.77, c=0.0050, calibrated_for="P2"),
+    "P3": RegressionModel(a=-2.56, b=-2.10, c=0.0065, calibrated_for="P3"),
 }
 
 BUILTIN_DEPTH = {
@@ -139,87 +98,73 @@ DEFAULT_HEIGHTS = HeightTable(
 _BUILTIN_PREFIX = "builtin:"
 
 
-def _builtin(source: str | Path, table: dict, kind: str):
-    """The shipped profile ``source`` names as ``builtin:<name>``; None for a path."""
-    if not (isinstance(source, str) and source.startswith(_BUILTIN_PREFIX)):
-        return None
-    name = source[len(_BUILTIN_PREFIX):]
-    try:
-        return table[name]
-    except KeyError:
-        raise MissingDataError(f"no builtin {kind} profile {name!r}") from None
+def _load(source: str | Path, builtins: dict, kind: str, build):
+    """The shipped profile ``source`` names as ``builtin:<name>``, or ``build`` of its file."""
+    if isinstance(source, str) and source.startswith(_BUILTIN_PREFIX):
+        name = source[len(_BUILTIN_PREFIX):]
+        try:
+            return builtins[name]
+        except KeyError:
+            raise MissingDataError(f"no builtin {kind} {name!r}") from None
+    return read_json(source, "profile file", kind, build)
 
 
-def load_camera_profile(source: str | Path) -> CameraProfile:
-    builtin = _builtin(source, BUILTIN_CAMERA, "camera")
-    if builtin is not None:
-        return builtin
-    payload = read_json(source, "profile file")
-    try:
-        return CameraProfile(
-            focal_length_px=float(payload["focal_length_px"]),
-            image_w=int(payload["image_w"]),
-            image_h=int(payload["image_h"]),
-            fov_deg=float(payload["fov_deg"]) if "fov_deg" in payload else None,
-        )
-    except PARSE_ERRORS as exc:
-        raise FormatError(f"{source}: malformed camera profile ({exc})") from exc
+def _camera(payload: dict) -> CameraIntrinsics:
+    return CameraIntrinsics(
+        focal_length_px=float(payload["focal_length_px"]),
+        image_width_px=int(payload["image_w"]),
+        image_height_px=int(payload["image_h"]),
+        fov_deg=float(payload["fov_deg"]) if "fov_deg" in payload else None,
+    )
 
 
-def load_regression_profile(source: str | Path) -> RegressionProfile:
-    builtin = _builtin(source, BUILTIN_REGRESSION, "regression")
-    if builtin is not None:
-        return builtin
-    payload = read_json(source, "profile file")
-    try:
-        mode = payload["mode"]
-        if mode not in (MODE_THREE, MODE_TWO):
-            raise FormatError(f"{source}: unknown mode {mode!r}")
-        return RegressionProfile(
-            vip_id=str(payload["vip_id"]),
-            mode=mode,
-            a=float(payload["a"]),
-            b=float(payload["b"]),
-            c=float(payload["c"]),
-        )
-    except PARSE_ERRORS as exc:
-        raise FormatError(f"{source}: malformed regression profile ({exc})") from exc
+def _regression(payload: dict) -> RegressionModel:
+    return RegressionModel(
+        a=float(payload["a"]),
+        b=float(payload["b"]),
+        c=float(payload["c"]),
+        mode=payload["mode"],
+        calibrated_for=str(payload["vip_id"]),
+    )
+
+
+def _depth(payload: dict) -> DepthProfile:
+    pair = payload.get("pair")
+    return DepthProfile(
+        vip_id=str(payload["vip_id"]),
+        m=float(payload["m"]),
+        s=float(payload["s"]),
+        unit=payload.get("unit", "m"),
+        pair=tuple(float(d) for d in pair) if pair is not None else None,
+        lt_percentile=float(payload.get("lt_percentile", 10.0)),
+        smooth_window=int(payload.get("smooth_window", 5)),
+    )
+
+
+def _height_table(payload: dict) -> HeightTable:
+    expected = {}
+    actual = {}
+    for label, entry in payload.items():
+        expected[label] = float(entry["expected_m"])
+        if entry.get("actual_m"):
+            actual[label] = tuple(float(h) for h in entry["actual_m"])
+    return HeightTable(expected_m=expected, actual_m=actual)
+
+
+def load_camera_profile(source: str | Path) -> CameraIntrinsics:
+    return _load(source, BUILTIN_CAMERA, "camera profile", _camera)
+
+
+def load_regression_profile(source: str | Path) -> RegressionModel:
+    return _load(source, BUILTIN_REGRESSION, "regression profile", _regression)
 
 
 def load_depth_profile(source: str | Path) -> DepthProfile:
-    builtin = _builtin(source, BUILTIN_DEPTH, "depth")
-    if builtin is not None:
-        return builtin
-    payload = read_json(source, "profile file")
-    try:
-        pair = payload.get("pair")
-        return DepthProfile(
-            vip_id=str(payload["vip_id"]),
-            m=float(payload["m"]),
-            s=float(payload["s"]),
-            unit=payload.get("unit", "m"),
-            pair=(float(pair[0]), float(pair[1])) if pair is not None else None,
-            lt_percentile=float(payload.get("lt_percentile", 10.0)),
-            smooth_window=int(payload.get("smooth_window", 5)),
-        )
-    except PARSE_ERRORS as exc:
-        raise FormatError(f"{source}: malformed depth profile ({exc})") from exc
+    return _load(source, BUILTIN_DEPTH, "depth profile", _depth)
 
 
 def load_height_table(source: str | Path) -> HeightTable:
-    if isinstance(source, str) and source == _BUILTIN_PREFIX + "default":
-        return DEFAULT_HEIGHTS
-    payload = read_json(source, "profile file")
-    expected = {}
-    actual = {}
-    try:
-        for label, entry in payload.items():
-            expected[label] = float(entry["expected_m"])
-            if "actual_m" in entry and entry["actual_m"]:
-                actual[label] = tuple(float(h) for h in entry["actual_m"])
-        return HeightTable(expected_m=expected, actual_m=actual)
-    except PARSE_ERRORS as exc:
-        raise FormatError(f"{source}: malformed height table ({exc})") from exc
+    return _load(source, {"default": DEFAULT_HEIGHTS}, "height table", _height_table)
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
@@ -234,9 +179,28 @@ def _write_json(path: str | Path, payload: dict) -> None:
 
 
 def save_profile(
-    path: str | Path, profile: CameraProfile | RegressionProfile | DepthProfile
+    path: str | Path, profile: CameraIntrinsics | RegressionModel | DepthProfile
 ) -> None:
-    _write_json(path, profile.payload())
+    """Write ``profile`` as canonical JSON with the keys its file format names."""
+    if isinstance(profile, CameraIntrinsics):
+        payload = {
+            "focal_length_px": profile.focal_length_px,
+            "image_w": profile.image_width_px,
+            "image_h": profile.image_height_px,
+        }
+        if profile.fov_deg is not None:
+            payload["fov_deg"] = profile.fov_deg
+    elif isinstance(profile, RegressionModel):
+        payload = {
+            "vip_id": profile.calibrated_for,
+            "mode": profile.mode,
+            "a": profile.a,
+            "b": profile.b,
+            "c": profile.c,
+        }
+    else:
+        payload = asdict(profile)  # a pair tuple is written as a list
+    _write_json(path, payload)
 
 
 def save_height_table(path: str | Path, table: HeightTable) -> None:

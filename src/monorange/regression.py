@@ -69,6 +69,8 @@ class LabeledFrame:
             raise DomainError(
                 f"true distance must be positive, got {self.true_distance_m}"
             )
+        if self.true_distance_m == math.inf:
+            raise DomainError("true distance must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -154,13 +156,13 @@ def fit_regression(
 
 
 def predict_distance(model: RegressionModel, features: RegressionFeatures) -> DistanceEstimate:
-    """Evaluate the fitted model; non-positive results are flagged out-of-domain.
+    """Evaluate the fitted model; results not positive and finite are flagged out-of-domain.
 
     The linear form can extrapolate to non-positive distances on boxes unlike
-    its training data, so the value is returned with a warning flag instead of
-    being clamped.
+    its training data, and huge coefficients overflow, so the value is
+    returned with a warning flag instead of being clamped.
     """
     value = model.a * features.w_b + model.b * features.h_b
     if model.mode == MODE_THREE:
         value += model.c * features.area
-    return DistanceEstimate(value_m=float(value), out_of_domain=value <= 0.0)
+    return DistanceEstimate(value_m=float(value), out_of_domain=not 0.0 < value < math.inf)

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .common import PARSE_ERRORS, DomainError, FormatError, read_json
+from .common import DomainError, read_json
 from .depth import DepthMap, FrameObservation
 from .geometry import (
     BoundingBox,
@@ -312,46 +312,46 @@ def _whole(value, name: str) -> int:
     return int(number)
 
 
+def _scene_spec(payload: dict) -> SceneSpec:
+    cam = payload["camera"]
+    intrinsics = CameraIntrinsics(
+        focal_length_px=float(cam["focal_length_px"]),
+        image_width_px=_whole(cam["image_w"], "image_w"),
+        image_height_px=_whole(cam["image_h"], "image_h"),
+        fov_deg=float(cam["fov_deg"]) if "fov_deg" in cam else None,
+    )
+    objects = tuple(
+        SceneObject(
+            class_label=obj["class_label"],
+            height_m=float(obj["height_m"]),
+            distance_m=float(obj["distance_m"]),
+            lateral_offset_m=float(obj.get("lateral_offset_m", 0.0)),
+            is_vip=bool(obj.get("is_vip", False)),
+            width_m=float(obj["width_m"]) if "width_m" in obj else None,
+        )
+        for obj in payload["objects"]
+    )
+    depth_w, depth_h = payload.get("depth_resolution", (DEFAULT_DEPTH_W, DEFAULT_DEPTH_H))
+    drift = payload.get("drift")
+    return SceneSpec(
+        intrinsics=intrinsics,
+        pose=DronePose(height_m=float(payload.get("drone_height_m", 1.5))),
+        objects=objects,
+        law=_parse_law(payload["law"]),
+        fps=_whole(payload.get("fps", 30), "fps"),
+        duration_s=float(payload.get("duration_s", 1.0)),
+        depth_w=_whole(depth_w, "depth width"),
+        depth_h=_whole(depth_h, "depth height"),
+        post_law=_parse_law(drift["post_law"]) if drift else None,
+        switch_time_s=float(drift["switch_time_s"]) if drift else 0.0,
+        vip_id=payload.get("vip_id", ""),
+    )
+
+
 def load_scene_spec(path: str | Path) -> SceneSpec:
     """Parse a scene description JSON file.
 
     Every fault, a value outside its domain included, is a
     :class:`FormatError` that names the file.
     """
-    payload = read_json(path, "scene file")
-    try:
-        cam = payload["camera"]
-        intrinsics = CameraIntrinsics(
-            focal_length_px=float(cam["focal_length_px"]),
-            image_width_px=_whole(cam["image_w"], "image_w"),
-            image_height_px=_whole(cam["image_h"], "image_h"),
-            fov_deg=float(cam["fov_deg"]) if "fov_deg" in cam else None,
-        )
-        objects = tuple(
-            SceneObject(
-                class_label=obj["class_label"],
-                height_m=float(obj["height_m"]),
-                distance_m=float(obj["distance_m"]),
-                lateral_offset_m=float(obj.get("lateral_offset_m", 0.0)),
-                is_vip=bool(obj.get("is_vip", False)),
-                width_m=float(obj["width_m"]) if "width_m" in obj else None,
-            )
-            for obj in payload["objects"]
-        )
-        depth_w, depth_h = payload.get("depth_resolution", (DEFAULT_DEPTH_W, DEFAULT_DEPTH_H))
-        drift = payload.get("drift")
-        return SceneSpec(
-            intrinsics=intrinsics,
-            pose=DronePose(height_m=float(payload.get("drone_height_m", 1.5))),
-            objects=objects,
-            law=_parse_law(payload["law"]),
-            fps=_whole(payload.get("fps", 30), "fps"),
-            duration_s=float(payload.get("duration_s", 1.0)),
-            depth_w=_whole(depth_w, "depth width"),
-            depth_h=_whole(depth_h, "depth height"),
-            post_law=_parse_law(drift["post_law"]) if drift else None,
-            switch_time_s=float(drift["switch_time_s"]) if drift else 0.0,
-            vip_id=payload.get("vip_id", ""),
-        )
-    except (DomainError, *PARSE_ERRORS) as exc:
-        raise FormatError(f"{path}: malformed scene spec ({exc})") from exc
+    return read_json(path, "scene file", "scene spec", _scene_spec)

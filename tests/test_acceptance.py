@@ -414,7 +414,7 @@ def test_acceptance_11_replication_harness_ready(tmp_path):
     for name in ("P1", "P2", "P3"):
         reg = BUILTIN_REGRESSION[name]
         dep = BUILTIN_DEPTH[name]
-        assert reg.to_model().calibrated_for == name
+        assert reg.calibrated_for == name
         coeffs = dep.to_coefficients()
         assert coeffs.m > 0 and coeffs.s > 0  # centimeters converted to meters
         assert dep.pair == (2.5, 4.0)

@@ -174,7 +174,7 @@ class TestFocalCommand:
         profile = load_camera_profile(out)
         expected = 3.0 * 334.32 / 0.63
         assert profile.focal_length_px == pytest.approx(expected, rel=1e-12)
-        assert (profile.image_w, profile.image_h) == (1280, 720)
+        assert (profile.image_width_px, profile.image_height_px) == (1280, 720)
         printed = capsys.readouterr().out
         assert printed.count(f"{expected:.6g}") == 3  # q1 = median = q3
 
@@ -600,6 +600,27 @@ class TestCodecFaults:
         assert read_jsonl(est) == [{"event": "error", "frame_id": "f0", "timestamp_s": 0.0,
                                     "reason": "frame f0: distance_m inf is not finite"}]
 
+    def test_regression_overflow_is_an_out_of_domain_truth(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out)
+        reg = tmp_path / "reg.json"
+        reg.write_text(json.dumps({"vip_id": "S1", "mode": "three", "a": 1e308, "b": 0.0,
+                                   "c": 0.0}))
+        depth_profile = _write_depth_profile(tmp_path / "depth.json")
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", out / "frames.jsonl", "--estimator", "neo",
+                       "--depth-profile", depth_profile, "--regression-profile", reg,
+                       "--out", est) == 0
+        assert "frames=10 records=10 recalibrations=0 frame_errors=0" in (
+            capsys.readouterr().out)
+        assert all(math.isfinite(r["distance_m"]) for r in read_jsonl(est))
+        assert run_cli("estimate", "--stream", out / "frames.jsonl", "--estimator",
+                       "regression", "--regression-profile", reg, "--out", est) == 0
+        assert "frames=10 records=10 recalibrations=0 frame_errors=10" in (
+            capsys.readouterr().out)
+        assert [r["reason"] for r in read_jsonl(est)] == [
+            f"frame frame_{i:06d}: distance_m inf is not finite" for i in range(10)]
+
     def test_non_finite_profile_is_not_written(self, tmp_path, capsys):
         box = {"x_min": 540.0, "y_min": 193.0, "x_max": 740.0, "y_max": 527.0,
                "resolution_w": 1280, "resolution_h": 720}
@@ -635,8 +656,9 @@ class TestCodecFaults:
         assert (f"{stream}:3: malformed frame annotation (ground_truth is {kind}, "
                 "not an object)") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("reader", ["regression", "regression-huge", "focal", "focal-nan",
-                                        "focal-huge", "recal", "recal-nan", "recal-inf"])
+    @pytest.mark.parametrize("reader", ["regression", "regression-huge", "regression-inf",
+                                        "focal", "focal-nan", "focal-huge", "focal-inf-height",
+                                        "recal", "recal-nan", "recal-inf"])
     def test_sample_outside_its_domain_names_file_and_line(self, tmp_path, capsys, reader):
         box = {"x_min": 540.0, "y_min": 193.0, "x_max": 740.0, "y_max": 527.0,
                "resolution_w": 1280, "resolution_h": 720}
@@ -647,6 +669,9 @@ class TestCodecFaults:
             "regression-huge": ({"w_b": 5.0, "h_b": 300.0, "true_distance_m": 3.0},
                                 {"w_b": 1e200, "h_b": 1e200, "true_distance_m": 3.0},
                                 "labeled frame", "box area inf is not finite"),
+            "regression-inf": ({"w_b": 5.0, "h_b": 300.0, "true_distance_m": 3.0},
+                               {"w_b": 5.0, "h_b": 300.0, "true_distance_m": math.inf},
+                               "labeled frame", "true distance must be finite, got inf"),
             "focal": ({"bbox": box, "object_height_m": 0.63, "true_distance_m": 3.0},
                       {"bbox": {**box, "x_max": 2000.0}, "object_height_m": 0.63,
                        "true_distance_m": 3.0},
@@ -657,6 +682,10 @@ class TestCodecFaults:
             "focal-huge": ({"bbox": box, "object_height_m": 0.63, "true_distance_m": 3.0},
                            {"bbox": box, "object_height_m": 0.63, "true_distance_m": 1e308},
                            "focal sample", "focal length inf px is not finite"),
+            "focal-inf-height": ({"bbox": box, "object_height_m": 0.63, "true_distance_m": 3.0},
+                                 {"bbox": box, "object_height_m": math.inf,
+                                  "true_distance_m": 3.0},
+                                 "focal sample", "focal length 0.0 px is not positive"),
             "recal": ({"normalized_score": 0.3, "true_distance_m": 3.0},
                       {"normalized_score": 0.3, "true_distance_m": -1.0},
                       "sample", "true distance must be positive, got -1.0"),
@@ -738,8 +767,12 @@ class TestSceneFaults:
         (lambda s: s["law"].update(m_true=1e-300),
          "scene cannot be rendered (depth map contains non-finite scores)"),
         (lambda s: s.update(fps=0), "scene cannot be rendered (fps must be >= 1, got 0)"),
+        (lambda s: s["objects"].extend(
+            {"class_label": "car", "height_m": 1.7, "distance_m": d, "lateral_offset_m": x}
+            for d, x in ((5.0, -1.0), (7.0, 1.0))),
+         "ambiguous ground truth (2 detections carry the ground-truth key 'car')"),
     ], ids=["negative-resolution", "zero-resolution", "short-resolution", "fractional-fps",
-            "orientation", "tiny-slope", "zero-fps"])
+            "orientation", "tiny-slope", "zero-fps", "shared-truth-key"])
     def test_bad_scene_exits_2_naming_the_file(self, tmp_path, capsys, edit, message):
         scene = json.loads((SCENES / "calib_2p5m.json").read_text())
         edit(scene)

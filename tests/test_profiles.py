@@ -2,14 +2,14 @@ import json
 
 import pytest
 
+from monorange.cli import main
 from monorange.common import DomainError, FormatError, MissingDataError
+from monorange.geometry import CameraIntrinsics
 from monorange.profiles import (
     BUILTIN_DEPTH,
     BUILTIN_REGRESSION,
     DEFAULT_HEIGHTS,
-    CameraProfile,
     DepthProfile,
-    RegressionProfile,
     load_camera_profile,
     load_depth_profile,
     load_height_table,
@@ -17,18 +17,19 @@ from monorange.profiles import (
     save_height_table,
     save_profile,
 )
+from monorange.regression import RegressionModel
 
 
 class TestRoundTrips:
     def test_camera_profile_bytes_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_profile(a, CameraProfile(1592.0, 1280, 720, 82.6))
+        save_profile(a, CameraIntrinsics(1592.0, 1280, 720, 82.6))
         save_profile(b, load_camera_profile(a))
         assert a.read_bytes() == b.read_bytes()
 
     def test_regression_profile_bytes_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_profile(a, RegressionProfile("P1", "three", -2.42, -1.29, 0.0043))
+        save_profile(a, RegressionModel(-2.42, -1.29, 0.0043, "three", "P1"))
         save_profile(b, load_regression_profile(a))
         assert a.read_bytes() == b.read_bytes()
 
@@ -67,7 +68,7 @@ class TestBuiltins:
     def test_all_published_profiles_load(self):
         for name in ("P1", "P2", "P3"):
             reg = load_regression_profile(f"builtin:{name}")
-            assert reg.to_model().calibrated_for == name
+            assert reg.calibrated_for == name
             dep = load_depth_profile(f"builtin:{name}")
             assert dep.pair == (2.5, 4.0)
             assert dep.to_coefficients().m != 0
@@ -105,23 +106,62 @@ class TestErrors:
             load_depth_profile(path)
 
     @pytest.mark.parametrize(
-        "loader, text",
+        "loader, text, message",
         [
             (load_camera_profile,
-             '{"focal_length_px": NaN, "image_w": 1280, "image_h": 720}'),
+             '{"focal_length_px": NaN, "image_w": 1280, "image_h": 720}',
+             "invalid JSON (non-finite number NaN)"),
             (load_regression_profile,
-             '{"vip_id": "P1", "mode": "three", "a": NaN, "b": -1.29, "c": 0.0043}'),
-            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": -Infinity}'),
-            (load_height_table, '{"car": {"expected_m": 1.7, "actual_m": [Infinity]}}'),
-            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1e999}'),
+             '{"vip_id": "P1", "mode": "three", "a": NaN, "b": -1.29, "c": 0.0043}',
+             "invalid JSON (non-finite number NaN)"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": -Infinity}',
+             "invalid JSON (non-finite number -Infinity)"),
+            (load_height_table, '{"car": {"expected_m": 1.7, "actual_m": [Infinity]}}',
+             "invalid JSON (non-finite number Infinity)"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1e999}',
+             "invalid JSON (non-finite number 1e999)"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "unit": "km"}',
+             "malformed depth profile (unknown unit 'km'; expected 'm' or 'cm')"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 0, "s": 1.0}',
+             "malformed depth profile (scale coefficient must be finite and nonzero, got 0.0)"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "lt_percentile": 0}',
+             "malformed depth profile (percentile 0.0 outside (0, 100])"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "smooth_window": 0}',
+             "malformed depth profile (window must be >= 1, got 0)"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "pair": [2.5]}',
+             "malformed depth profile (pair must hold two distances, got 1)"),
+            (load_camera_profile, '{"focal_length_px": -5, "image_w": 1280, "image_h": 720}',
+             "malformed camera profile (focal length must be positive, got -5.0)"),
+            (load_camera_profile, '{"focal_length_px": 1592.0, "image_w": 0, "image_h": 720}',
+             "malformed camera profile (image dimensions must be positive, got 0x720)"),
+            (load_regression_profile,
+             '{"vip_id": "P1", "mode": "two", "a": -2.42, "b": -1.29, "c": 0.0043}',
+             "malformed regression profile (two-feature model must have c == 0)"),
+            (load_height_table, '{"car": {"expected_m": -1}}',
+             "malformed height table (expected height for 'car' must be positive, got -1.0)"),
         ],
-        ids=["camera", "regression", "depth", "height_table", "overflow"],
+        ids=["camera", "regression", "depth", "height_table", "overflow", "depth-unit",
+             "depth-zero-slope", "depth-percentile", "depth-window", "depth-short-pair",
+             "camera-focal", "camera-width", "regression-mode", "height-table-height"],
     )
-    def test_non_finite_values_rejected(self, tmp_path, loader, text):
+    def test_bad_values_name_the_file(self, tmp_path, capsys, loader, text, message):
         path = tmp_path / "profile.json"
         path.write_text(text)
-        with pytest.raises(FormatError, match=f"{path}: invalid JSON .*non-finite"):
+        with pytest.raises(FormatError) as info:
             loader(path)
+        assert str(info.value) == f"{path}: {message}"
+        flag, estimator = {
+            load_camera_profile: ("--camera-profile", "geometric"),
+            load_regression_profile: ("--regression-profile", "regression"),
+            load_depth_profile: ("--depth-profile", "neo_norc"),
+            load_height_table: ("--height-table", "geometric"),
+        }[loader]
+        # the profile is loaded before the stream is opened; of two
+        # --camera-profile flags the later one counts
+        argv = ["estimate", "--stream", tmp_path / "frames.jsonl", "--estimator", estimator,
+                "--camera-profile", "builtin:tello", flag, path, "--out", tmp_path / "est.jsonl"]
+        assert main([str(a) for a in argv]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "partial.json"

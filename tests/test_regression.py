@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -147,6 +149,13 @@ class TestPredictDistance:
         model = RegressionModel(a=-2.0, b=-1.0, c=0.004, mode=MODE_THREE)
         estimate = predict_distance(model, RegressionFeatures.from_dims(200.0, 400.0))
         assert estimate.value_m == pytest.approx(-480.0)
+        assert estimate.out_of_domain
+
+    @pytest.mark.parametrize("a, b", [(1e308, 0.0), (1e308, -1e308)], ids=["inf", "nan"])
+    def test_overflow_is_flagged(self, a, b):
+        model = RegressionModel(a=a, b=b, c=0.0, mode=MODE_THREE)
+        estimate = predict_distance(model, RegressionFeatures.from_dims(200.0, 400.0))
+        assert not math.isfinite(estimate.value_m)
         assert estimate.out_of_domain
 
     def test_two_feature_mode_ignores_area(self):

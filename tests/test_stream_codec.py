@@ -7,6 +7,12 @@ valid stream and on every one-field mutation of one. Where the reference
 crashed with another exception, or let through a ``depth_map_path`` that is
 not a string or a ``ground_truth`` that is neither null nor an object, the
 lean parser must raise a ``FormatError`` naming file:line.
+
+The reference also carries one rule added after the lean parser replaced
+it: a ground-truth key that more than one detection carries (``vip`` for the
+flagged detection, the class label otherwise) is ambiguous, and the frame is
+a ``FormatError`` naming file:line. It checks that rule the plain way, by
+counting every key over every detection.
 """
 
 import copy
@@ -81,6 +87,14 @@ def reference_read_annotations(path):
                 f"{path}:{lineno}: {vips} detections flagged is_vip; "
                 "a frame has at most one followed person"
             )
+        for key in ann.ground_truth or {}:
+            carriers = sum(("vip" if det.is_vip else det.class_label) == key
+                           for det in ann.detections)
+            if carriers > 1:
+                raise FormatError(
+                    f"{path}:{lineno}: ambiguous ground truth ({carriers} detections "
+                    f"carry the ground-truth key {key!r})"
+                )
         if previous_ts is not None and ann.timestamp_s < previous_ts:
             raise FormatError(
                 f"{path}:{lineno}: timestamps must be non-decreasing "
@@ -95,6 +109,11 @@ def typed_as_documented(frame):
     map_path, truth = frame.get("depth_map_path"), frame.get("ground_truth")
     return (map_path is None or isinstance(map_path, str)) and (
         truth is None or isinstance(truth, dict))
+
+
+def raised_line(exc, path):
+    """The line of ``path`` that a ``FormatError`` names."""
+    return int(str(exc)[len(f"{path}:"):].partition(":")[0])
 
 
 def outcome(reader, path):
@@ -226,15 +245,46 @@ def test_lean_parser_matches_reference(stream_file, case):
     if ref_kind == "ok" and documented:
         assert new_kind == "ok", new
         assert new == ref
-    elif ref_kind == "raised" and isinstance(ref, FormatError):
+    elif (ref_kind == "raised" and isinstance(ref, FormatError)
+          and (documented or raised_line(ref, stream_file) <= index)):
+        # A valid frame may be ambiguous, so the reference can stop before
+        # the mutated frame as well as at it.
         assert new_kind == "raised" and type(new) is FormatError
         assert str(new) == str(ref)
     else:
         # The reference crashed (a truthy ground truth that is not an
-        # object) or let a field of another type through.
+        # object) or let a field of another type through, perhaps to stop at
+        # an ambiguous frame after it.
         assert new_kind == "raised" and type(new) is FormatError, (ref, new)
         assert str(new).startswith(f"{stream_file}:{index + 1}: malformed frame annotation (")
         assert not (ref_kind == "ok" and documented)
+
+
+def test_ambiguous_ground_truth_is_a_format_error(stream_file):
+    """A truth key that two detections carry names file:line; one carrier is fine."""
+    box = {"x_min": 10.0, "y_min": 10.0, "x_max": 50.0, "y_max": 90.0,
+           "resolution_w": 1280, "resolution_h": 720}
+    car, vip = {"bbox": box, "class_label": "car"}, {"bbox": box, "class_label": "vip"}
+    flagged = {**vip, "is_vip": True}
+    valid = {"frame_id": "f", "timestamp_s": 0.0, "detections": [car], "ground_truth": {"car": 5}}
+    for detections, truth, text in [
+        ([car, car], {"car": 5.0}, "2 detections carry the ground-truth key 'car'"),
+        ([flagged, car, car], {"vip": 3.0, "car": 5.0},
+         "2 detections carry the ground-truth key 'car'"),
+        ([flagged, vip], {"vip": 3.0}, "2 detections carry the ground-truth key 'vip'"),
+        ([car, car, car], {"car": 5.0}, "3 detections carry the ground-truth key 'car'"),
+        ([car, car], {"vip": 3.0}, None),
+        ([flagged, car], {"vip": 3.0, "car": 5.0}, None),
+    ]:
+        frame = {**valid, "detections": detections, "ground_truth": truth}
+        stream_file.write_text(json.dumps(valid) + "\n" + json.dumps(frame) + "\n")
+        if text is None:
+            assert [ann.ground_truth for ann in read_annotations(stream_file)] == [
+                {"car": 5.0}, truth]
+            continue
+        with pytest.raises(FormatError) as info:
+            list(read_annotations(stream_file))
+        assert str(info.value) == f"{stream_file}:2: ambiguous ground truth ({text})"
 
 
 def test_fields_of_another_type_are_format_errors(stream_file):
