@@ -26,7 +26,7 @@ from .regression import RegressionModel
 class DepthProfile:
     """Scale/shift calibration as recorded, with its unit and method settings.
 
-    Construction checks every field: the unit, a pair of exactly two
+    Construction checks every field: the unit, a pair of exactly two positive
     distances, coefficients :class:`DepthCoefficients` accepts, and a
     percentile and smoothing window the method and smoother accept.
     """
@@ -42,8 +42,8 @@ class DepthProfile:
     def __post_init__(self):
         if self.unit not in ("m", "cm"):
             raise DomainError(f"unknown unit {self.unit!r}; expected 'm' or 'cm'")
-        if self.pair is not None and len(self.pair) != 2:
-            raise DomainError(f"pair must hold two distances, got {len(self.pair)}")
+        if self.pair is not None and (len(self.pair) != 2 or not all(d > 0 for d in self.pair)):
+            raise DomainError(f"pair must hold two positive distances, got {list(self.pair)}")
         self.to_coefficients()
         NormalizationMethod(lt_percentile=self.lt_percentile)
         ScoreSmoother(self.smooth_window)

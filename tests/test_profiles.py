@@ -129,7 +129,9 @@ class TestErrors:
             (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "smooth_window": 0}',
              "malformed depth profile (window must be >= 1, got 0)"),
             (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "pair": [2.5]}',
-             "malformed depth profile (pair must hold two distances, got 1)"),
+             "malformed depth profile (pair must hold two positive distances, got [2.5])"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "pair": [-1, 4]}',
+             "malformed depth profile (pair must hold two positive distances, got [-1.0, 4.0])"),
             (load_camera_profile, '{"focal_length_px": -5, "image_w": 1280, "image_h": 720}',
              "malformed camera profile (focal length must be positive, got -5.0)"),
             (load_camera_profile, '{"focal_length_px": 1592.0, "image_w": 0, "image_h": 720}',
@@ -142,6 +144,7 @@ class TestErrors:
         ],
         ids=["camera", "regression", "depth", "height_table", "overflow", "depth-unit",
              "depth-zero-slope", "depth-percentile", "depth-window", "depth-short-pair",
+             "depth-negative-pair",
              "camera-focal", "camera-width", "regression-mode", "height-table-height"],
     )
     def test_bad_values_name_the_file(self, tmp_path, capsys, loader, text, message):
