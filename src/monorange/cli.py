@@ -777,42 +777,63 @@ def cmd_evaluate(args) -> int:
 # synth
 
 
+def _synth_ground_truth(scene: str, frame: synth.SynthFrame) -> dict[str, float]:
+    """A synthetic frame's distances by truth key, each key naming one detection."""
+    truth = {truth_key(det): dist for det, dist in zip(frame.detections, frame.truths)}
+    if len(truth) < len(frame.detections):
+        shared = _shared_truth_key(frame.detections, truth)
+        raise FormatError(f"{scene}: ambiguous ground truth ({shared})")
+    return truth
+
+
 def cmd_synth(args) -> int:
     spec = synth.load_scene_spec(args.scene)
+    # The first frame shows every fault of the scene itself (an object outside
+    # the frame, a map that is not finite, a shared truth key), so a scene
+    # with one fails before the output directory is created or touched.
+    frames = spec.frames(seed=args.seed)
+    try:
+        frame = next(frames, None)
+    except DomainError as exc:
+        raise FormatError(f"{args.scene}: scene cannot be rendered ({exc})") from exc
+    if frame is not None:
+        _synth_ground_truth(args.scene, frame)
     out_dir = Path(args.out_dir)
     maps_dir = out_dir / "maps"
     stream_path = out_dir / "frames.jsonl"
-    frames = 0
+    i = 0
     try:
         maps_dir.mkdir(parents=True, exist_ok=True)
         with open(stream_path, "w") as fh:
-            for i, frame in enumerate(spec.frames(seed=args.seed)):
-                ground_truth = {
-                    truth_key(det): dist for det, dist in zip(frame.detections, frame.truths)
-                }
-                if len(ground_truth) < len(frame.detections):
-                    shared = _shared_truth_key(frame.detections, ground_truth)
-                    raise FormatError(f"{args.scene}: ambiguous ground truth ({shared})")
-                map_name = f"maps/frame_{i:06d}.neod"
-                try:
-                    neod.write_depth_map(out_dir / map_name, frame.depth_map)
-                except OSError as exc:
-                    raise unwritable(f"depth map {out_dir / map_name}", exc) from exc
-                ann = FrameAnnotation(
-                    frame_id=f"frame_{i:06d}",
-                    timestamp_s=frame.timestamp_s,
-                    detections=frame.detections,
-                    depth_map_path=map_name,
-                    ground_truth=ground_truth,
-                    vip_id=spec.vip_id,
-                )
-                fh.write(canonical_jsonl_line(annotation_payload(ann)))
-                frames += 1
+            try:
+                # One frame is held at a time: holding the first one as well
+                # would keep one more map alive for the whole run.
+                while frame is not None:
+                    map_name = f"maps/frame_{i:06d}.neod"
+                    try:
+                        neod.write_depth_map(out_dir / map_name, frame.depth_map)
+                    except OSError as exc:
+                        raise unwritable(f"depth map {out_dir / map_name}", exc) from exc
+                    ann = FrameAnnotation(
+                        frame_id=f"frame_{i:06d}",
+                        timestamp_s=frame.timestamp_s,
+                        detections=frame.detections,
+                        depth_map_path=map_name,
+                        ground_truth=_synth_ground_truth(args.scene, frame),
+                        vip_id=spec.vip_id,
+                    )
+                    fh.write(canonical_jsonl_line(annotation_payload(ann)))
+                    i += 1
+                    frame = next(frames, None)
+            except BaseException:
+                # The frames before the failure would read as a whole stream.
+                stream_path.unlink(missing_ok=True)
+                raise
     except OSError as exc:
         raise unwritable(f"output path {exc.filename or stream_path}", exc) from exc
-    except DomainError as exc:  # the scene renders a frame outside some domain
+    except DomainError as exc:  # a later frame renders outside some domain
         raise FormatError(f"{args.scene}: scene cannot be rendered ({exc})") from exc
-    print(f"synthetic stream -> {stream_path}  frames={frames} maps={frames}")
+    print(f"synthetic stream -> {stream_path}  frames={i} maps={i}")
     return EXIT_OK
 
 

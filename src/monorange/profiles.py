@@ -118,20 +118,26 @@ def _camera(payload: dict) -> CameraIntrinsics:
     )
 
 
+def _vip_id(payload: dict) -> str:
+    """The profile's ``vip_id``; JSON ``null`` names no one, like ``""``."""
+    vip_id = payload["vip_id"]
+    return "" if vip_id is None else str(vip_id)
+
+
 def _regression(payload: dict) -> RegressionModel:
     return RegressionModel(
         a=float(payload["a"]),
         b=float(payload["b"]),
         c=float(payload["c"]),
         mode=payload["mode"],
-        calibrated_for=str(payload["vip_id"]),
+        calibrated_for=_vip_id(payload),
     )
 
 
 def _depth(payload: dict) -> DepthProfile:
     pair = payload.get("pair")
     return DepthProfile(
-        vip_id=str(payload["vip_id"]),
+        vip_id=_vip_id(payload),
         m=float(payload["m"]),
         s=float(payload["s"]),
         unit=payload.get("unit", "m"),

@@ -781,6 +781,45 @@ class TestSceneFaults:
         assert run_cli("synth", "--scene", scene_path, "--out-dir", tmp_path / "s") == 2
         assert f"error: {scene_path}: {message}" in capsys.readouterr().err
 
+    @staticmethod
+    def assert_no_stream(tmp_path, out):
+        """``out`` holds no stream, so ``estimate`` on it exits 4, not 0 with no frames."""
+        assert not (out / "frames.jsonl").exists()
+        assert run_cli("estimate", "--stream", out / "frames.jsonl", "--estimator", "neo_norc",
+                       "--depth-profile", "builtin:P1", "--out", tmp_path / "est.jsonl") == 4
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s["objects"].append(
+            {"class_label": "car", "height_m": 1.5, "distance_m": 6.0, "lateral_offset_m": 1.5}),
+         "ambiguous ground truth (2 detections carry the ground-truth key 'car')"),
+        (lambda s: s["law"].update(m_true=1e-300),
+         "scene cannot be rendered (depth map contains non-finite scores)"),
+    ], ids=["second-car", "tiny-slope"])
+    def test_scene_fault_leaves_the_output_directory_untouched(
+        self, tmp_path, capsys, edit, message
+    ):
+        scene = json.loads((SCENES / "static_mixed.json").read_text())
+        edit(scene)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        out = tmp_path / "s"
+        assert run_cli("synth", "--scene", scene_path, "--out-dir", out) == 2
+        assert f"error: {scene_path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        self.assert_no_stream(tmp_path, out)
+
+    def test_later_frame_fault_removes_the_stream(self, tmp_path, capsys):
+        scene = json.loads((SCENES / "drift_run.json").read_text())
+        scene["drift"]["post_law"]["m_true"] = 1e-300
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        out = tmp_path / "s"
+        assert run_cli("synth", "--scene", scene_path, "--out-dir", out) == 2
+        assert (f"error: {scene_path}: scene cannot be rendered "
+                "(depth map contains non-finite scores)") in capsys.readouterr().err
+        assert (out / "maps" / "frame_000199.neod").exists()  # the frames before the switch
+        self.assert_no_stream(tmp_path, out)
+
     def test_whole_float_fps_is_accepted(self, tmp_path, capsys):
         scene = json.loads((SCENES / "calib_2p5m.json").read_text())
         scene["fps"] = float(scene["fps"])

@@ -11,6 +11,10 @@ background at -1.67), so it pins the sign-bit code paths of
 :func:`monorange.depth.normalize_region` that the usual non-negative maps
 never reach.
 
+Two more scenes switch between a noiseless and a noisy law, one each way.
+Noiseless frames draw nothing from the generator's random stream, so their
+pins guard which frames draw and in what order around the switch.
+
 Synthesizing into a directory that already holds outputs, including larger
 maps, must give the same pinned digests: maps are overwritten in place and
 trimmed.
@@ -65,6 +69,19 @@ NEGATIVE_PROFILE = {**PROFILE, "s": 60.0}
 
 NEGATIVE_METHODS = ("disc_center", "low_threshold", "mean")
 
+MIXED_NOISE_SCENES = {
+    "noiseless_to_noisy": {
+        **SCENE,
+        "law": {"m_true": 6.0, "s_true": 1.0},
+        "drift": {"switch_time_s": 5.0,
+                  "post_law": {"m_true": 6.0, "s_true": 1.45, "noise_sigma": 0.01}},
+    },
+    "noisy_to_noiseless": {
+        **SCENE,
+        "drift": {"switch_time_s": 5.0, "post_law": {"m_true": 6.0, "s_true": 1.45}},
+    },
+}
+
 EXPECTED = {
     "frames.jsonl": "c468b259fc9e8ad3f440fdd55da0bba7269f5c0f4356a03a281c24b1283a2851",
     "maps": "05c8fdf51880b63fb0c5db720c2faee3063e7d3da74fa9f1f0da46e62fddbfe2",
@@ -92,6 +109,19 @@ EXPECTED_NEGATIVE = {
     "neo_norc.disc_center": "74ebd21150f490c793a7c230e34c9ee01e95c1a2f92086e722299ff57fcad1fb",
     "neo_norc.low_threshold": "14996afe379d1482e63c7d58eddab890951e523cedbd4e66a5db4e4e1b4bd3d5",
     "neo_norc.mean": "402606d7b90282e5d0ab2d717247b2a322f807ab004008e7956fa2ff65378725",
+}
+
+EXPECTED_MIXED_NOISE = {
+    "noiseless_to_noisy": {
+        "frames.jsonl": "c468b259fc9e8ad3f440fdd55da0bba7269f5c0f4356a03a281c24b1283a2851",
+        "maps": "137c850c57f32602d71dc6bff5019bd9122712928e4234828ff48e7a1c5a59f8",
+        "neo": "e78e2602e4b5f253e87fb8590ac92bd12ad8f9cf04cfb9651c480f0df0ead1ba",
+    },
+    "noisy_to_noiseless": {
+        "frames.jsonl": "c468b259fc9e8ad3f440fdd55da0bba7269f5c0f4356a03a281c24b1283a2851",
+        "maps": "d731bba214dcbd270f18ac7fb30c48ca6ac798d4fe8468e4b610bd59862386a8",
+        "neo": "cb183c0f388e5ed9395df849d8d5dd542eba79d33d1a3386ea5d326937279415",
+    },
 }
 
 SUITE_FILES = 355
@@ -157,6 +187,12 @@ def negative_outputs(tmp_path_factory):
     return run_scene(base, NEGATIVE_SCENE, NEGATIVE_PROFILE, NEGATIVE_METHODS)
 
 
+@pytest.fixture(scope="module", params=sorted(MIXED_NOISE_SCENES))
+def mixed_noise_outputs(request, tmp_path_factory):
+    base = tmp_path_factory.mktemp(request.param)
+    return request.param, run_scene(base, MIXED_NOISE_SCENES[request.param], PROFILE, ())
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_output_is_byte_identical(outputs, name):
     assert outputs[name] == EXPECTED[name]
@@ -173,6 +209,11 @@ def test_negative_scene_output_is_byte_identical(negative_outputs, name):
 
 def test_every_negative_scene_output_is_pinned(negative_outputs):
     assert sorted(negative_outputs) == sorted(EXPECTED_NEGATIVE)
+
+
+def test_mixed_noise_scene_output_is_byte_identical(mixed_noise_outputs):
+    scene, digests = mixed_noise_outputs
+    assert digests == EXPECTED_MIXED_NOISE[scene]
 
 
 @pytest.mark.parametrize("first_seed, first_resolution", [

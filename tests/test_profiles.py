@@ -41,6 +41,19 @@ class TestRoundTrips:
         # the stored unit survives the round trip untouched
         assert json.loads(a.read_text())["unit"] == "cm"
 
+    @pytest.mark.parametrize("load, payload", [
+        (load_depth_profile, {"vip_id": None, "m": 6.0, "s": 1.0}),
+        (load_regression_profile, {"vip_id": None, "mode": "three", "a": -2.42, "b": -1.29,
+                                   "c": 0.0043}),
+    ])
+    def test_null_vip_id_loads_as_empty_and_round_trips(self, tmp_path, load, payload):
+        source, a, b = tmp_path / "source.json", tmp_path / "a.json", tmp_path / "b.json"
+        source.write_text(json.dumps(payload))
+        save_profile(a, load(source))
+        save_profile(b, load(a))
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["vip_id"] == ""
+
     def test_height_table_bytes_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_height_table(a, DEFAULT_HEIGHTS)

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from monorange.cli import main
 from monorange.common import DomainError
 from monorange.depth import (
     CENTER,
@@ -25,11 +28,15 @@ from monorange.geometry import (
     estimate_distance_geometric,
     scale_bbox,
 )
+from monorange.neod import read_depth_map
 from monorange.synth import (
     BACKGROUND_DISTANCE_M,
     DepthLawSpec,
     SceneObject,
+    _project,
+    _render,
     drift_sequence,
+    load_scene_spec,
 )
 
 INTR = CameraIntrinsics(1592.0, 1280, 720, 82.6)
@@ -204,6 +211,69 @@ class TestDriftSequence:
         )
         first = frames[0].depth_map.scores.tobytes()
         assert all(f.depth_map.scores.tobytes() == first for f in frames)
+
+
+class TestMapReuse:
+    """A frame whose map equals the previous frame's shares its DepthMap."""
+
+    OBJECTS = (
+        SceneObject("vip", 0.63, 3.0, is_vip=True),
+        SceneObject("car", 1.56, 4.6, lateral_offset_m=-1.2),
+    )
+    NOISY = DepthLawSpec(m_true=6.0, s_true=1.0, noise_sigma=0.01)
+    POST = DepthLawSpec(m_true=6.0, s_true=1.45)
+
+    def frames(self, pre_law, post_law, switch_time_s=1.0):
+        return list(drift_sequence(self.OBJECTS, INTR, POSE, pre_law, post_law,
+                                   switch_time_s, 2.0, 5, seed=3, depth_w=64, depth_h=40))
+
+    def test_noiseless_frames_under_one_law_share_one_fresh_map(self):
+        frames = self.frames(LAW, self.POST)
+        _, _, regions = _project(self.OBJECTS, INTR, POSE, False, 64, 40)
+        for group, law in ((frames[:5], LAW), (frames[5:], self.POST)):
+            assert all(f.depth_map is group[0].depth_map for f in group)
+            assert all(f.detections is group[0].detections for f in group)
+            fresh = _render(regions, law, np.random.default_rng(0), 64, 40)
+            assert group[0].depth_map.scores.tobytes() == fresh.scores.tobytes()
+        assert [f.timestamp_s for f in frames] == [i / 5 for i in range(10)]
+
+    def test_noisy_law_renders_every_frame(self):
+        frames = self.frames(self.NOISY, self.NOISY)
+        maps = [f.depth_map.scores.tobytes() for f in frames]
+        assert len({id(f.depth_map) for f in frames}) == len(frames)
+        assert len(set(maps)) == len(frames)
+
+    @pytest.mark.parametrize("switch_time_s", [0.4, 0.5, 1.0])
+    def test_map_changes_on_the_first_frame_after_the_switch(self, switch_time_s):
+        frames = self.frames(LAW, self.POST, switch_time_s)
+        first_after = next(i for i, f in enumerate(frames) if f.timestamp_s >= switch_time_s)
+        changed = [i for i in range(1, len(frames))
+                   if frames[i].depth_map is not frames[i - 1].depth_map]
+        assert changed == [first_after]
+        assert frames[first_after].law == self.POST
+
+    def test_synth_writes_one_correct_map_per_frame(self, tmp_path):
+        spec = {
+            "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
+            "depth_resolution": [64, 40],
+            "fps": 5,
+            "duration_s": 2,
+            "objects": [{"class_label": "vip", "height_m": 0.63, "distance_m": 3.0,
+                         "is_vip": True}],
+            "law": {"m_true": 6.0, "s_true": 1.0},
+            "drift": {"switch_time_s": 1.0, "post_law": {"m_true": 6.0, "s_true": 1.45}},
+        }
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        assert main(["synth", "--scene", str(scene), "--out-dir", str(out)]) == 0
+        lines = [json.loads(line) for line in (out / "frames.jsonl").read_text().splitlines()]
+        frames = list(load_scene_spec(scene).frames())
+        assert len(lines) == len(frames) == len(list((out / "maps").iterdir())) == 10
+        for line, frame in zip(lines, frames):
+            assert line["timestamp_s"] == frame.timestamp_s
+            written = read_depth_map(out / line["depth_map_path"])
+            assert written.scores.tobytes() == frame.depth_map.scores.tobytes()
 
 
 class TestLawSpec:
