@@ -12,19 +12,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import depth as depth_mod
 from . import metrics, neod, profiles, synth
 from .common import (
-    PARSE_ERRORS,
     DegenerateGeometryError,
     DistanceEstimate,
     DomainError,
@@ -37,14 +34,11 @@ from .common import (
     SingularFitError,
     canonical_jsonl_line,
     read_jsonl,
-    read_lines,
-    unreadable,
     unwritable,
 )
 from .geometry import (
     BoundingBox,
     CameraIntrinsics,
-    Detection,
     estimate_distance_geometric,
     estimate_focal_length,
     sample_focal_length,
@@ -58,6 +52,10 @@ from .regression import (
     fit_regression,
     predict_distance,
 )
+from .stream import (
+    FrameAnnotation, annotation_payload, bbox_from_payload, estimate_entry, ground_truth,
+    load_depth_map, object_record, read_annotations, record, record_lines, truth_key,
+)
 
 log = logging.getLogger("monorange")
 
@@ -65,171 +63,6 @@ EXIT_OK = 0
 EXIT_FORMAT = 2
 EXIT_FIT = 3
 EXIT_MISSING = 4
-
-
-@dataclass(frozen=True)
-class FrameAnnotation:
-    """One input frame: detections plus optional depth map and ground truth."""
-
-    frame_id: str
-    timestamp_s: float
-    detections: tuple[Detection, ...]
-    depth_map_path: str | None = None
-    ground_truth: dict[str, float] | None = None
-    vip_id: str = ""
-    scene: str = ""
-
-
-def truth_key(det: Detection) -> str:
-    """Ground-truth join key for a detection: 'vip' for the followed person."""
-    return "vip" if det.is_vip else det.class_label
-
-
-def _detection_payload(det: Detection) -> dict:
-    return {
-        "class_label": det.class_label,
-        "confidence": det.confidence,
-        "is_vip": det.is_vip,
-        "bbox": {
-            "x_min": det.bbox.x_min,
-            "y_min": det.bbox.y_min,
-            "x_max": det.bbox.x_max,
-            "y_max": det.bbox.y_max,
-            "resolution_w": det.bbox.resolution_w,
-            "resolution_h": det.bbox.resolution_h,
-        },
-    }
-
-
-def _bbox_from_payload(box: dict) -> BoundingBox:
-    return BoundingBox(
-        float(box["x_min"]),
-        float(box["y_min"]),
-        float(box["x_max"]),
-        float(box["y_max"]),
-        int(box["resolution_w"]),
-        int(box["resolution_h"]),
-    )
-
-
-def annotation_payload(ann: FrameAnnotation) -> dict:
-    payload = {
-        "frame_id": ann.frame_id,
-        "timestamp_s": ann.timestamp_s,
-        "detections": [_detection_payload(d) for d in ann.detections],
-    }
-    if ann.depth_map_path is not None:
-        payload["depth_map_path"] = ann.depth_map_path
-    if ann.ground_truth is not None:
-        payload["ground_truth"] = dict(sorted(ann.ground_truth.items()))
-    if ann.vip_id:
-        payload["vip_id"] = ann.vip_id
-    if ann.scene:
-        payload["scene"] = ann.scene
-    return payload
-
-
-def _annotation(payload: dict) -> tuple[FrameAnnotation, int, int]:
-    """The frame a decoded stream line describes, its count of is_vip detections
-    and its count of distinct truth keys.
-
-    A field of the wrong JSON type raises one of ``PARSE_ERRORS``.
-    """
-    frame_id = str(payload["frame_id"])
-    timestamp_s = float(payload["timestamp_s"])
-    detections = []
-    vips = 0
-    keys = set()
-    for det in payload.get("detections", ()):
-        bbox = _bbox_from_payload(det["bbox"])
-        is_vip = bool(det.get("is_vip", False))
-        vips += is_vip
-        label = str(det["class_label"])
-        keys.add("vip" if is_vip else label)
-        detections.append(Detection(bbox, label, float(det.get("confidence", 1.0)), is_vip))
-    depth_map_path = payload.get("depth_map_path")
-    if depth_map_path is not None and type(depth_map_path) is not str:
-        raise TypeError(f"depth_map_path is {type(depth_map_path).__name__}, not a string")
-    truth = payload.get("ground_truth")
-    if truth is None:
-        ground_truth = None
-    elif type(truth) is dict:
-        ground_truth = {str(k): float(v) for k, v in truth.items()} or None
-    else:
-        raise TypeError(f"ground_truth is {type(truth).__name__}, not an object")
-    ann = FrameAnnotation(
-        frame_id,
-        timestamp_s,
-        tuple(detections),
-        depth_map_path,
-        ground_truth,
-        str(payload.get("vip_id", "")),
-        str(payload.get("scene", "")),
-    )
-    return ann, vips, len(keys)
-
-
-def _shared_truth_key(detections: Sequence[Detection], truth: dict) -> str | None:
-    """Why ``truth`` is ambiguous for ``detections``: a key more than one of them carries."""
-    carried = [truth_key(det) for det in detections]
-    for key in truth:
-        if carried.count(key) > 1:
-            return f"{carried.count(key)} detections carry the ground-truth key {key!r}"
-    return None
-
-
-def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
-    """Stream frame annotations, enforcing non-decreasing timestamps.
-
-    A frame holds at most one followed person, its ground-truth distances
-    are positive and finite, and each of their keys names one detection at most.
-    """
-    p = Path(path)
-    previous_ts = None
-    for lineno, line in read_lines(p, "stream file"):
-        try:
-            ann, vips, distinct_keys = _annotation(json.loads(line))
-        except (DomainError, *PARSE_ERRORS) as exc:
-            raise FormatError(f"{p}:{lineno}: malformed frame annotation ({exc})") from exc
-        if not math.isfinite(ann.timestamp_s):
-            raise FormatError(f"{p}:{lineno}: timestamp {ann.timestamp_s} is not finite")
-        for key, truth in (ann.ground_truth or {}).items():
-            if not (truth > 0.0 and math.isfinite(truth)):
-                raise FormatError(
-                    f"{p}:{lineno}: ground truth {key!r} is {truth}, "
-                    "not a positive finite distance"
-                )
-        if vips > 1:
-            raise FormatError(
-                f"{p}:{lineno}: {vips} detections flagged is_vip; "
-                "a frame has at most one followed person"
-            )
-        if distinct_keys < len(ann.detections) and ann.ground_truth:
-            shared = _shared_truth_key(ann.detections, ann.ground_truth)
-            if shared is not None:
-                raise FormatError(f"{p}:{lineno}: ambiguous ground truth ({shared})")
-        if previous_ts is not None and ann.timestamp_s < previous_ts:
-            raise FormatError(
-                f"{p}:{lineno}: timestamps must be non-decreasing "
-                f"({ann.timestamp_s} after {previous_ts})"
-            )
-        previous_ts = ann.timestamp_s
-        yield ann
-
-
-def _resolve_map_path(stream_path: Path, depth_map_path: str) -> Path:
-    candidate = Path(depth_map_path)
-    return candidate if candidate.is_absolute() else stream_path.parent / candidate
-
-
-def _load_depth_map(stream_path: Path, ann: FrameAnnotation) -> depth_mod.DepthMap:
-    if ann.depth_map_path is None:
-        raise MissingDataError(f"frame {ann.frame_id}: no depth map recorded")
-    map_path = _resolve_map_path(stream_path, ann.depth_map_path)
-    try:
-        return neod.read_depth_map(map_path)
-    except OSError as exc:
-        raise unreadable(f"frame {ann.frame_id}: depth map {map_path}", exc) from exc
 
 
 def _norm_method_from_args(args, depth_profile=None) -> depth_mod.NormalizationMethod:
@@ -277,7 +110,7 @@ def _cmd_calibrate_regression(args) -> int:
 def _focal_sample(payload: dict) -> tuple[BoundingBox, float, float]:
     """A reference sample whose domain and own focal length are checked."""
     sample = (
-        _bbox_from_payload(payload["bbox"]),
+        bbox_from_payload(payload["bbox"]),
         float(payload["object_height_m"]),
         float(payload["true_distance_m"]),
     )
@@ -318,7 +151,7 @@ def _collect_vip_scores(
             vips = [d for d in ann.detections if d.is_vip]
             if not vips:
                 continue
-            depth_map = _load_depth_map(stream_path, ann)
+            depth_map = load_depth_map(stream_path, ann)
             scaled = scale_bbox(vips[0].bbox, depth_map.width, depth_map.height)
             score = depth_mod.normalize_region(depth_map, scaled, method)
             by_distance.setdefault(float(truth), []).append(score)
@@ -401,29 +234,6 @@ def _profile(source, flag: str, loader, who: str):
     return loader(source)
 
 
-def _object_record(
-    ann: FrameAnnotation,
-    det: Detection,
-    estimate: DistanceEstimate | None,
-    flags: list[str],
-    provenance: str | None = None,
-    score: float | None = None,
-) -> dict:
-    record = {
-        "frame_id": ann.frame_id,
-        "timestamp_s": ann.timestamp_s,
-        "class_label": det.class_label,
-        "is_vip": det.is_vip,
-        "distance_m": None if estimate is None else estimate.value_m,
-        "flags": sorted(flags),
-    }
-    if provenance is not None:
-        record["provenance"] = provenance
-    if score is not None:
-        record["score"] = score
-    return record
-
-
 class _RegressionRunner:
     """Applies a fitted box-feature model to the stream's person detections.
 
@@ -469,7 +279,7 @@ class _RegressionRunner:
                 )
             estimate = predict_distance(self.model, RegressionFeatures.from_bbox(det.bbox))
             flags = ["out-of-domain"] if estimate.out_of_domain else []
-            out.append(_object_record(ann, det, estimate, flags))
+            out.append(object_record(ann, det, estimate, flags))
 
 
 class _GeometricRunner:
@@ -499,12 +309,12 @@ class _GeometricRunner:
                     "scale the box first"
                 )
             try:
-                height = self.height(truth_key(det))
+                height = self.height(truth_key(det.class_label, det.is_vip))
             except MissingDataError:
-                out.append(_object_record(ann, det, None, ["no-height"]))
+                out.append(object_record(ann, det, None, ["no-height"]))
                 continue
             value = estimate_distance_geometric(det.bbox, height, self.intrinsics)
-            out.append(_object_record(ann, det, DistanceEstimate(value), []))
+            out.append(object_record(ann, det, DistanceEstimate(value), []))
 
 
 def _calibration_sample(payload: dict) -> depth_mod.CalibrationSample:
@@ -604,38 +414,17 @@ class _NeoRunner:
         )
         self.coeffs = result.coeffs
         if result.recalibrated:
-            out.append(
-                {
-                    "event": "recalibration",
-                    "frame_id": ann.frame_id,
-                    "timestamp_s": ann.timestamp_s,
-                    "m": result.coeffs.m,
-                    "s": result.coeffs.s,
-                    "sample_count": result.coeffs.sample_count,
-                }
-            )
+            c = self.coeffs
+            out.append(record(ann, {"event": "recalibration", "m": c.m, "s": c.s,
+                                    "sample_count": c.sample_count}))
         for est in result.estimates:
             flags = ["out-of-domain"] if est.distance.out_of_domain else []
             out.append(
-                _object_record(
+                object_record(
                     ann, est.detection, est.distance, flags,
                     provenance=self.coeffs.provenance, score=est.score,
                 )
             )
-
-
-def _record_lines(ann: FrameAnnotation, records: list[dict]) -> list[str]:
-    """The frame's records as JSONL lines; a NaN or infinite number is a frame error."""
-    try:
-        return [canonical_jsonl_line(record) for record in records]
-    except ValueError:  # the encoder refuses non-finite numbers
-        key, value = next(
-            (key, value)
-            for record in records
-            for key, value in record.items()
-            if isinstance(value, float) and not math.isfinite(value)
-        )
-        raise NonFiniteError(f"frame {ann.frame_id}: {key} {value} is not finite") from None
 
 
 # Each estimator's runner, built once per run as ``runner(name, args)``. It
@@ -666,26 +455,19 @@ def cmd_estimate(args) -> int:
                 out: list[dict] = []
                 try:
                     depth_map = (
-                        _load_depth_map(stream_path, ann) if runner.needs_depth_map else None
+                        load_depth_map(stream_path, ann) if runner.needs_depth_map else None
                     )
                     runner.run_frame(ann, depth_map, out)
-                    lines = _record_lines(ann, out)
+                    lines = record_lines(ann, out)
                 except (
                     MissingDataError, NoPixelsError, DegenerateGeometryError, NonFiniteError
                 ) as exc:
-                    out = [
-                        {
-                            "event": "error",
-                            "frame_id": ann.frame_id,
-                            "timestamp_s": ann.timestamp_s,
-                            "reason": str(exc),
-                        }
-                    ]
-                    lines = [canonical_jsonl_line(out[0])]
+                    out = [record(ann, {"event": "error", "reason": str(exc)})]
+                    lines = record_lines(ann, out)
                     errors += 1
-                for record, line in zip(out, lines):
+                for rec, line in zip(out, lines):
                     fh.write(line)
-                    recals += record.get("event") == "recalibration"
+                    recals += rec.get("event") == "recalibration"
                 records += len(out)
         os.replace(tmp_path, out_path)
     except OSError as exc:
@@ -704,34 +486,20 @@ def cmd_estimate(args) -> int:
 # evaluate
 
 
-def _estimate_entry(payload: dict) -> tuple[tuple[str, str], float | None] | None:
-    """An estimate record's truth join key and distance; None for an event line."""
-    if "event" in payload:
-        return None
-    frame_id = str(payload["frame_id"])
-    label = str(payload["class_label"])
-    is_vip = bool(payload.get("is_vip", False))
-    distance = payload["distance_m"]
-    if distance is not None:
-        distance = float(distance)
-        if not math.isfinite(distance):
-            raise ValueError(f"distance_m {distance} is not finite")
-    return (frame_id, "vip" if is_vip else label), distance
-
-
 def cmd_evaluate(args) -> int:
     near_m, far_m = args.near_threshold_m, args.far_limit_m
     if not near_m < far_m:
         raise DomainError("near threshold must be below far limit")
-    truth: dict[tuple[str, str], float] = {}
-    for ann in read_annotations(args.truth):
-        for key, value in (ann.ground_truth or {}).items():
-            truth[(ann.frame_id, key)] = float(value)
+    truth = {
+        (ann.frame_id, key): value
+        for ann in read_annotations(args.truth)
+        for key, value in (ann.ground_truth or {}).items()
+    }
 
     joined: list[metrics.ErrorRecord] = []
     unmatched_estimates = 0
     beyond_limit = 0
-    for entry in read_jsonl(args.estimates, "record", _estimate_entry):
+    for entry in read_jsonl(args.estimates, "record", estimate_entry):
         if entry is None:
             continue
         key, distance = entry
@@ -777,13 +545,19 @@ def cmd_evaluate(args) -> int:
 # synth
 
 
-def _synth_ground_truth(scene: str, frame: synth.SynthFrame) -> dict[str, float]:
-    """A synthetic frame's distances by truth key, each key naming one detection."""
-    truth = {truth_key(det): dist for det, dist in zip(frame.detections, frame.truths)}
-    if len(truth) < len(frame.detections):
-        shared = _shared_truth_key(frame.detections, truth)
-        raise FormatError(f"{scene}: ambiguous ground truth ({shared})")
-    return truth
+def _synth_frames(scene: str, spec: synth.SceneSpec, seed: int):
+    """The depth map and the annotation of each frame; a fault names the scene."""
+    try:
+        for i, frame in enumerate(spec.frames(seed=seed)):
+            truth = ground_truth(frame.detections, frame.truths)
+            yield frame.depth_map, FrameAnnotation(
+                f"frame_{i:06d}", frame.timestamp_s, frame.detections,
+                f"maps/frame_{i:06d}.neod", truth, spec.vip_id,
+            )
+    except DomainError as exc:
+        raise FormatError(f"{scene}: scene cannot be rendered ({exc})") from exc
+    except FormatError as exc:  # a shared truth key
+        raise FormatError(f"{scene}: {exc}") from exc
 
 
 def cmd_synth(args) -> int:
@@ -791,48 +565,33 @@ def cmd_synth(args) -> int:
     # The first frame shows every fault of the scene itself (an object outside
     # the frame, a map that is not finite, a shared truth key), so a scene
     # with one fails before the output directory is created or touched.
-    frames = spec.frames(seed=args.seed)
-    try:
-        frame = next(frames, None)
-    except DomainError as exc:
-        raise FormatError(f"{args.scene}: scene cannot be rendered ({exc})") from exc
-    if frame is not None:
-        _synth_ground_truth(args.scene, frame)
+    frames = _synth_frames(args.scene, spec, args.seed)
+    item = next(frames, None)
     out_dir = Path(args.out_dir)
-    maps_dir = out_dir / "maps"
     stream_path = out_dir / "frames.jsonl"
     i = 0
     try:
-        maps_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "maps").mkdir(parents=True, exist_ok=True)
         with open(stream_path, "w") as fh:
             try:
                 # One frame is held at a time: holding the first one as well
                 # would keep one more map alive for the whole run.
-                while frame is not None:
-                    map_name = f"maps/frame_{i:06d}.neod"
+                while item is not None:
+                    depth_map, ann = item
+                    map_path = out_dir / ann.depth_map_path
                     try:
-                        neod.write_depth_map(out_dir / map_name, frame.depth_map)
+                        neod.write_depth_map(map_path, depth_map)
                     except OSError as exc:
-                        raise unwritable(f"depth map {out_dir / map_name}", exc) from exc
-                    ann = FrameAnnotation(
-                        frame_id=f"frame_{i:06d}",
-                        timestamp_s=frame.timestamp_s,
-                        detections=frame.detections,
-                        depth_map_path=map_name,
-                        ground_truth=_synth_ground_truth(args.scene, frame),
-                        vip_id=spec.vip_id,
-                    )
+                        raise unwritable(f"depth map {map_path}", exc) from exc
                     fh.write(canonical_jsonl_line(annotation_payload(ann)))
                     i += 1
-                    frame = next(frames, None)
+                    item = next(frames, None)
             except BaseException:
                 # The frames before the failure would read as a whole stream.
                 stream_path.unlink(missing_ok=True)
                 raise
     except OSError as exc:
         raise unwritable(f"output path {exc.filename or stream_path}", exc) from exc
-    except DomainError as exc:  # a later frame renders outside some domain
-        raise FormatError(f"{args.scene}: scene cannot be rendered ({exc})") from exc
     print(f"synthetic stream -> {stream_path}  frames={i} maps={i}")
     return EXIT_OK
 

@@ -171,13 +171,18 @@ def read_json(path: str | Path, what: str, kind: str, build: Callable[[dict], T]
         raise FormatError(f"{path}: malformed {kind} ({exc})") from exc
 
 
-def read_jsonl(path: str | Path, what: str, build: Callable[[dict], T]) -> Iterator[T]:
+def read_jsonl(
+    path: str | Path, what: str, build: Callable[[dict], T], file_kind: str = "input file"
+) -> Iterator[T]:
     """``build(object)`` for the object on each non-blank line of a JSONL input file.
 
     A line that is not a JSON object, or whose object ``build`` rejects with a
-    parse or domain error, is a :class:`FormatError` naming the file and line.
+    parse or domain error, is a :class:`FormatError` naming the file and line;
+    so is a :class:`FormatError` that ``build`` raises for a rule of its own
+    format, with its message kept. ``file_kind`` names the file when it
+    cannot be read.
     """
-    for lineno, line in read_lines(path, "input file"):
+    for lineno, line in read_lines(path, file_kind):
         try:
             payload = json.loads(line)
         except ValueError as exc:  # JSONDecodeError included
@@ -186,6 +191,8 @@ def read_jsonl(path: str | Path, what: str, build: Callable[[dict], T]) -> Itera
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
         try:
             item = build(payload)
+        except FormatError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
         except (DomainError, *PARSE_ERRORS) as exc:
             raise FormatError(f"{path}:{lineno}: malformed {what} ({exc})") from exc
         yield item

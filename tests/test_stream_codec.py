@@ -18,6 +18,7 @@ counting every key over every detection.
 import copy
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, given, settings
@@ -57,7 +58,7 @@ def reference_read_annotations(path):
     for lineno, line in read_lines(path, "stream file"):
         try:
             payload = json.loads(line)
-            ann = FrameAnnotation(
+            ann = SimpleNamespace(
                 frame_id=str(payload["frame_id"]),
                 timestamp_s=float(payload["timestamp_s"]),
                 detections=tuple(
@@ -101,7 +102,7 @@ def reference_read_annotations(path):
                 f"({ann.timestamp_s} after {previous_ts})"
             )
         previous_ts = ann.timestamp_s
-        yield ann
+        yield FrameAnnotation(**vars(ann))
 
 
 def typed_as_documented(frame):
