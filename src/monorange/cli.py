@@ -566,7 +566,7 @@ def cmd_synth(args) -> int:
     # the frame, a map that is not finite, a shared truth key), so a scene
     # with one fails before the output directory is created or touched.
     frames = _synth_frames(args.scene, spec, args.seed)
-    item = next(frames, None)
+    item = next(frames)
     out_dir = Path(args.out_dir)
     stream_path = out_dir / "frames.jsonl"
     i = 0

@@ -198,6 +198,14 @@ def read_jsonl(
         yield item
 
 
+def whole(value, name: str) -> int:
+    """A count or a size given as a number with no fractional part."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} {value} is not a whole number")
+    return int(number)
+
+
 def mean_exact(values: Iterable[float]) -> float:
     """Arithmetic mean via exactly rounded summation (order independent)."""
     vals = [float(v) for v in values]

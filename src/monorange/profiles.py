@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .common import (
-    DomainError, MissingDataError, NonFiniteError, canonical_json, read_json, unwritable,
+    DomainError, MissingDataError, NonFiniteError, canonical_json, read_json, unwritable, whole,
 )
 from .depth import PROVENANCE_STATIC, DepthCoefficients, NormalizationMethod, ScoreSmoother
 from .geometry import CameraIntrinsics, HeightTable
@@ -112,8 +112,8 @@ def _load(source: str | Path, builtins: dict, kind: str, build):
 def _camera(payload: dict) -> CameraIntrinsics:
     return CameraIntrinsics(
         focal_length_px=float(payload["focal_length_px"]),
-        image_width_px=int(payload["image_w"]),
-        image_height_px=int(payload["image_h"]),
+        image_width_px=whole(payload["image_w"], "image_w"),
+        image_height_px=whole(payload["image_h"], "image_h"),
         fov_deg=float(payload["fov_deg"]) if "fov_deg" in payload else None,
     )
 
@@ -143,7 +143,7 @@ def _depth(payload: dict) -> DepthProfile:
         unit=payload.get("unit", "m"),
         pair=tuple(float(d) for d in pair) if pair is not None else None,
         lt_percentile=float(payload.get("lt_percentile", 10.0)),
-        smooth_window=int(payload.get("smooth_window", 5)),
+        smooth_window=whole(payload.get("smooth_window", 5), "smooth_window"),
     )
 
 

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 from . import neod
 from .common import (
     DistanceEstimate, FormatError, MissingDataError, NonFiniteError, canonical_jsonl_line,
-    read_jsonl, unreadable,
+    read_jsonl, unreadable, whole,
 )
 from .depth import DepthMap
 from .geometry import BoundingBox, Detection
@@ -89,13 +89,14 @@ def _detection_payload(det: Detection) -> dict:
 
 
 def bbox_from_payload(box: dict) -> BoundingBox:
+    x_min, y_min = float(box["x_min"]), float(box["y_min"])
+    x_max, y_max = float(box["x_max"]), float(box["y_max"])
+    w, h = box["resolution_w"], box["resolution_h"]
+    # An int is whole already; passing it on unchecked keeps a frame's decoding cost flat.
     return BoundingBox(
-        float(box["x_min"]),
-        float(box["y_min"]),
-        float(box["x_max"]),
-        float(box["y_max"]),
-        int(box["resolution_w"]),
-        int(box["resolution_h"]),
+        x_min, y_min, x_max, y_max,
+        w if type(w) is int else whole(w, "resolution_w"),
+        h if type(h) is int else whole(h, "resolution_h"),
     )
 
 
@@ -147,12 +148,13 @@ def _annotation(payload: dict) -> FrameAnnotation:
 
 
 def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
-    """Stream frame annotations, enforcing non-decreasing timestamps.
+    """Stream frame annotations, enforcing non-decreasing timestamps and unique frame ids.
 
     A frame that breaks a rule of :class:`FrameAnnotation` or of the stream is
     a :class:`FormatError` naming file:line.
     """
     previous_ts = -math.inf
+    frame_ids: set[str] = set()
 
     def frame(payload: dict) -> FrameAnnotation:
         nonlocal previous_ts
@@ -161,6 +163,9 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
             raise FormatError(
                 f"timestamps must be non-decreasing ({ann.timestamp_s} after {previous_ts})"
             )
+        if ann.frame_id in frame_ids:
+            raise FormatError(f"repeated frame_id {ann.frame_id!r}")
+        frame_ids.add(ann.frame_id)
         previous_ts = ann.timestamp_s
         return ann
 

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .common import DomainError, read_json
+from .common import DomainError, read_json, whole
 from .depth import DepthMap, FrameObservation
 from .geometry import (
     BoundingBox,
@@ -258,9 +258,11 @@ def drift_sequence(
         raise DomainError(f"switch time must be >= 0, got {switch_time_s}")
     if fps < 1:
         raise DomainError(f"fps must be >= 1, got {fps}")
+    n_frames = int(round(duration_s * fps))
+    if n_frames < 1:
+        raise DomainError(f"duration {duration_s}s at {fps} fps holds no frame")
     rng = np.random.default_rng(seed)
     detections, truths, regions = _project(objects, intrinsics, pose, clip, depth_w, depth_h)
-    n_frames = int(round(duration_s * fps))
     frame = None
     for i in range(n_frames):
         t = i / fps
@@ -325,20 +327,12 @@ def _parse_law(payload: dict) -> DepthLawSpec:
     )
 
 
-def _whole(value, name: str) -> int:
-    """A count or a size given as a number with no fractional part."""
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"{name} {value} is not a whole number")
-    return int(number)
-
-
 def _scene_spec(payload: dict) -> SceneSpec:
     cam = payload["camera"]
     intrinsics = CameraIntrinsics(
         focal_length_px=float(cam["focal_length_px"]),
-        image_width_px=_whole(cam["image_w"], "image_w"),
-        image_height_px=_whole(cam["image_h"], "image_h"),
+        image_width_px=whole(cam["image_w"], "image_w"),
+        image_height_px=whole(cam["image_h"], "image_h"),
         fov_deg=float(cam["fov_deg"]) if "fov_deg" in cam else None,
     )
     objects = tuple(
@@ -359,10 +353,10 @@ def _scene_spec(payload: dict) -> SceneSpec:
         pose=DronePose(height_m=float(payload.get("drone_height_m", 1.5))),
         objects=objects,
         law=_parse_law(payload["law"]),
-        fps=_whole(payload.get("fps", 30), "fps"),
+        fps=whole(payload.get("fps", 30), "fps"),
         duration_s=float(payload.get("duration_s", 1.0)),
-        depth_w=_whole(depth_w, "depth width"),
-        depth_h=_whole(depth_h, "depth height"),
+        depth_w=whole(depth_w, "depth width"),
+        depth_h=whole(depth_h, "depth height"),
         post_law=_parse_law(drift["post_law"]) if drift else None,
         switch_time_s=float(drift["switch_time_s"]) if drift else 0.0,
         vip_id=payload.get("vip_id", ""),

@@ -477,6 +477,25 @@ class TestInputFaults:
                        "--out-dir", tmp_path / "m") == 2
         assert f"{stream}:3: 3 detections flagged is_vip" in capsys.readouterr().err
 
+    def test_repeated_frame_id_exits_2(self, tmp_path, capsys):
+        """Truth joins on frame_id, so a repeated id would score one frame against another."""
+        out = tmp_path / "run"
+        run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out, "--seed", 5)
+        stream = _edit_third_record(out / "frames.jsonl",
+                                    lambda r: r.update(frame_id="frame_000001"))
+        message = f"{stream}:3: repeated frame_id 'frame_000001'"
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "geometric",
+                       "--camera-profile", "builtin:tello", "--out", est) == 2
+        assert message in capsys.readouterr().err
+        assert not est.exists()
+        assert run_cli("estimate", "--stream", out / "frames.jsonl", "--estimator", "geometric",
+                       "--camera-profile", "builtin:tello", "--out", est) == 0
+        assert run_cli("evaluate", "--estimates", est, "--truth", stream,
+                       "--out-dir", tmp_path / "m") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_non_positive_ground_truth_exits_2(self, tmp_path, capsys, value):
         out = tmp_path / "run"
@@ -794,7 +813,9 @@ class TestSceneFaults:
          "ambiguous ground truth (2 detections carry the ground-truth key 'car')"),
         (lambda s: s["law"].update(m_true=1e-300),
          "scene cannot be rendered (depth map contains non-finite scores)"),
-    ], ids=["second-car", "tiny-slope"])
+        (lambda s: s.update(duration_s=0.2, fps=2),
+         "scene cannot be rendered (duration 0.2s at 2 fps holds no frame)"),
+    ], ids=["second-car", "tiny-slope", "no-frame"])
     def test_scene_fault_leaves_the_output_directory_untouched(
         self, tmp_path, capsys, edit, message
     ):

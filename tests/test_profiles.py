@@ -154,11 +154,16 @@ class TestErrors:
              "malformed regression profile (two-feature model must have c == 0)"),
             (load_height_table, '{"car": {"expected_m": -1}}',
              "malformed height table (expected height for 'car' must be positive, got -1.0)"),
+            (load_camera_profile, '{"focal_length_px": 1592.0, "image_w": 1280.7, "image_h": 720}',
+             "malformed camera profile (image_w 1280.7 is not a whole number)"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "smooth_window": 3.9}',
+             "malformed depth profile (smooth_window 3.9 is not a whole number)"),
         ],
         ids=["camera", "regression", "depth", "height_table", "overflow", "depth-unit",
              "depth-zero-slope", "depth-percentile", "depth-window", "depth-short-pair",
              "depth-negative-pair",
-             "camera-focal", "camera-width", "regression-mode", "height-table-height"],
+             "camera-focal", "camera-width", "regression-mode", "height-table-height",
+             "camera-fractional-width", "depth-fractional-window"],
     )
     def test_bad_values_name_the_file(self, tmp_path, capsys, loader, text, message):
         path = tmp_path / "profile.json"

@@ -8,11 +8,14 @@ crashed with another exception, or let through a ``depth_map_path`` that is
 not a string or a ``ground_truth`` that is neither null nor an object, the
 lean parser must raise a ``FormatError`` naming file:line.
 
-The reference also carries one rule added after the lean parser replaced
-it: a ground-truth key that more than one detection carries (``vip`` for the
-flagged detection, the class label otherwise) is ambiguous, and the frame is
-a ``FormatError`` naming file:line. It checks that rule the plain way, by
-counting every key over every detection.
+The reference also carries the rules added after the lean parser replaced
+it, each a ``FormatError`` naming file:line: a ground-truth key that more
+than one detection carries (``vip`` for the flagged detection, the class label
+otherwise) is ambiguous, a box size that is not a whole number is malformed,
+and a ``frame_id`` may not repeat an earlier frame's. It checks them the plain
+way, by counting every key over every detection and keeping every frame_id it
+has seen, and builds its frame only after its checks, since a
+``FrameAnnotation`` refuses a frame that breaks a rule.
 """
 
 import copy
@@ -24,7 +27,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from monorange.cli import FrameAnnotation, read_annotations
+from monorange import cli, stream
+from monorange.stream import FrameAnnotation, read_annotations
 from monorange.common import (
     PARSE_ERRORS,
     DomainError,
@@ -36,6 +40,16 @@ from monorange.common import (
 from monorange.geometry import BoundingBox, Detection
 
 
+def reference_size(value, name):
+    """A box size: an int as it is, any other number only if it is whole."""
+    if type(value) is int:
+        return value
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} {value} is not a whole number")
+    return int(number)
+
+
 def reference_detection(payload):
     box = payload["bbox"]
     return Detection(
@@ -44,8 +58,8 @@ def reference_detection(payload):
             y_min=float(box["y_min"]),
             x_max=float(box["x_max"]),
             y_max=float(box["y_max"]),
-            resolution_w=int(box["resolution_w"]),
-            resolution_h=int(box["resolution_h"]),
+            resolution_w=reference_size(box["resolution_w"], "resolution_w"),
+            resolution_h=reference_size(box["resolution_h"], "resolution_h"),
         ),
         class_label=str(payload["class_label"]),
         confidence=float(payload.get("confidence", 1.0)),
@@ -55,6 +69,7 @@ def reference_detection(payload):
 
 def reference_read_annotations(path):
     previous_ts = None
+    seen_ids = set()
     for lineno, line in read_lines(path, "stream file"):
         try:
             payload = json.loads(line)
@@ -101,6 +116,9 @@ def reference_read_annotations(path):
                 f"{path}:{lineno}: timestamps must be non-decreasing "
                 f"({ann.timestamp_s} after {previous_ts})"
             )
+        if ann.frame_id in seen_ids:
+            raise FormatError(f"{path}:{lineno}: repeated frame_id {ann.frame_id!r}")
+        seen_ids.add(ann.frame_id)
         previous_ts = ann.timestamp_s
         yield FrameAnnotation(**vars(ann))
 
@@ -171,9 +189,9 @@ def stream_payloads(draw):
 
 
 # Values that replace one field: type swaps, NaN and infinity as strings and
-# as numbers, integers too large for a float, zero and negative sizes.
+# as numbers, integers too large for a float, zero, negative and fractional sizes.
 REPLACEMENTS = [
-    None, True, 0, -1, 7, 10**400, 0.0, -2.5, "", "abc", "12", "nan", "inf", "-inf",
+    None, True, 0, -1, 7, 10**400, 0.0, -2.5, 700.5, "", "abc", "12", "nan", "inf", "-inf",
     float("nan"), float("inf"), [], [1], {}, {"a": 1},
 ]
 
@@ -216,12 +234,15 @@ def mutated_streams(draw):
     index = draw(st.integers(0, len(frames) - 1))
     frame = copy.deepcopy(frames[index])
     kind = draw(st.sampled_from(
-        ["replace", "replace", "replace", "missing", "second-vip", "earlier-time", "none"]))
+        ["replace", "replace", "replace", "missing", "second-vip", "earlier-time", "repeated-id",
+         "none"]))
     if kind == "second-vip" and len(frame["detections"]) >= 2:
         for det in frame["detections"][:2]:
             det["is_vip"] = True
     elif kind == "earlier-time" and index > 0:
         frame["timestamp_s"] = frames[index - 1]["timestamp_s"] - 0.25
+    elif kind == "repeated-id" and index > 0:
+        frame["frame_id"] = frames[index - 1]["frame_id"]
     elif kind in ("replace", "missing"):
         path = draw(st.sampled_from(TOP_LEVEL) | st.sampled_from(field_paths(frame)))
         mutate(frame, path, MISSING if kind == "missing" else draw(st.sampled_from(REPLACEMENTS)))
@@ -277,7 +298,7 @@ def test_ambiguous_ground_truth_is_a_format_error(stream_file):
         ([car, car], {"vip": 3.0}, None),
         ([flagged, car], {"vip": 3.0, "car": 5.0}, None),
     ]:
-        frame = {**valid, "detections": detections, "ground_truth": truth}
+        frame = {**valid, "frame_id": "g", "detections": detections, "ground_truth": truth}
         stream_file.write_text(json.dumps(valid) + "\n" + json.dumps(frame) + "\n")
         if text is None:
             assert [ann.ground_truth for ann in read_annotations(stream_file)] == [
@@ -305,6 +326,43 @@ def test_fields_of_another_type_are_format_errors(stream_file):
         with pytest.raises(FormatError) as info:
             list(read_annotations(stream_file))
         assert str(info.value) == f"{stream_file}:2: malformed frame annotation ({text})"
+
+
+def test_repeated_frame_id_is_a_format_error(stream_file):
+    """Ground truth joins on frame_id, so a stream names each frame once."""
+    frames = [{"frame_id": name, "timestamp_s": float(i), "detections": []}
+              for i, name in enumerate(["a", "b", "a"])]
+    stream_file.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    with pytest.raises(FormatError) as info:
+        list(read_annotations(stream_file))
+    assert str(info.value) == f"{stream_file}:3: repeated frame_id 'a'"
+
+
+def test_box_sizes_are_whole_numbers(stream_file):
+    """A fractional resolution is malformed; a whole one given as a float reads as an int."""
+    box = {"x_min": 10.0, "y_min": 10.0, "x_max": 50.0, "y_max": 90.0,
+           "resolution_w": 1280, "resolution_h": 720}
+    for field, value, text in [
+        ("resolution_w", 1280.9, "resolution_w 1280.9 is not a whole number"),
+        ("resolution_h", 720.5, "resolution_h 720.5 is not a whole number"),
+        ("resolution_w", 1280.0, None),
+    ]:
+        frame = {"frame_id": "f", "timestamp_s": 0.0,
+                 "detections": [{"bbox": {**box, field: value}, "class_label": "car"}]}
+        stream_file.write_text(json.dumps(frame) + "\n")
+        if text is None:
+            (ann,) = read_annotations(stream_file)
+            assert type(ann.detections[0].bbox.resolution_w) is int
+            continue
+        with pytest.raises(FormatError) as info:
+            list(read_annotations(stream_file))
+        assert str(info.value) == f"{stream_file}:1: malformed frame annotation ({text})"
+
+
+def test_cli_binds_the_stream_functions_the_benchmark_reaches():
+    """perfbench calls and traces these two as attributes of ``monorange.cli``."""
+    assert cli.read_annotations is stream.read_annotations
+    assert cli.annotation_payload is stream.annotation_payload
 
 
 keys = st.sampled_from(["frame_id", "distance_m", "flags", "is_vip", "score", "é", ""])
