@@ -92,11 +92,12 @@ def bbox_from_payload(box: dict) -> BoundingBox:
     x_min, y_min = float(box["x_min"]), float(box["y_min"])
     x_max, y_max = float(box["x_max"]), float(box["y_max"])
     w, h = box["resolution_w"], box["resolution_h"]
-    # An int is whole already; passing it on unchecked keeps a frame's decoding cost flat.
+    # An int that a float can hold is whole already; passing it on unchecked
+    # keeps a frame's decoding cost flat.
     return BoundingBox(
         x_min, y_min, x_max, y_max,
-        w if type(w) is int else whole(w, "resolution_w"),
-        h if type(h) is int else whole(h, "resolution_h"),
+        w if type(w) is int and w < 1e308 else whole(w, "resolution_w"),
+        h if type(h) is int and h < 1e308 else whole(h, "resolution_h"),
     )
 
 

@@ -41,8 +41,8 @@ from monorange.geometry import BoundingBox, Detection
 
 
 def reference_size(value, name):
-    """A box size: an int as it is, any other number only if it is whole."""
-    if type(value) is int:
+    """A box size: an int a float can hold as it is, any other number only if it is whole."""
+    if type(value) is int and value < 1e308:
         return value
     number = float(value)
     if not number.is_integer():
@@ -345,6 +345,7 @@ def test_box_sizes_are_whole_numbers(stream_file):
     for field, value, text in [
         ("resolution_w", 1280.9, "resolution_w 1280.9 is not a whole number"),
         ("resolution_h", 720.5, "resolution_h 720.5 is not a whole number"),
+        ("resolution_w", 10**400, "int too large to convert to float"),
         ("resolution_w", 1280.0, None),
     ]:
         frame = {"frame_id": "f", "timestamp_s": 0.0,
