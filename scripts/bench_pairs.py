@@ -10,8 +10,9 @@ Each pair runs ``perfbench/run.py --workload W --seed N --seconds S`` once
 in each checkout, one run at a time, with the run length ``S`` that
 ``CHANGE_DIR/BENCHMARK.json`` sets as ``run_seconds``; even pairs run the
 parent first, odd pairs the change, so slow drift of the host hits both
-sides alike. Only the last line of each run's output, its JSON result, is
-read.
+sides alike. Of each run's output only the last line, its JSON result, and
+the ``outputs_sha256`` of each round are read; the summary says whether that
+digest was the same on every round of both sides.
 
 For every end-to-end metric that the same file declares it prints the
 median and quartiles of each side, the pairs the change won, and two
@@ -57,6 +58,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not result.get("correct"):
         raise SystemExit(f"benchmark failed in {checkout} (exit {proc.returncode}):\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    # "round N traced=T outputs_sha256=X": the digest of every output of round N.
+    result["outputs_sha256"] = sorted({line.rsplit("=", 1)[1] for line in lines
+                                       if line.startswith("round ")})
     return result
 
 
@@ -123,6 +127,11 @@ def main(argv=None) -> int:
 
     failed_frac = {side: max(run["failed"] / max(run["attempted"], 1) for run in runs)
                    for side, runs in results.items()}
+    digests = {side: sorted({d for run in runs for d in run["outputs_sha256"]})
+               for side, runs in results.items()}
+    same = len(digests["parent"]) == 1 and digests["parent"] == digests["change"]
+    print(f"outputs_sha256 {'equal on every round of both sides' if same else 'DIFFER'}: "
+          f"{digests}")
     document = json.loads(args.out.read_text()) if args.out.exists() else {}
     document[args.workload] = {
         "seed": args.seed,
@@ -131,6 +140,7 @@ def main(argv=None) -> int:
         "order": "even pairs run the parent first, odd pairs the change",
         "src_sha256": {side: src_sha256(path) for side, path in sides.items()},
         "failed_frac_max": failed_frac,
+        "outputs_sha256": digests,
         "metrics": summary,
     }
     args.out.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")

@@ -499,10 +499,12 @@ def cmd_evaluate(args) -> int:
     joined: list[metrics.ErrorRecord] = []
     unmatched_estimates = 0
     beyond_limit = 0
+    named = set()  # the truth keys that some estimate record names
     for entry in read_jsonl(args.estimates, "record", estimate_entry):
         if entry is None:
             continue
         key, distance = entry
+        named.add(key)
         if distance is None or key not in truth:
             unmatched_estimates += 1
             continue
@@ -536,7 +538,7 @@ def cmd_evaluate(args) -> int:
         raise unwritable(f"output path {exc.filename or out_dir}", exc) from exc
     print(
         f"metrics -> {out_dir}  joined={len(joined)} unmatched={unmatched_estimates} "
-        f"beyond_{far_m:g}m={beyond_limit}"
+        f"beyond_{far_m:g}m={beyond_limit} missed={len(truth.keys() - named)}"
     )
     return EXIT_OK
 
@@ -592,6 +594,9 @@ def cmd_synth(args) -> int:
                 raise
     except OSError as exc:
         raise unwritable(f"output path {exc.filename or stream_path}", exc) from exc
+    finally:
+        # Joins the thread that draws a noisy frame ahead when a write fails.
+        frames.close()
     print(f"synthetic stream -> {stream_path}  frames={i} maps={i}")
     return EXIT_OK
 

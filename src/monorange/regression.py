@@ -86,6 +86,9 @@ class RegressionModel:
     def __post_init__(self):
         if self.mode not in (MODE_THREE, MODE_TWO):
             raise DomainError(f"unknown mode {self.mode!r}")
+        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
+            if not math.isfinite(value):
+                raise DomainError(f"coefficient {name} must be finite, got {value}")
         if self.mode == MODE_TWO and self.c != 0.0:
             raise DomainError("two-feature model must have c == 0")
 

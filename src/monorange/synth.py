@@ -14,11 +14,18 @@ sequence, and identical frames are rendered once: consecutive frames under
 one noiseless law share one immutable :class:`DepthMap`. A noisy law renders
 every frame, so its random draws, and every output byte, do not depend on
 how often a noiseless map is reused.
+
+A noisy frame's random draws run on one helper thread that the frame
+generator owns: while a frame is painted and consumed, the next noisy frame's
+noise is drawn. That thread is the only user of the seeded generator and
+draws one frame at a time, in frame order, so the bytes do not depend on it.
+A noiseless scene starts no thread, and closing the generator joins it.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -203,14 +210,24 @@ def _project(
     return detections, tuple(obj.distance_m for obj in objects), tuple(regions)
 
 
-def _render(
+def _draw(regions: Sequence[Region], law: DepthLawSpec, rng: np.random.Generator) -> list:
+    """One frame's noise: one float64 draw per region, in painting order."""
+    return [rng.normal(0.0, law.noise_sigma, size=(r1 - r0, c1 - c0))
+            for _, r0, r1, c0, c1 in regions]
+
+
+def _paint(
     regions: Sequence[Region],
     law: DepthLawSpec,
-    rng: np.random.Generator,
+    noise: list | None,
     depth_w: int,
     depth_h: int,
 ) -> DepthMap:
-    """Paint one depth map: the background, then each region far to near."""
+    """Paint one depth map: the background, then each region far to near.
+
+    ``noise`` holds :func:`_draw`'s arrays for a noisy law and is None for a
+    noiseless one.
+    """
     # The map is painted in float64 and rounded to float32 once, by DepthMap.
     # Painting straight into float32 saves a pass, but then the largest block
     # synth frees is one float32 map, which keeps glibc's dynamic trim
@@ -221,11 +238,12 @@ def _render(
     # often this canvas is painted, not how.
     background = law.score_for_distance(BACKGROUND_DISTANCE_M)
     scores = np.full((depth_h, depth_w), background, dtype=np.float64)
-    for distance_m, r0, r1, c0, c1 in regions:
+    for k, (distance_m, r0, r1, c0, c1) in enumerate(regions):
         value = law.score_for_distance(distance_m)
-        if law.noise_sigma > 0:
-            value = value + rng.normal(0.0, law.noise_sigma, size=(r1 - r0, c1 - c0))
-        scores[r0:r1, c0:c1] = value
+        if noise is None:
+            scores[r0:r1, c0:c1] = value
+        else:
+            np.add(noise[k], value, out=scores[r0:r1, c0:c1])
     return DepthMap(scores)
 
 
@@ -248,7 +266,9 @@ def drift_sequence(
     Frames with ``timestamp < switch_time_s`` follow ``pre_law``, later ones
     ``post_law``; timestamps advance at ``1/fps``. Boxes, detections and
     truths are projected once; a frame whose map equals the previous frame's
-    shares that frame's :class:`DepthMap`.
+    shares that frame's :class:`DepthMap`. A noisy frame's draws come from a
+    helper thread, one frame ahead; a draw that fails raises from its own
+    frame's ``next()``.
     """
     if not duration_s > switch_time_s:
         raise DomainError(
@@ -263,18 +283,35 @@ def drift_sequence(
         raise DomainError(f"duration {duration_s}s at {fps} fps holds no frame")
     rng = np.random.default_rng(seed)
     detections, truths, regions = _project(objects, intrinsics, pose, clip, depth_w, depth_h)
-    frame = None
-    for i in range(n_frames):
-        t = i / fps
-        law = pre_law if t < switch_time_s else post_law
-        # Objects stand still, so a map changes only with the law or its noise.
-        # Objects that move must add "and no object moved" to this condition.
-        if frame is not None and frame.law == law and law.noise_sigma == 0:
-            depth_map = frame.depth_map
-        else:
-            depth_map = _render(regions, law, rng, depth_w, depth_h)
-        frame = SynthFrame(detections, depth_map, truths, t, law)
-        yield frame
+    laws = [pre_law if i / fps < switch_time_s else post_law for i in range(n_frames)]
+
+    # The worker is the only user of rng, and it holds at most one job: the
+    # next noisy frame's draws are submitted only once this frame's are
+    # collected, so they come out in frame order whatever the timing. The
+    # executor starts its thread on the first submit, which a noiseless law
+    # never makes.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = None  # the draws of the next frame, when its law is noisy
+        frame = None
+        for i, law in enumerate(laws):
+            t = i / fps
+            # Objects stand still, so a map changes only with the law or its
+            # noise. Objects that move must add "and no object moved" to this
+            # condition.
+            if frame is not None and frame.law == law and law.noise_sigma == 0:
+                depth_map = frame.depth_map
+            else:
+                noise = None
+                if law.noise_sigma > 0:
+                    if ahead is None:
+                        ahead = worker.submit(_draw, regions, law, rng)
+                    noise = ahead.result()
+                    ahead = None
+                    if i + 1 < n_frames and laws[i + 1].noise_sigma > 0:
+                        ahead = worker.submit(_draw, regions, laws[i + 1], rng)
+                depth_map = _paint(regions, law, noise, depth_w, depth_h)
+            frame = SynthFrame(detections, depth_map, truths, t, law)
+            yield frame
 
 
 @dataclass(frozen=True)

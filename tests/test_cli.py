@@ -1005,6 +1005,25 @@ class TestEvaluate:
         assert "joined=1" in printed
         assert "unmatched=1" in printed
 
+    def test_truths_no_estimate_names_are_counted_missed(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "static_mixed.json",
+                       "--out-dir", out, "--seed", 1) == 0
+        stream = out / "frames.jsonl"
+        frames = read_jsonl(stream)
+        # The detector missed frame 3's VIP; its truth stays in the stream.
+        frames[2]["detections"] = [d for d in frames[2]["detections"] if not d["is_vip"]]
+        stream.write_text("".join(canonical_jsonl_line(f) for f in frames))
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "geometric",
+                       "--camera-profile", "builtin:tello", "--out", est) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--estimates", est, "--truth", stream,
+                       "--out-dir", tmp_path / "m") == 0
+        printed = capsys.readouterr().out
+        assert "joined=29 unmatched=0 " in printed
+        assert printed.rstrip().endswith(" missed=1")
+
     @pytest.mark.parametrize("bad", ['"x"', "[3.0]", "NaN", "Infinity"])
     def test_malformed_distance_exits_2(self, tmp_path, capsys, bad):
         est = tmp_path / "est.jsonl"

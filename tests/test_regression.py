@@ -182,6 +182,13 @@ class TestTypes:
         with pytest.raises(DomainError):
             RegressionModel(a=1.0, b=1.0, c=0.5, mode=MODE_TWO)
 
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_model_coefficients_must_be_finite(self, name, value):
+        coefficients = {"a": -2.42, "b": -1.29, "c": 0.0043, name: value}
+        with pytest.raises(DomainError, match=f"coefficient {name} must be finite"):
+            RegressionModel(**coefficients)
+
     def test_labeled_frame_positive_distance(self):
         with pytest.raises(DomainError):
             LabeledFrame(RegressionFeatures.from_dims(10.0, 20.0), 0.0)

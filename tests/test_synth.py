@@ -1,8 +1,10 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from monorange import synth
 from monorange.cli import main
 from monorange.common import DomainError
 from monorange.depth import (
@@ -33,8 +35,8 @@ from monorange.synth import (
     BACKGROUND_DISTANCE_M,
     DepthLawSpec,
     SceneObject,
+    _paint,
     _project,
-    _render,
     drift_sequence,
     load_scene_spec,
 )
@@ -233,7 +235,7 @@ class TestMapReuse:
         for group, law in ((frames[:5], LAW), (frames[5:], self.POST)):
             assert all(f.depth_map is group[0].depth_map for f in group)
             assert all(f.detections is group[0].detections for f in group)
-            fresh = _render(regions, law, np.random.default_rng(0), 64, 40)
+            fresh = _paint(regions, law, None, 64, 40)
             assert group[0].depth_map.scores.tobytes() == fresh.scores.tobytes()
         assert [f.timestamp_s for f in frames] == [i / 5 for i in range(10)]
 
@@ -274,6 +276,83 @@ class TestMapReuse:
             assert line["timestamp_s"] == frame.timestamp_s
             written = read_depth_map(out / line["depth_map_path"])
             assert written.scores.tobytes() == frame.depth_map.scores.tobytes()
+
+
+class TestDrawAhead:
+    """A noisy frame's draws run on one helper thread owned by the frame generator."""
+
+    OBJECTS = TestMapReuse.OBJECTS
+    NOISY = TestMapReuse.NOISY
+
+    def frames(self, law, seed=3):
+        return drift_sequence(self.OBJECTS, INTR, POSE, law, law, 0.0, 2.0, 5,
+                              seed=seed, depth_w=64, depth_h=40)
+
+    @staticmethod
+    def maps(frames):
+        return [f.depth_map.scores.tobytes() for f in frames]
+
+    @staticmethod
+    def fail_on_call(monkeypatch, n):
+        """Make the n-th call of the draw helper raise."""
+        calls, real_draw = [], synth._draw
+
+        def draw(*args):
+            calls.append(args)
+            if len(calls) == n:
+                raise DomainError("draw failed")
+            return real_draw(*args)
+
+        monkeypatch.setattr(synth, "_draw", draw)
+
+    def test_noiseless_scene_starts_no_thread(self):
+        before = threading.active_count()
+        for _ in self.frames(LAW):
+            assert threading.active_count() == before
+        assert threading.active_count() == before
+
+    def test_closing_early_joins_the_helper(self):
+        full = self.maps(self.frames(self.NOISY))
+        before = threading.active_count()
+        frames = self.frames(self.NOISY)
+        first = [next(frames) for _ in range(3)]
+        assert threading.active_count() == before + 1
+        frames.close()
+        assert threading.active_count() == before
+        assert self.maps(first) == full[:3]
+
+    def test_a_failed_draw_surfaces_from_its_own_frame(self, monkeypatch):
+        full = self.maps(self.frames(self.NOISY))
+        self.fail_on_call(monkeypatch, 3)
+        before = threading.active_count()
+        frames = self.frames(self.NOISY)
+        first = [next(frames), next(frames)]
+        with pytest.raises(DomainError, match="draw failed"):
+            next(frames)
+        assert threading.active_count() == before
+        assert self.maps(first) == full[:2]
+
+    def test_synth_exits_2_on_a_failed_draw_and_leaves_no_stream(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        spec = {
+            "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
+            "depth_resolution": [64, 40],
+            "fps": 5,
+            "duration_s": 2,
+            "objects": [{"class_label": "vip", "height_m": 0.63, "distance_m": 3.0,
+                         "is_vip": True}],
+            "law": {"m_true": 6.0, "s_true": 1.0, "noise_sigma": 0.01},
+        }
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(spec))
+        self.fail_on_call(monkeypatch, 3)
+        before = threading.active_count()
+        out = tmp_path / "run"
+        assert main(["synth", "--scene", str(scene), "--out-dir", str(out)]) == 2
+        assert "draw failed" in capsys.readouterr().err
+        assert not (out / "frames.jsonl").exists()
+        assert threading.active_count() == before
 
 
 class TestLawSpec:
