@@ -53,8 +53,9 @@ from .regression import (
     predict_distance,
 )
 from .stream import (
-    FrameAnnotation, annotation_payload, bbox_from_payload, estimate_entry, ground_truth,
-    load_depth_map, object_record, read_annotations, record, record_lines, truth_key,
+    FrameAnnotation, annotation_payload, bbox_from_payload, depth_frames, estimate_entry,
+    ground_truth, load_depth_map, object_record, read_annotations, record, record_lines,
+    truth_key,
 )
 
 log = logging.getLogger("monorange")
@@ -448,16 +449,19 @@ def cmd_estimate(args) -> int:
     out_path = Path(args.out)
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     frames = records = recals = errors = 0
+    # A depth estimator's maps are read one frame ahead on a helper thread; a
+    # box-only estimator reads none and starts no thread.
+    stream = (
+        depth_frames(stream_path) if runner.needs_depth_map
+        else ((ann, None) for ann in read_annotations(stream_path))
+    )
     try:
         with open(tmp_path, "w") as fh:
-            for ann in read_annotations(stream_path):
+            for ann, depth_map in stream:
                 frames += 1
                 out: list[dict] = []
                 try:
-                    depth_map = (
-                        load_depth_map(stream_path, ann) if runner.needs_depth_map else None
-                    )
-                    runner.run_frame(ann, depth_map, out)
+                    runner.run_frame(ann, None if depth_map is None else depth_map(), out)
                     lines = record_lines(ann, out)
                 except (
                     MissingDataError, NoPixelsError, DegenerateGeometryError, NonFiniteError
@@ -473,6 +477,7 @@ def cmd_estimate(args) -> int:
     except OSError as exc:
         raise unwritable(f"output file {out_path}", exc) from exc
     finally:
+        stream.close()  # joins the helper thread on every exit
         if tmp_path.exists():
             tmp_path.unlink()
     print(

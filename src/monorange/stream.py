@@ -7,14 +7,24 @@ too: one record per estimated detection, plus ``recalibration`` and ``error``
 events. Both are written with the canonical JSONL encoder, so a run is
 byte-reproducible, and both are read through :func:`monorange.common.read_jsonl`,
 so every fault names its file and line.
+
+A frame's depth map is loaded by :func:`load_depth_map`. ``estimate``'s
+depth estimators go through :func:`depth_frames` instead, which reads the
+next frame's map bytes (:func:`monorange.neod.read_payload`, the I/O half of
+the NEOD reader) on one helper thread, one frame ahead, while the caller
+builds and checks the current map (the check half) and scores it. Maps are
+read once each, in frame order, and every fault is raised where a plain
+frame-by-frame loop raises it, so the output bytes do not depend on the thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import neod
 from .common import (
@@ -182,6 +192,63 @@ def load_depth_map(stream_path: Path, ann: FrameAnnotation) -> DepthMap:
         return neod.read_depth_map(map_path)
     except OSError as exc:
         raise unreadable(f"frame {ann.frame_id}: depth map {map_path}", exc) from exc
+
+
+def _built_map(ann: FrameAnnotation, map_path: Path, read: Future) -> DepthMap:
+    """Frame ``ann``'s depth map from the bytes ``read`` read from ``map_path``.
+
+    Its faults are the ones :func:`load_depth_map` raises.
+    """
+    try:
+        width, height, payload = read.result()
+    except OSError as exc:
+        raise unreadable(f"frame {ann.frame_id}: depth map {map_path}", exc) from exc
+    return neod.depth_map_from_payload(map_path, width, height, payload)
+
+
+def depth_frames(stream_path: Path) -> Iterator[tuple[FrameAnnotation, Callable[[], DepthMap]]]:
+    """Each frame of the stream with its pending depth map, whose bytes are read ahead.
+
+    Calling the pending map builds the frame's :class:`DepthMap`, or raises
+    what :func:`load_depth_map` raises for the frame. One helper thread runs
+    :func:`monorange.neod.read_payload` for the next frame's map while the
+    caller works on this one; the caller builds and checks each map on its
+    own thread. The next read starts only once this frame's has ended, so one
+    read is in flight at a time, maps are read in frame order and each once,
+    and nothing the caller sees depends on the timing. A fault in the next
+    stream line is held until the caller asks for the next frame, so every
+    fault is raised where a plain loop over :func:`read_annotations` and
+    :func:`load_depth_map` raises it. Closing the generator joins the thread.
+    """
+    anns = read_annotations(stream_path)
+
+    def read_ahead(ann: FrameAnnotation) -> tuple[Callable[[], DepthMap], Future | None]:
+        """Frame ``ann``'s pending map, and the read of its bytes that the helper runs."""
+        if ann.depth_map_path is None:  # load_depth_map raises that none is recorded
+            return functools.partial(load_depth_map, stream_path, ann), None
+        map_path = stream_path.parent / ann.depth_map_path  # an absolute path stays as it is
+        read = worker.submit(neod.read_payload, map_path)
+        return functools.partial(_built_map, ann, map_path, read), read
+
+    # The executor starts its thread on the first submit.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ann = next(anns, None)
+        if ann is not None:
+            ahead = read_ahead(ann)
+        while ann is not None:
+            (depth_map, read), following, fault = ahead, None, None
+            try:
+                following = next(anns, None)
+            except Exception as exc:  # raised once this frame is done
+                fault = exc
+            if read is not None:
+                read.exception()  # waits for the read to end, and raises nothing
+            if following is not None:
+                ahead = read_ahead(following)
+            yield ann, depth_map
+            if fault is not None:
+                raise fault
+            ann = following
 
 
 def record(ann: FrameAnnotation, fields: dict) -> dict:

@@ -3,13 +3,16 @@ import json
 import math
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from monorange import depth, neod
 from monorange.cli import ESTIMATORS, RUNNERS, build_parser, main
 from monorange.common import canonical_jsonl_line
+from monorange.depth import DepthMap
 from monorange.profiles import DepthProfile, load_camera_profile, load_depth_profile, save_profile
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -933,6 +936,165 @@ class TestUnwritableOutput:
         assert run_cli("evaluate", "--estimates", est, "--truth", stream,
                        "--out-dir", regular_file) == 4
         assert f"output path {regular_file} cannot be written" in capsys.readouterr().err
+
+
+class TestMapReadAhead:
+    """A depth estimator reads the next frame's map bytes on one helper thread.
+
+    The thread must not change what a run writes or which fault it reports,
+    must be joined on every exit, and must run nothing that is timed per layer.
+    """
+
+    @staticmethod
+    def five_frames(tmp_path):
+        """A 5-frame stream of one followed person on small maps, and a depth profile."""
+        scene = {
+            "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
+            "drone_height_m": 1.5, "depth_resolution": [64, 40], "fps": 5, "duration_s": 1,
+            "objects": [
+                {"class_label": "vip", "height_m": 0.63, "distance_m": 3.0, "is_vip": True}
+            ],
+            "law": {"m_true": 6.0, "s_true": 1.0, "noise_sigma": 0.05},
+        }
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", scene_path, "--out-dir", out, "--seed", 4) == 0
+        return out / "frames.jsonl", _write_depth_profile(tmp_path / "depth.json")
+
+    @staticmethod
+    def neo_norc(stream, profile, out):
+        return run_cli("estimate", "--stream", stream, "--estimator", "neo_norc",
+                       "--depth-profile", profile, "--out", out)
+
+    @staticmethod
+    def neo_run(tmp_path, stream, out):
+        profile = _write_depth_profile(tmp_path / "depth.json")
+        return run_cli("estimate", "--stream", stream, "--estimator", "neo",
+                       "--depth-profile", profile, "--gt-source", "truth", "--fps", "10",
+                       "--out", out)
+
+    def test_helper_is_joined_on_every_exit(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out,
+                       "--seed", 5) == 0
+        stream = out / "frames.jsonl"
+        fractional = _edit_third_record(
+            stream, lambda r: r["detections"][0]["bbox"].update(resolution_w=1280.5))
+        before = threading.active_count()
+        assert self.neo_run(tmp_path, stream, tmp_path / "est.jsonl") == 0
+        assert threading.active_count() == before
+        assert self.neo_run(tmp_path, fractional, tmp_path / "bad.jsonl") == 2
+        assert f"{fractional}:3: malformed frame annotation" in capsys.readouterr().err
+        assert threading.active_count() == before
+        victim = out / "maps" / "frame_000002.neod"  # fails after map 4's read is submitted
+        victim.write_bytes(b"ZZZZ" + victim.read_bytes()[4:])
+        assert self.neo_run(tmp_path, stream, tmp_path / "bad.jsonl") == 2
+        assert f"error: {victim}: bad magic" in capsys.readouterr().err
+        assert threading.active_count() == before
+        assert self.neo_run(tmp_path, stream, tmp_path / "nodir" / "est.jsonl") == 4
+        assert threading.active_count() == before
+
+    def test_box_only_estimator_starts_no_thread(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "static_mixed.json", "--out-dir", out) == 0
+        runner = RUNNERS["geometric"].func
+        original = runner.run_frame
+        counts = []
+
+        def run_frame(self, ann, depth_map, records):
+            counts.append(threading.active_count())
+            return original(self, ann, depth_map, records)
+
+        monkeypatch.setattr(runner, "run_frame", run_frame)
+        before = threading.active_count()
+        assert run_cli("estimate", "--stream", out / "frames.jsonl", "--estimator", "geometric",
+                       "--camera-profile", "builtin:tello", "--out", tmp_path / "est.jsonl") == 0
+        assert counts and set(counts) == {before}
+
+    def test_bad_map_is_reported_before_a_later_bad_line(self, tmp_path, capsys):
+        stream, profile = self.five_frames(tmp_path)
+        victim = stream.parent / "maps" / "frame_000001.neod"
+        victim.write_bytes(b"ZZZZ" + victim.read_bytes()[4:])
+        lines = stream.read_text().splitlines(keepends=True)
+        lines[2] = "not json\n"
+        stream.write_text("".join(lines))
+        est = tmp_path / "est.jsonl"
+        assert self.neo_norc(stream, profile, est) == 2
+        err = capsys.readouterr().err
+        assert f"error: {victim}: bad magic b'ZZZZ'" in err
+        assert "frames.jsonl:3" not in err
+        assert not est.exists() and list(tmp_path.glob("*.tmp")) == []
+
+    def test_missing_map_gives_one_error_event_and_leaves_other_frames_alone(self, tmp_path):
+        stream, profile = self.five_frames(tmp_path)
+        clean = tmp_path / "clean.jsonl"
+        assert self.neo_norc(stream, profile, clean) == 0
+        victim = stream.parent / "maps" / "frame_000002.neod"
+        victim.unlink()
+        est = tmp_path / "est.jsonl"
+        assert self.neo_norc(stream, profile, est) == 0
+
+        def by_frame(path):
+            lines = {}
+            for line in path.read_text().splitlines(keepends=True):
+                lines.setdefault(json.loads(line)["frame_id"], []).append(line)
+            return lines
+
+        want, got = by_frame(clean), by_frame(est)
+        assert list(got) == list(want) == [f"frame_{i:06d}" for i in range(5)]
+        error = {"event": "error", "reason": f"frame frame_000002: depth map {victim} not found",
+                 "frame_id": "frame_000002", "timestamp_s": 0.4}
+        assert got.pop("frame_000002") == [canonical_jsonl_line(error)]
+        del want["frame_000002"]
+        assert got == want
+
+    def test_repeated_frame_id_leaves_no_output(self, tmp_path, capsys):
+        stream, profile = self.five_frames(tmp_path)
+        lines = stream.read_text().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record["frame_id"] = "frame_000000"
+        lines[3] = json.dumps(record) + "\n"
+        stream.write_text("".join(lines))
+        est = tmp_path / "est.jsonl"
+        assert self.neo_norc(stream, profile, est) == 2
+        assert f"{stream}:4: repeated frame_id 'frame_000000'" in capsys.readouterr().err
+        assert not est.exists() and list(tmp_path.glob("*.tmp")) == []
+
+    def test_traced_functions_run_on_the_main_thread(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out,
+                       "--seed", 5) == 0
+        stream = out / "frames.jsonl"
+        threads = {}
+
+        def on_thread(name, fn):
+            def call(*args, **kwargs):
+                threads.setdefault(name, []).append(threading.current_thread())
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(neod, "read_depth_map", on_thread("read_depth_map",
+                                                              neod.read_depth_map))
+        monkeypatch.setattr(DepthMap, "__init__", on_thread("DepthMap", DepthMap.__init__))
+        monkeypatch.setattr(depth, "normalize_region", on_thread("normalize_region",
+                                                                 depth.normalize_region))
+        monkeypatch.setattr(depth, "step", on_thread("step", depth.step))
+        read_paths = []
+
+        def read_payload(path, read=neod.read_payload):
+            read_paths.append(path)
+            return read(path)
+
+        monkeypatch.setattr(neod, "read_payload", read_payload)
+        assert self.neo_run(tmp_path, stream, tmp_path / "est.jsonl") == 0
+        frames = read_jsonl(stream)
+        assert "read_depth_map" not in threads  # the helper reads the bytes instead
+        assert len(threads["step"]) == len(threads["DepthMap"]) == len(frames)
+        assert len(threads["normalize_region"]) == len(frames)
+        main_thread = threading.main_thread()
+        assert all(t is main_thread for calls in threads.values() for t in calls)
+        assert read_paths == [out / f["depth_map_path"] for f in frames]
 
 
 def test_every_estimator_has_a_runner():

@@ -258,6 +258,64 @@ class TestRejection:
             read_depth_map(path)
 
 
+# Files that read_depth_map rejects before it looks at a score, made from a
+# good 17x9 map's 624 bytes, with the fault and its text after the file's name.
+_LAYOUT_FAULTS = {
+    "wrong_magic": (lambda raw: b"XXXX" + raw[4:], NeodMagicError,
+                    "bad magic b'XXXX', expected b'NEOD'"),
+    "shorter_than_magic": (lambda raw: raw[:3], NeodTruncatedError,
+                           "file shorter than the magic header"),
+    "truncated_header": (lambda raw: raw[:5], NeodTruncatedError,
+                         "truncated header (5 bytes)"),
+    "truncated_payload": (lambda raw: raw[:-7], NeodTruncatedError,
+                          "payload truncated, 617 bytes < 624 expected"),
+    "trailing_bytes": (lambda raw: raw + b"\x00\x00", NeodTruncatedError,
+                       "2 trailing bytes beyond declared size"),
+    "empty_0x0": (lambda raw: MAGIC + bytes(8), DomainError,
+                  "depth map must not be empty"),
+    "empty_0x3": (lambda raw: MAGIC + (0).to_bytes(4, "little") + (3).to_bytes(4, "little"),
+                  DomainError, "depth map must not be empty"),
+    "empty_5x0": (lambda raw: MAGIC + (5).to_bytes(4, "little") + (0).to_bytes(4, "little"),
+                  DomainError, "depth map must not be empty"),
+}
+
+
+class TestReadPayload:
+    """The I/O half of read_depth_map raises every fault of a file's layout itself."""
+
+    @pytest.mark.parametrize("fault", sorted(_LAYOUT_FAULTS))
+    def test_same_fault_and_text_as_read_depth_map(self, tmp_path, fault):
+        corrupt, error, text = _LAYOUT_FAULTS[fault]
+        path = tmp_path / "map.neod"
+        write_depth_map(path, sample_map())
+        path.write_bytes(corrupt(path.read_bytes()))
+        for read in (neod.read_payload, read_depth_map):
+            with pytest.raises(error) as raised:
+                read(path)
+            assert type(raised.value) is error
+            assert str(raised.value) == f"{path}: {text}"
+
+    def test_returns_the_size_and_the_score_bytes(self, tmp_path):
+        path = tmp_path / "map.neod"
+        dm = sample_map(w=5, h=3)
+        write_depth_map(path, dm)
+        width, height, payload = neod.read_payload(path)
+        assert (width, height) == (5, 3)
+        assert type(payload) is bytes and payload == dm.scores.astype("<f4").tobytes()
+        built = neod.depth_map_from_payload(path, width, height, payload)
+        assert np.array_equal(built.scores, dm.scores)
+
+    def test_non_finite_scores_pass_the_io_half(self, tmp_path):
+        path = tmp_path / "nan.neod"
+        write_depth_map(path, sample_map(w=2, h=2))
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        message = "^" + re.escape(f"{path}: depth map contains non-finite")
+        with pytest.raises(DomainError, match=message):
+            neod.depth_map_from_payload(path, *neod.read_payload(path))
+
+
 class TestReadOnlyMap:
     def test_read_map_is_frozen(self, tmp_path):
         path = tmp_path / "map.neod"
