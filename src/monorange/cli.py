@@ -33,6 +33,7 @@ from .common import (
     NonFiniteError,
     SingularFitError,
     canonical_jsonl_line,
+    one_ahead,
     read_jsonl,
     unwritable,
 )
@@ -53,9 +54,8 @@ from .regression import (
     predict_distance,
 )
 from .stream import (
-    FrameAnnotation, annotation_payload, bbox_from_payload, depth_frames, estimate_entry,
-    ground_truth, load_depth_map, object_record, read_annotations, record, record_lines,
-    truth_key,
+    FrameAnnotation, annotation_payload, bbox_from_payload, estimate_entry, ground_truth,
+    load_depth_map, map_read, object_record, read_annotations, record, record_lines, truth_key,
 )
 
 log = logging.getLogger("monorange")
@@ -449,19 +449,22 @@ def cmd_estimate(args) -> int:
     out_path = Path(args.out)
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     frames = records = recals = errors = 0
-    # A depth estimator's maps are read one frame ahead on a helper thread; a
-    # box-only estimator reads none and starts no thread.
-    stream = (
-        depth_frames(stream_path) if runner.needs_depth_map
-        else ((ann, None) for ann in read_annotations(stream_path))
+    needs_map = runner.needs_depth_map
+    # A depth estimator's map bytes are read one frame ahead on a helper
+    # thread; a box-only estimator reads none and starts no thread.
+    stream = one_ahead(
+        read_annotations(stream_path), lambda ann: map_read(stream_path, ann) if needs_map else None
     )
     try:
         with open(tmp_path, "w") as fh:
-            for ann, depth_map in stream:
+            for ann, read in stream:
                 frames += 1
                 out: list[dict] = []
                 try:
-                    runner.run_frame(ann, None if depth_map is None else depth_map(), out)
+                    # Not a local, which would keep this map while the next is built.
+                    runner.run_frame(
+                        ann, load_depth_map(stream_path, ann, read) if needs_map else None, out
+                    )
                     lines = record_lines(ann, out)
                 except (
                     MissingDataError, NoPixelsError, DegenerateGeometryError, NonFiniteError

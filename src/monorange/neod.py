@@ -10,8 +10,8 @@ header against the file's length and returns the width, the height and the
 score bytes, with no numpy, so most of its time is spent in system calls that
 run without the GIL. :func:`depth_map_from_payload` is the check half: it
 builds the :class:`DepthMap`, which rejects a map that is not finite.
-``monorange estimate`` runs the I/O half for the next frame on a helper
-thread (:func:`monorange.stream.depth_frames`) and the check half on its own.
+``monorange estimate`` runs the I/O half for the next frame on the helper
+thread of :func:`monorange.common.one_ahead` and the check half on its own.
 """
 
 from __future__ import annotations

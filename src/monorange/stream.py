@@ -9,19 +9,15 @@ byte-reproducible, and both are read through :func:`monorange.common.read_jsonl`
 so every fault names its file and line.
 
 A frame's depth map is loaded by :func:`load_depth_map`. ``estimate``'s
-depth estimators go through :func:`depth_frames` instead, which reads the
-next frame's map bytes (:func:`monorange.neod.read_payload`, the I/O half of
-the NEOD reader) on one helper thread, one frame ahead, while the caller
-builds and checks the current map (the check half) and scores it. Maps are
-read once each, in frame order, and every fault is raised where a plain
-frame-by-frame loop raises it, so the output bytes do not depend on the thread.
+depth estimators read the next frame's map bytes ahead, with
+:func:`map_read` as the job of :func:`monorange.common.one_ahead`, and hand
+each finished read to :func:`load_depth_map`, which builds and checks the map.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -183,72 +179,36 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
     return read_jsonl(Path(path), "frame annotation", frame, file_kind="stream file")
 
 
-def load_depth_map(stream_path: Path, ann: FrameAnnotation) -> DepthMap:
-    """The depth map of frame ``ann``; a relative path starts at the stream's directory."""
+def _map_path(stream_path: Path, ann: FrameAnnotation) -> Path:
     if ann.depth_map_path is None:
         raise MissingDataError(f"frame {ann.frame_id}: no depth map recorded")
-    map_path = stream_path.parent / ann.depth_map_path  # an absolute path stays as it is
-    try:
-        return neod.read_depth_map(map_path)
-    except OSError as exc:
-        raise unreadable(f"frame {ann.frame_id}: depth map {map_path}", exc) from exc
+    return stream_path.parent / ann.depth_map_path  # an absolute path stays as it is
 
 
-def _built_map(ann: FrameAnnotation, map_path: Path, read: Future) -> DepthMap:
-    """Frame ``ann``'s depth map from the bytes ``read`` read from ``map_path``.
+def map_read(stream_path: Path, ann: FrameAnnotation) -> Callable[[], tuple] | None:
+    """The read of frame ``ann``'s map bytes, :func:`monorange.neod.read_payload`.
 
-    Its faults are the ones :func:`load_depth_map` raises.
+    None for a frame that names no map: :func:`load_depth_map` reports that.
     """
+    if ann.depth_map_path is None:
+        return None
+    return functools.partial(neod.read_payload, _map_path(stream_path, ann))
+
+
+def load_depth_map(stream_path: Path, ann: FrameAnnotation, read=None) -> DepthMap:
+    """The depth map of frame ``ann``; a relative path starts at the stream's directory.
+
+    The map is built from ``read``, the ``Future`` of the frame's finished
+    :func:`map_read`, or else read from its file here.
+    """
+    map_path = _map_path(stream_path, ann)
     try:
+        if read is None:
+            return neod.read_depth_map(map_path)
         width, height, payload = read.result()
     except OSError as exc:
         raise unreadable(f"frame {ann.frame_id}: depth map {map_path}", exc) from exc
     return neod.depth_map_from_payload(map_path, width, height, payload)
-
-
-def depth_frames(stream_path: Path) -> Iterator[tuple[FrameAnnotation, Callable[[], DepthMap]]]:
-    """Each frame of the stream with its pending depth map, whose bytes are read ahead.
-
-    Calling the pending map builds the frame's :class:`DepthMap`, or raises
-    what :func:`load_depth_map` raises for the frame. One helper thread runs
-    :func:`monorange.neod.read_payload` for the next frame's map while the
-    caller works on this one; the caller builds and checks each map on its
-    own thread. The next read starts only once this frame's has ended, so one
-    read is in flight at a time, maps are read in frame order and each once,
-    and nothing the caller sees depends on the timing. A fault in the next
-    stream line is held until the caller asks for the next frame, so every
-    fault is raised where a plain loop over :func:`read_annotations` and
-    :func:`load_depth_map` raises it. Closing the generator joins the thread.
-    """
-    anns = read_annotations(stream_path)
-
-    def read_ahead(ann: FrameAnnotation) -> tuple[Callable[[], DepthMap], Future | None]:
-        """Frame ``ann``'s pending map, and the read of its bytes that the helper runs."""
-        if ann.depth_map_path is None:  # load_depth_map raises that none is recorded
-            return functools.partial(load_depth_map, stream_path, ann), None
-        map_path = stream_path.parent / ann.depth_map_path  # an absolute path stays as it is
-        read = worker.submit(neod.read_payload, map_path)
-        return functools.partial(_built_map, ann, map_path, read), read
-
-    # The executor starts its thread on the first submit.
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        ann = next(anns, None)
-        if ann is not None:
-            ahead = read_ahead(ann)
-        while ann is not None:
-            (depth_map, read), following, fault = ahead, None, None
-            try:
-                following = next(anns, None)
-            except Exception as exc:  # raised once this frame is done
-                fault = exc
-            if read is not None:
-                read.exception()  # waits for the read to end, and raises nothing
-            if following is not None:
-                ahead = read_ahead(following)
-            yield ann, depth_map
-            if fault is not None:
-                raise fault
-            ann = following
 
 
 def record(ann: FrameAnnotation, fields: dict) -> dict:

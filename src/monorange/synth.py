@@ -15,24 +15,24 @@ one noiseless law share one immutable :class:`DepthMap`. A noisy law renders
 every frame, so its random draws, and every output byte, do not depend on
 how often a noiseless map is reused.
 
-A noisy frame's random draws run on one helper thread that the frame
-generator owns: while a frame is painted and consumed, the next noisy frame's
-noise is drawn. That thread is the only user of the seeded generator and
-draws one frame at a time, in frame order, so the bytes do not depend on it.
-A noiseless scene starts no thread, and closing the generator joins it.
+A noisy frame's random draws run one frame ahead on the helper thread of
+:func:`monorange.common.one_ahead`, which is the only user of the seeded
+generator, so the bytes do not depend on it. A noiseless scene starts no
+thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .common import DomainError, read_json, whole
+from .common import DomainError, one_ahead, read_json, whole
 from .depth import DepthMap, FrameObservation
 from .geometry import (
     BoundingBox,
@@ -283,34 +283,25 @@ def drift_sequence(
         raise DomainError(f"duration {duration_s}s at {fps} fps holds no frame")
     rng = np.random.default_rng(seed)
     detections, truths, regions = _project(objects, intrinsics, pose, clip, depth_w, depth_h)
-    laws = [pre_law if i / fps < switch_time_s else post_law for i in range(n_frames)]
 
-    # The worker is the only user of rng, and it holds at most one job: the
-    # next noisy frame's draws are submitted only once this frame's are
-    # collected, so they come out in frame order whatever the timing. The
-    # executor starts its thread on the first submit, which a noiseless law
-    # never makes.
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = None  # the draws of the next frame, when its law is noisy
-        frame = None
-        for i, law in enumerate(laws):
-            t = i / fps
+    def draw(law: DepthLawSpec):
+        """A noisy frame's draws, the only use of ``rng``; a noiseless frame has none."""
+        return functools.partial(_draw, regions, law, rng) if law.noise_sigma > 0 else None
+
+    laws = (pre_law if i / fps < switch_time_s else post_law for i in range(n_frames))
+    frame = None
+    with contextlib.closing(one_ahead(laws, draw)) as ahead:
+        for i, (law, noise) in enumerate(ahead):
             # Objects stand still, so a map changes only with the law or its
             # noise. Objects that move must add "and no object moved" to this
             # condition.
             if frame is not None and frame.law == law and law.noise_sigma == 0:
                 depth_map = frame.depth_map
             else:
-                noise = None
-                if law.noise_sigma > 0:
-                    if ahead is None:
-                        ahead = worker.submit(_draw, regions, law, rng)
-                    noise = ahead.result()
-                    ahead = None
-                    if i + 1 < n_frames and laws[i + 1].noise_sigma > 0:
-                        ahead = worker.submit(_draw, regions, laws[i + 1], rng)
-                depth_map = _paint(regions, law, noise, depth_w, depth_h)
-            frame = SynthFrame(detections, depth_map, truths, t, law)
+                depth_map = _paint(
+                    regions, law, None if noise is None else noise.result(), depth_w, depth_h
+                )
+            frame = SynthFrame(detections, depth_map, truths, i / fps, law)
             yield frame
 
 
