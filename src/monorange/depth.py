@@ -21,6 +21,7 @@ a state instance belongs to exactly one stream and one writer at a time.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -365,9 +366,9 @@ def fit_coefficients(samples: Sequence[CalibrationSample]) -> DepthCoefficients:
 
 
 def estimate_distance_depth(score: float, coeffs: DepthCoefficients) -> DistanceEstimate:
-    """Apply the calibrated line; negative results are flagged out-of-domain."""
+    """Apply the calibrated line; negative and non-finite results are flagged out-of-domain."""
     value = coeffs.m * score + coeffs.s
-    return DistanceEstimate(value_m=float(value), out_of_domain=value < 0.0)
+    return DistanceEstimate(value_m=float(value), out_of_domain=not 0.0 <= value < math.inf)
 
 
 def select_calibration_pair(
@@ -427,12 +428,18 @@ def select_calibration_pair(
     return best_pair, best_coeffs
 
 
+def _check_window(size: int, what: str) -> None:
+    if size > sys.maxsize:  # the longest deque
+        raise DomainError(f"{what} {size} is longer than the longest window ({sys.maxsize})")
+
+
 class ScoreSmoother:
     """Sliding-window mean over the last ``window`` scores of one tracked object."""
 
     def __init__(self, window: int = 5):
         if window < 1:
             raise DomainError(f"window must be >= 1, got {window}")
+        _check_window(window, "smoothing window")
         self._history: deque[float] = deque(maxlen=window)
 
     def push(self, score: float) -> float:
@@ -465,6 +472,12 @@ class RecalibrationConfig:
             raise DomainError(f"train window must be positive, got {self.w_prime_s}")
         if self.fps < 1:
             raise DomainError(f"fps must be >= 1, got {self.fps}")
+        _check_window(self.w, "detection window")
+        if not self.w_prime_s * self.fps < sys.maxsize:  # an infinite window included
+            raise DomainError(
+                f"train window {self.w_prime_s} s at {self.fps} fps holds more samples "
+                f"than the longest window ({sys.maxsize})"
+            )
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha {self.alpha} outside (0, 1)")
         if not self.tau_m > 0:

@@ -278,6 +278,8 @@ def drift_sequence(
         raise DomainError(f"switch time must be >= 0, got {switch_time_s}")
     if fps < 1:
         raise DomainError(f"fps must be >= 1, got {fps}")
+    if not math.isfinite(duration_s * fps):
+        raise DomainError(f"duration {duration_s}s at {fps} fps holds too many frames to count")
     n_frames = int(round(duration_s * fps))
     if n_frames < 1:
         raise DomainError(f"duration {duration_s}s at {fps} fps holds no frame")

@@ -1097,6 +1097,23 @@ class TestMapReadAhead:
         assert read_paths == [out / f["depth_map_path"] for f in frames]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--window", "100000000000000000000", "detection window 100000000000000000000 is longer"),
+    ("--smooth-window", "100000000000000000000",
+     "smoothing window 100000000000000000000 is longer"),
+    ("--train-window-s", "1e300", "train window 1e+300 s at 30 fps holds more samples"),
+    ("--train-window-s", "1e308", "train window 1e+308 s at 30 fps holds more samples"),
+    ("--train-window-s", "inf", "train window inf s at 30 fps holds more samples"),
+])
+def test_window_no_deque_can_hold_exits_2(tmp_path, capsys, flag, value, message):
+    stream, profile = TestMapReadAhead.five_frames(tmp_path)
+    est = tmp_path / "est.jsonl"
+    assert run_cli("estimate", "--stream", stream, "--estimator", "neo", "--depth-profile",
+                   profile, "--gt-source", "truth", "--out", est, flag, value) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not est.exists()
+
+
 def test_every_estimator_has_a_runner():
     parser = build_parser()
     profiles = ("--camera-profile", "builtin:tello", "--regression-profile", "builtin:P1",

@@ -105,6 +105,14 @@ class TestEstimateDistanceDepth:
         assert estimate.value_m == -8.0
         assert estimate.out_of_domain
 
+    def test_infinite_flagged_and_exact_zero_not(self):
+        estimate = estimate_distance_depth(10.0, DepthCoefficients(m=1e308, s=0.0))
+        assert estimate.value_m == math.inf
+        assert estimate.out_of_domain
+        zero = estimate_distance_depth(10.0, DepthCoefficients(m=1.0, s=-10.0))
+        assert zero.value_m == 0.0
+        assert not zero.out_of_domain
+
     @given(
         a=st.floats(min_value=-5, max_value=5),
         b=st.floats(min_value=-5, max_value=5),

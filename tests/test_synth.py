@@ -1,5 +1,7 @@
 import json
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from monorange.synth import (
     load_scene_spec,
 )
 
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 INTR = CameraIntrinsics(1592.0, 1280, 720, 82.6)
 POSE = DronePose(1.5)
 LAW = DepthLawSpec(m_true=6.0, s_true=1.0)
@@ -205,6 +208,34 @@ class TestDriftSequence:
             list(
                 drift_sequence([self.VIP], INTR, POSE, LAW, LAW, 5.0, 5.0, 10)
             )
+
+    def test_a_frame_count_too_large_to_count_is_rejected(self):
+        with pytest.raises(DomainError, match="too many frames"):
+            next(drift_sequence([self.VIP], INTR, POSE, LAW, LAW, 0.0, 1e308, 30))
+
+    def test_laws_are_picked_as_frames_are_taken(self):
+        frames = drift_sequence([self.VIP], INTR, POSE, LAW, LAW, 0.0, 1e5, 30,
+                                depth_w=64, depth_h=40)
+        tracemalloc.start()
+        try:
+            next(frames), next(frames)
+            frames.close()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_synth_exits_2_on_a_frame_count_too_large_and_makes_no_out_dir(
+        self, tmp_path, capsys
+    ):
+        spec = json.loads((SCENES / "calib_2p5m.json").read_text())
+        spec.update(duration_s=1e308, fps=30)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        assert main(["synth", "--scene", str(scene), "--out-dir", str(out)]) == 2
+        assert f"{scene}: scene cannot be rendered" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_identical_laws_give_identical_score_streams(self):
         frames = list(
