@@ -470,8 +470,8 @@ class RecalibrationConfig:
             raise DomainError(f"detection window must be >= 1, got {self.w}")
         if not self.w_prime_s > 0:
             raise DomainError(f"train window must be positive, got {self.w_prime_s}")
-        if self.fps < 1:
-            raise DomainError(f"fps must be >= 1, got {self.fps}")
+        if not 1 <= self.fps <= sys.maxsize:
+            raise DomainError(f"fps must be between 1 and {sys.maxsize}, got {self.fps}")
         _check_window(self.w, "detection window")
         if not self.w_prime_s * self.fps < sys.maxsize:  # an infinite window included
             raise DomainError(

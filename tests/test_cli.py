@@ -1104,6 +1104,7 @@ class TestMapReadAhead:
     ("--train-window-s", "1e300", "train window 1e+300 s at 30 fps holds more samples"),
     ("--train-window-s", "1e308", "train window 1e+308 s at 30 fps holds more samples"),
     ("--train-window-s", "inf", "train window inf s at 30 fps holds more samples"),
+    ("--fps", "1" + "0" * 320, "fps must be between 1 and 9223372036854775807"),
 ])
 def test_window_no_deque_can_hold_exits_2(tmp_path, capsys, flag, value, message):
     stream, profile = TestMapReadAhead.five_frames(tmp_path)
