@@ -41,7 +41,7 @@ from .common import (
     mean_exact,
     round_half_away,
 )
-from .geometry import BoundingBox, Detection, scale_bbox
+from .geometry import BoundingBox, Detection, pixel_window, scale_bbox
 
 CENTER = "center"
 FIVE_POINT_UNIFORM = "five_point_uniform"
@@ -213,8 +213,9 @@ def normalize_region(
 
     The box must already be expressed in the depth map's resolution (use
     :func:`monorange.geometry.scale_bbox` when it came from the detector).
-    A pixel belongs to the box when its index range intersects the box's
-    continuous extent; disc and ring membership use pixel centers. Every
+    The box's pixels are its :func:`monorange.geometry.pixel_window`, the
+    ones the synthetic generator paints; disc and ring membership use pixel
+    centers. Every
     averaging method returns the correctly rounded mean of its pixels, so the
     result does not depend on pixel order.
     """
@@ -223,10 +224,7 @@ def normalize_region(
             f"box resolution {bbox.resolution_w}x{bbox.resolution_h} does not match "
             f"depth map {depth_map.width}x{depth_map.height}; scale the box first"
         )
-    c0 = max(0, int(math.floor(bbox.x_min)))
-    c1 = min(depth_map.width, int(math.ceil(bbox.x_max)))
-    r0 = max(0, int(math.floor(bbox.y_min)))
-    r1 = min(depth_map.height, int(math.ceil(bbox.y_max)))
+    r0, r1, c0, c1 = pixel_window(bbox)
     if c1 <= c0 or r1 <= r0:
         raise NoPixelsError(f"box {bbox} covers no depth-map pixels")
     region = depth_map.scores[r0:r1, c0:c1]

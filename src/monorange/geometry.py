@@ -231,6 +231,21 @@ def estimate_focal_length(
     return FocalEstimate(q1=q1, median=q2, q3=q3)
 
 
+def pixel_window(bbox: BoundingBox) -> tuple[int, int, int, int]:
+    """Rows ``r0:r1`` and columns ``c0:c1`` of the pixels a box covers.
+
+    A pixel is covered when its index range meets the box's continuous
+    extent; the window is clamped to the box's own resolution. The synthetic
+    generator paints, and the depth scorer reads, exactly this window.
+    """
+    return (
+        max(0, int(math.floor(bbox.y_min))),
+        min(bbox.resolution_h, int(math.ceil(bbox.y_max))),
+        max(0, int(math.floor(bbox.x_min))),
+        min(bbox.resolution_w, int(math.ceil(bbox.x_max))),
+    )
+
+
 def scale_bbox(bbox: BoundingBox, target_w: int, target_h: int) -> BoundingBox:
     """Rescale a box to a different frame resolution.
 

@@ -109,15 +109,6 @@ def _load(source: str | Path, builtins: dict, kind: str, build):
     return read_json(source, "profile file", kind, build)
 
 
-def _camera(payload: dict) -> CameraIntrinsics:
-    return CameraIntrinsics(
-        focal_length_px=float(payload["focal_length_px"]),
-        image_width_px=whole(payload["image_w"], "image_w"),
-        image_height_px=whole(payload["image_h"], "image_h"),
-        fov_deg=float(payload["fov_deg"]) if "fov_deg" in payload else None,
-    )
-
-
 def _vip_id(payload: dict) -> str:
     """The profile's ``vip_id``; JSON ``null`` names no one, like ``""``."""
     vip_id = payload["vip_id"]
@@ -158,7 +149,7 @@ def _height_table(payload: dict) -> HeightTable:
 
 
 def load_camera_profile(source: str | Path) -> CameraIntrinsics:
-    return _load(source, BUILTIN_CAMERA, "camera profile", _camera)
+    return _load(source, BUILTIN_CAMERA, "camera profile", camera_from_payload)
 
 
 def load_regression_profile(source: str | Path) -> RegressionModel:
@@ -182,6 +173,16 @@ def _write_json(path: str | Path, payload: dict) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise unwritable(f"profile file {path}", exc) from exc
+
+
+def camera_from_payload(payload: dict) -> CameraIntrinsics:
+    """The camera of a profile file or of a scene, in the keys :func:`save_profile` writes."""
+    return CameraIntrinsics(
+        focal_length_px=float(payload["focal_length_px"]),
+        image_width_px=whole(payload["image_w"], "image_w"),
+        image_height_px=whole(payload["image_h"], "image_h"),
+        fov_deg=float(payload["fov_deg"]) if "fov_deg" in payload else None,
+    )
 
 
 def save_profile(

@@ -1,12 +1,13 @@
 """Forward generator for synthetic detections and depth maps.
 
 Scenes are generated from ground-truth geometry so every estimator has an
-exact round-trip check: boxes come from projecting object tops and bottoms
-through the pinhole model, and depth-map pixels inside each box carry the
-score the generating line assigns to the object's distance. Objects are
-placed vertically centered on the optical axis, which keeps them in frame at
-any distance; the generator owns that convention since box height depends
-only on object height and distance.
+exact round-trip check: a box comes from projecting the object's top-left and
+bottom-right corners through the pinhole model, and the depth-map pixels of
+its :func:`~monorange.geometry.pixel_window`, the ones the depth scorer reads,
+carry the score the generating line assigns to the object's distance.
+Objects are placed vertically centered on the optical axis, which keeps them
+in frame at any distance; the generator owns that convention since box height
+depends only on object height and distance.
 
 Generation is pure given (scene, seed): identical seeds produce byte-identical
 depth maps. Objects stand still, so their boxes are projected once per
@@ -41,9 +42,11 @@ from .geometry import (
     DronePose,
     WorldPoint,
     camera_to_frame_coords,
+    pixel_window,
     project_world_point,
     scale_bbox,
 )
+from .profiles import camera_from_payload
 
 LOW_NEAR = "low-near"
 HIGH_NEAR = "high-near"
@@ -137,48 +140,33 @@ class SynthFrame:
         )
 
 
-def _object_bbox(
-    obj: SceneObject, intrinsics: CameraIntrinsics, pose: DronePose, clip: bool
-) -> BoundingBox:
+def _object_bbox(obj: SceneObject, intrinsics: CameraIntrinsics, pose: DronePose) -> BoundingBox:
     """Project an object's extent into the detector frame.
 
     The object spans ``height_m`` vertically, centered on the optical axis,
-    at depth ``distance_m`` and lateral offset ``lateral_offset_m``.
+    at depth ``distance_m`` and lateral offset ``lateral_offset_m``. Each
+    pixel coordinate comes from one world coordinate, so the top-left and
+    bottom-right corners give the whole box.
     """
     axis_y = -pose.height_m  # world y of the optical axis
     half_h = obj.height_m / 2.0
     half_w = obj.effective_width_m / 2.0
-    top = project_world_point(
-        WorldPoint(obj.lateral_offset_m, axis_y + half_h, obj.distance_m), pose, intrinsics
+    (x_min, y_min), (x_max, y_max) = (
+        camera_to_frame_coords(
+            project_world_point(
+                WorldPoint(obj.lateral_offset_m + dx, axis_y + dy, obj.distance_m),
+                pose, intrinsics,
+            ),
+            intrinsics,
+        )
+        for dx, dy in ((-half_w, half_h), (half_w, -half_h))
     )
-    bottom = project_world_point(
-        WorldPoint(obj.lateral_offset_m, axis_y - half_h, obj.distance_m), pose, intrinsics
-    )
-    left = project_world_point(
-        WorldPoint(obj.lateral_offset_m - half_w, axis_y, obj.distance_m), pose, intrinsics
-    )
-    right = project_world_point(
-        WorldPoint(obj.lateral_offset_m + half_w, axis_y, obj.distance_m), pose, intrinsics
-    )
-    x_min, _ = camera_to_frame_coords(left, intrinsics)
-    x_max, _ = camera_to_frame_coords(right, intrinsics)
-    _, y_min = camera_to_frame_coords(top, intrinsics)
-    _, y_max = camera_to_frame_coords(bottom, intrinsics)
     w, h = intrinsics.image_width_px, intrinsics.image_height_px
     if x_min < 0 or y_min < 0 or x_max > w or y_max > h:
-        if not clip:
-            raise DomainError(
-                f"object {obj.class_label!r} at {obj.distance_m} m projects outside "
-                f"the {w}x{h} frame: [{x_min:.1f}, {y_min:.1f}, {x_max:.1f}, {y_max:.1f}]"
-            )
-        x_min = max(0.0, x_min)
-        y_min = max(0.0, y_min)
-        x_max = min(float(w), x_max)
-        y_max = min(float(h), y_max)
-        if x_min >= x_max or y_min >= y_max:
-            raise DomainError(
-                f"object {obj.class_label!r} lies entirely outside the frame"
-            )
+        raise DomainError(
+            f"object {obj.class_label!r} at {obj.distance_m} m projects outside "
+            f"the {w}x{h} frame: [{x_min:.1f}, {y_min:.1f}, {x_max:.1f}, {y_max:.1f}]"
+        )
     return BoundingBox(x_min, y_min, x_max, y_max, w, h)
 
 
@@ -186,7 +174,6 @@ def _project(
     objects: Sequence[SceneObject],
     intrinsics: CameraIntrinsics,
     pose: DronePose,
-    clip: bool,
     depth_w: int,
     depth_h: int,
 ) -> tuple[tuple[Detection, ...], tuple[float, ...], tuple[Region, ...]]:
@@ -194,20 +181,16 @@ def _project(
 
     Regions are listed far to near so closer objects overwrite overlapping ones.
     """
-    boxes = [_object_bbox(obj, intrinsics, pose, clip) for obj in objects]
+    boxes = [_object_bbox(obj, intrinsics, pose) for obj in objects]
     detections = tuple(
         Detection(bbox=bbox, class_label=obj.class_label, confidence=1.0, is_vip=obj.is_vip)
         for obj, bbox in zip(objects, boxes)
     )
-    regions = []
-    for i in sorted(range(len(objects)), key=lambda i: -objects[i].distance_m):
-        scaled = scale_bbox(boxes[i], depth_w, depth_h)
-        c0 = max(0, int(math.floor(scaled.x_min)))
-        c1 = min(depth_w, int(math.ceil(scaled.x_max)))
-        r0 = max(0, int(math.floor(scaled.y_min)))
-        r1 = min(depth_h, int(math.ceil(scaled.y_max)))
-        regions.append((objects[i].distance_m, r0, r1, c0, c1))
-    return detections, tuple(obj.distance_m for obj in objects), tuple(regions)
+    regions = tuple(
+        (obj.distance_m, *pixel_window(scale_bbox(bbox, depth_w, depth_h)))
+        for obj, bbox in sorted(zip(objects, boxes), key=lambda pair: -pair[0].distance_m)
+    )
+    return detections, tuple(obj.distance_m for obj in objects), regions
 
 
 def _draw(regions: Sequence[Region], law: DepthLawSpec, rng: np.random.Generator) -> list:
@@ -259,7 +242,6 @@ def drift_sequence(
     seed: int = 0,
     depth_w: int = DEFAULT_DEPTH_W,
     depth_h: int = DEFAULT_DEPTH_H,
-    clip: bool = False,
 ) -> Iterator[SynthFrame]:
     """Replayable frame stream whose generating law switches mid-run.
 
@@ -284,7 +266,7 @@ def drift_sequence(
     if n_frames < 1:
         raise DomainError(f"duration {duration_s}s at {fps} fps holds no frame")
     rng = np.random.default_rng(seed)
-    detections, truths, regions = _project(objects, intrinsics, pose, clip, depth_w, depth_h)
+    detections, truths, regions = _project(objects, intrinsics, pose, depth_w, depth_h)
 
     def draw(law: DepthLawSpec):
         """A noisy frame's draws, the only use of ``rng``; a noiseless frame has none."""
@@ -358,13 +340,7 @@ def _parse_law(payload: dict) -> DepthLawSpec:
 
 
 def _scene_spec(payload: dict) -> SceneSpec:
-    cam = payload["camera"]
-    intrinsics = CameraIntrinsics(
-        focal_length_px=float(cam["focal_length_px"]),
-        image_width_px=whole(cam["image_w"], "image_w"),
-        image_height_px=whole(cam["image_h"], "image_h"),
-        fov_deg=float(cam["fov_deg"]) if "fov_deg" in cam else None,
-    )
+    intrinsics = camera_from_payload(payload["camera"])
     objects = tuple(
         SceneObject(
             class_label=obj["class_label"],

@@ -125,13 +125,10 @@ class TestSynthFrame:
         score = normalize_region(frame.depth_map, scaled, NormalizationMethod(MEDIAN))
         assert score == pytest.approx(LAW.score_for_distance(2.5), abs=1e-6)
 
-    def test_out_of_frame_rejected_unless_clipped(self):
+    def test_out_of_frame_rejected(self):
         giant = SceneObject("car", height_m=3.0, distance_m=2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="projects outside the 1280x720 frame"):
             one_frame([giant], INTR, POSE, LAW)
-        frame = one_frame([giant], INTR, POSE, LAW, clip=True, depth_w=64, depth_h=40)
-        bbox = frame.detections[0].bbox
-        assert 0 <= bbox.y_min < bbox.y_max <= 720
 
     def test_determinism_identical_seeds_byte_identical(self):
         law = DepthLawSpec(m_true=6.0, s_true=1.0, noise_sigma=0.05)
@@ -262,7 +259,7 @@ class TestMapReuse:
 
     def test_noiseless_frames_under_one_law_share_one_fresh_map(self):
         frames = self.frames(LAW, self.POST)
-        _, _, regions = _project(self.OBJECTS, INTR, POSE, False, 64, 40)
+        _, _, regions = _project(self.OBJECTS, INTR, POSE, 64, 40)
         for group, law in ((frames[:5], LAW), (frames[5:], self.POST)):
             assert all(f.depth_map is group[0].depth_map for f in group)
             assert all(f.detections is group[0].detections for f in group)
