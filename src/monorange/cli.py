@@ -235,6 +235,18 @@ def _profile(source, flag: str, loader, who: str):
     return loader(source)
 
 
+def _check_resolution(
+    stream: str, ann: FrameAnnotation, bbox: BoundingBox, expected: tuple[int, int], what: str
+) -> None:
+    """Reject a box of ``stream`` that is not in the ``expected`` resolution of ``what``."""
+    if (bbox.resolution_w, bbox.resolution_h) != expected:
+        raise DomainError(
+            f"{stream}: frame {ann.frame_id}: box resolution "
+            f"{bbox.resolution_w}x{bbox.resolution_h} differs from the {what} "
+            f"{expected[0]}x{expected[1]}; scale the box first"
+        )
+
+
 class _RegressionRunner:
     """Applies a fitted box-feature model to the stream's person detections.
 
@@ -252,6 +264,7 @@ class _RegressionRunner:
         )
         camera = profiles.load_camera_profile(args.camera_profile) if args.camera_profile else None
         self.native = (camera.image_width_px, camera.image_height_px) if camera else None
+        self.stream = args.stream
         self._warned_vip = False
 
     def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
@@ -269,15 +282,9 @@ class _RegressionRunner:
         for det in ann.detections:
             if not det.is_vip:
                 continue  # this estimator only covers the followed person
-            resolution = (det.bbox.resolution_w, det.bbox.resolution_h)
             if self.native is None:
-                self.native = resolution
-            elif resolution != self.native:
-                raise DomainError(
-                    f"frame {ann.frame_id}: box resolution {resolution[0]}x{resolution[1]} "
-                    f"differs from the calibrated {self.native[0]}x{self.native[1]}; "
-                    "scale the box first"
-                )
+                self.native = (det.bbox.resolution_w, det.bbox.resolution_h)
+            _check_resolution(self.stream, ann, det.bbox, self.native, "calibrated")
             estimate = predict_distance(self.model, RegressionFeatures.from_bbox(det.bbox))
             flags = ["out-of-domain"] if estimate.out_of_domain else []
             out.append(object_record(ann, det, estimate, flags))
@@ -299,16 +306,11 @@ class _GeometricRunner:
         )
         self.height = heights.actual if actual else heights.expected
         self.resolution = (self.intrinsics.image_width_px, self.intrinsics.image_height_px)
+        self.stream = args.stream
 
     def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
         for det in ann.detections:
-            resolution = (det.bbox.resolution_w, det.bbox.resolution_h)
-            if resolution != self.resolution:
-                raise DomainError(
-                    f"detection resolution {resolution[0]}x{resolution[1]} does not match "
-                    f"the camera profile {self.resolution[0]}x{self.resolution[1]}; "
-                    "scale the box first"
-                )
+            _check_resolution(self.stream, ann, det.bbox, self.resolution, "camera profile")
             try:
                 height = self.height(truth_key(det.class_label, det.is_vip))
             except MissingDataError:
@@ -387,8 +389,13 @@ class _NeoRunner:
         coeffs = profile.to_coefficients()
         d1, d2 = profile.pair
         n1 = n_o // 2
-        anchors = [depth_mod.CalibrationSample((d1 - coeffs.s) / coeffs.m, d1)] * n1
-        anchors += [depth_mod.CalibrationSample((d2 - coeffs.s) / coeffs.m, d2)] * (n_o - n1)
+        try:
+            anchors = [depth_mod.CalibrationSample((d1 - coeffs.s) / coeffs.m, d1)] * n1
+            anchors += [depth_mod.CalibrationSample((d2 - coeffs.s) / coeffs.m, d2)] * (n_o - n1)
+        except DomainError as exc:  # a line so flat that an anchor's score overflows
+            raise DomainError(
+                f"depth profile {args.depth_profile}: its line gives no usable anchor ({exc})"
+            ) from exc
         return anchors
 
     def vip_truth(self, ann: FrameAnnotation) -> DistanceEstimate | None:

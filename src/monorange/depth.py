@@ -309,7 +309,6 @@ class DepthCoefficients:
     m: float
     s: float
     provenance: str = PROVENANCE_STATIC
-    fitted_pair: tuple[float, float] | str | None = None
     sample_count: int | None = None
 
     def __post_init__(self):
@@ -420,7 +419,6 @@ def select_calibration_pair(
                 m=m_med,
                 s=s_med,
                 provenance=PROVENANCE_STATIC,
-                fitted_pair=(d1, d2),
                 sample_count=len(slopes),
             )
     return best_pair, best_coeffs
@@ -602,7 +600,6 @@ def recalibrate(state: RecalibrationState, config: RecalibrationConfig) -> Depth
         m=m,
         s=s,
         provenance=PROVENANCE_RECALIBRATED,
-        fitted_pair=f"recalibration-{state.recalibration_count}",
         sample_count=len(fit_set),
     )
 

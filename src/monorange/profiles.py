@@ -51,12 +51,7 @@ class DepthProfile:
     def to_coefficients(self) -> DepthCoefficients:
         """Working coefficients in meters regardless of the recorded unit."""
         scale = 0.01 if self.unit == "cm" else 1.0
-        return DepthCoefficients(
-            m=self.m * scale,
-            s=self.s * scale,
-            provenance=PROVENANCE_STATIC,
-            fitted_pair=self.pair,
-        )
+        return DepthCoefficients(m=self.m * scale, s=self.s * scale, provenance=PROVENANCE_STATIC)
 
 
 # Profiles calibrated on the reference drone camera (values as published for

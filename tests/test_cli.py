@@ -602,6 +602,35 @@ class TestInputFaults:
             capsys.readouterr().err)
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("estimator, flags, what", [
+        ("geometric", [], "camera profile"),
+        ("regression", ["--regression-profile", "builtin:P1"], "calibrated"),
+    ])
+    def test_resolution_mismatch_names_stream_and_frame(self, tmp_path, capsys, estimator,
+                                                        flags, what):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "static_mixed.json", "--out-dir", out) == 0
+        camera = tmp_path / "camera.json"
+        camera.write_text(json.dumps({"focal_length_px": 800, "image_w": 640, "image_h": 360}))
+        stream = out / "frames.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", estimator,
+                       "--camera-profile", camera, *flags, "--out", tmp_path / "est.jsonl") == 2
+        assert (f"error: {stream}: frame frame_000000: box resolution 1280x720 differs from "
+                f"the {what} 640x360; scale the box first") in capsys.readouterr().err
+
+    def test_depth_profile_anchor_that_overflows_names_the_profile(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out) == 0
+        profile = tmp_path / "depth.json"
+        profile.write_text(json.dumps({"vip_id": "S1", "m": 1e-320, "s": 0.0, "unit": "m",
+                                       "pair": [2.5, 4.0]}))
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", out / "frames.jsonl", "--estimator", "neo",
+                       "--gt-source", "truth", "--depth-profile", profile, "--out", est) == 2
+        assert (f"error: depth profile {profile}: its line gives no usable anchor "
+                "(normalized score must be finite, got inf)") in capsys.readouterr().err
+        assert not est.exists()
+
 
 class TestCodecFaults:
     """Values of the wrong JSON type and numbers that cannot be written."""
@@ -1125,6 +1154,20 @@ def test_every_estimator_has_a_runner():
                                   "--out", "est.jsonl", *profiles])
         runner = RUNNERS[name](name, args)
         assert isinstance(runner.needs_depth_map, bool) and callable(runner.run_frame)
+
+
+def test_estimate_defaults_equal_the_library_defaults():
+    """The benchmark replays ``estimate neo`` through the library with
+    ``RecalibrationConfig`` and ``NormalizationMethod`` defaults."""
+    args = build_parser().parse_args(["estimate", "--stream", "frames.jsonl", "--estimator",
+                                      "neo", "--out", "est.jsonl"])
+    config = depth.RecalibrationConfig()
+    assert (args.window, args.train_window_s, args.fps, args.alpha, args.n_o) == (
+        config.w, config.w_prime_s, config.fps, config.alpha, config.n_o)
+    assert args.tau_cm / 100 == config.tau_m
+    method = depth.NormalizationMethod()
+    assert (args.norm_method, args.diameter_px, args.center_weight, args.lt_take) == (
+        method.kind, method.diameter_px, method.center_weight, method.lt_take)
 
 
 class TestEvaluate:

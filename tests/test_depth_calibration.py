@@ -170,7 +170,6 @@ class TestSelectCalibrationPair:
         videos = _noisy_videos()
         pair, coeffs = select_calibration_pair(videos, [(2.5, 4.0)])
         assert pair == (2.5, 4.0)
-        assert coeffs.fitted_pair == (2.5, 4.0)
 
     def test_selection_matches_exhaustive_oracle(self):
         videos = _noisy_videos()

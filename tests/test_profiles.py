@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from monorange.cli import main
 from monorange.common import DomainError, FormatError, MissingDataError
 from monorange.geometry import CameraIntrinsics
 from monorange.profiles import (
+    BUILTIN_CAMERA,
     BUILTIN_DEPTH,
     BUILTIN_REGRESSION,
     DEFAULT_HEIGHTS,
@@ -105,6 +107,38 @@ class TestBuiltins:
     def test_unknown_builtin(self):
         with pytest.raises(MissingDataError):
             load_regression_profile("builtin:P9")
+
+
+PROFILES = Path(__file__).resolve().parent.parent / "profiles"
+
+
+def _shipped():
+    """Each shipped profile file, named as ``scripts/export_builtin_profiles.py``
+    names it, with its loader, its writer and the builtin it copies."""
+    for kind, builtins, load in (("camera", BUILTIN_CAMERA, load_camera_profile),
+                                 ("regression", BUILTIN_REGRESSION, load_regression_profile),
+                                 ("depth", BUILTIN_DEPTH, load_depth_profile)):
+        for name, builtin in builtins.items():
+            yield f"{kind}_{name}.json", load, save_profile, builtin
+    yield "heights_default.json", load_height_table, save_height_table, DEFAULT_HEIGHTS
+
+
+SHIPPED = list(_shipped())
+
+
+class TestShippedFiles:
+    """``profiles/*.json`` and the builtins in code are two copies of one data set."""
+
+    @pytest.mark.parametrize("filename, load, save, builtin", SHIPPED,
+                             ids=[entry[0] for entry in SHIPPED])
+    def test_file_equals_its_builtin(self, tmp_path, filename, load, save, builtin):
+        assert load(PROFILES / filename) == builtin
+        save(tmp_path / filename, builtin)
+        assert (tmp_path / filename).read_bytes() == (PROFILES / filename).read_bytes()
+
+    def test_every_file_has_a_builtin(self):
+        assert sorted(p.name for p in PROFILES.glob("*.json")) == sorted(
+            entry[0] for entry in SHIPPED)
 
 
 class TestErrors:
