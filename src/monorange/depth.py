@@ -215,9 +215,8 @@ def normalize_region(
     :func:`monorange.geometry.scale_bbox` when it came from the detector).
     The box's pixels are its :func:`monorange.geometry.pixel_window`, the
     ones the synthetic generator paints; disc and ring membership use pixel
-    centers. Every
-    averaging method returns the correctly rounded mean of its pixels, so the
-    result does not depend on pixel order.
+    centers. Every averaging method returns the correctly rounded mean of its
+    pixels, so the result does not depend on pixel order.
     """
     if bbox.resolution_w != depth_map.width or bbox.resolution_h != depth_map.height:
         raise DomainError(

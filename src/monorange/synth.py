@@ -151,16 +151,12 @@ def _object_bbox(obj: SceneObject, intrinsics: CameraIntrinsics, pose: DronePose
     axis_y = -pose.height_m  # world y of the optical axis
     half_h = obj.height_m / 2.0
     half_w = obj.effective_width_m / 2.0
-    (x_min, y_min), (x_max, y_max) = (
-        camera_to_frame_coords(
-            project_world_point(
-                WorldPoint(obj.lateral_offset_m + dx, axis_y + dy, obj.distance_m),
-                pose, intrinsics,
-            ),
-            intrinsics,
-        )
-        for dx, dy in ((-half_w, half_h), (half_w, -half_h))
-    )
+    top_left = WorldPoint(obj.lateral_offset_m - half_w, axis_y + half_h, obj.distance_m)
+    bottom_right = WorldPoint(obj.lateral_offset_m + half_w, axis_y - half_h, obj.distance_m)
+    x_min, y_min = camera_to_frame_coords(project_world_point(top_left, pose, intrinsics),
+                                          intrinsics)
+    x_max, y_max = camera_to_frame_coords(project_world_point(bottom_right, pose, intrinsics),
+                                          intrinsics)
     w, h = intrinsics.image_width_px, intrinsics.image_height_px
     if x_min < 0 or y_min < 0 or x_max > w or y_max > h:
         raise DomainError(
