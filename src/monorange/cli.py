@@ -29,7 +29,6 @@ from .common import (
     FormatError,
     MissingDataError,
     MonorangeError,
-    NoPixelsError,
     NonFiniteError,
     SingularFitError,
     canonical_jsonl_line,
@@ -85,7 +84,7 @@ def _norm_method_from_args(args, depth_profile=None) -> depth_mod.NormalizationM
 
 def _labeled_frame(payload: dict) -> LabeledFrame:
     return LabeledFrame(
-        features=RegressionFeatures.from_dims(float(payload["w_b"]), float(payload["h_b"])),
+        features=RegressionFeatures(float(payload["w_b"]), float(payload["h_b"])),
         true_distance_m=float(payload["true_distance_m"]),
     )
 
@@ -343,9 +342,9 @@ class _NeoRunner:
         )
         self.method = _norm_method_from_args(args, profile)
         window = args.smooth_window if args.smooth_window is not None else profile.smooth_window
-        if window < 1:
-            raise DomainError(f"smooth window must be >= 1, got {window}")
-        self.smoother = depth_mod.ScoreSmoother(window) if window > 1 else None
+        smoother = depth_mod.ScoreSmoother(window)  # which checks the window
+        # A one-score mean is not always the score: fsum turns -0.0 into 0.0.
+        self.smoother = smoother if window > 1 else None
         self.coeffs = profile.to_coefficients()
         self.config = self.state = self.gt_model = None
         if not recalibrate:
@@ -473,9 +472,7 @@ def cmd_estimate(args) -> int:
                         ann, load_depth_map(stream_path, ann, read) if needs_map else None, out
                     )
                     lines = record_lines(ann, out)
-                except (
-                    MissingDataError, NoPixelsError, DegenerateGeometryError, NonFiniteError
-                ) as exc:
+                except (MissingDataError, DegenerateGeometryError, NonFiniteError) as exc:
                     out = [record(ann, {"event": "error", "reason": str(exc)})]
                     lines = record_lines(ann, out)
                     errors += 1

@@ -25,10 +25,6 @@ class BehindCameraError(DomainError):
     """World point lies on or behind the camera plane (z <= 0)."""
 
 
-class DegenerateBoxError(DomainError):
-    """Bounding box has no usable pixel extent."""
-
-
 class EmptyInputError(MonorangeError):
     """An operation that needs at least one element received none."""
 
@@ -39,10 +35,6 @@ class SingularFitError(MonorangeError):
     def __init__(self, message: str, columns: Iterable[str] = ()):
         super().__init__(message)
         self.columns = tuple(columns)
-
-
-class NoPixelsError(MonorangeError):
-    """A region selection produced no pixels."""
 
 
 class DegenerateGeometryError(MonorangeError):

@@ -34,7 +34,6 @@ from .common import (
     DomainError,
     EmptyInputError,
     MissingDataError,
-    NoPixelsError,
     NotReadyError,
     SingularFitError,
     linear_quantile,
@@ -224,8 +223,6 @@ def normalize_region(
             f"depth map {depth_map.width}x{depth_map.height}; scale the box first"
         )
     r0, r1, c0, c1 = pixel_window(bbox)
-    if c1 <= c0 or r1 <= r0:
-        raise NoPixelsError(f"box {bbox} covers no depth-map pixels")
     region = depth_map.scores[r0:r1, c0:c1]
 
     kind = method.kind

@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 from .common import (
     BehindCameraError,
-    DegenerateBoxError,
     DomainError,
     EmptyInputError,
     MissingDataError,
@@ -182,10 +181,7 @@ def estimate_distance_geometric(
     """Distance from similar triangles: focal_length * real_height / pixel_height."""
     if not object_height_m > 0:
         raise DomainError(f"object height must be positive, got {object_height_m}")
-    h_i = bbox.height_px
-    if not h_i > 0:
-        raise DegenerateBoxError("bounding box has zero pixel height")
-    return intrinsics.focal_length_px * object_height_m / h_i
+    return intrinsics.focal_length_px * object_height_m / bbox.height_px
 
 
 @dataclass(frozen=True)
@@ -206,10 +202,7 @@ def sample_focal_length(
         raise DomainError(f"object height must be positive, got {object_height_m}")
     if not true_distance_m > 0:
         raise DomainError(f"true distance must be positive, got {true_distance_m}")
-    h_i = bbox.height_px
-    if not h_i > 0:
-        raise DegenerateBoxError("bounding box has zero pixel height")
-    focal = true_distance_m * h_i / object_height_m
+    focal = true_distance_m * bbox.height_px / object_height_m
     if not math.isfinite(focal):
         raise DomainError(f"focal length {focal} px is not finite")
     if not focal > 0:  # an infinite height, or a product that underflows
@@ -235,14 +228,17 @@ def pixel_window(bbox: BoundingBox) -> tuple[int, int, int, int]:
     """Rows ``r0:r1`` and columns ``c0:c1`` of the pixels a box covers.
 
     A pixel is covered when its index range meets the box's continuous
-    extent; the window is clamped to the box's own resolution. The synthetic
-    generator paints, and the depth scorer reads, exactly this window.
+    extent. The synthetic generator paints, and the depth scorer reads,
+    exactly this window. It is never empty and never leaves the box's
+    resolution: a :class:`BoundingBox` holds ``0 <= x_min < x_max <=
+    resolution_w``, with ``resolution_w`` whole, so ``0 <= floor(x_min) <
+    ceil(x_max) <= resolution_w``, and likewise for y.
     """
     return (
-        max(0, int(math.floor(bbox.y_min))),
-        min(bbox.resolution_h, int(math.ceil(bbox.y_max))),
-        max(0, int(math.floor(bbox.x_min))),
-        min(bbox.resolution_w, int(math.ceil(bbox.x_max))),
+        int(math.floor(bbox.y_min)),
+        int(math.ceil(bbox.y_max)),
+        int(math.floor(bbox.x_min)),
+        int(math.ceil(bbox.x_max)),
     )
 
 

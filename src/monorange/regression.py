@@ -27,29 +27,24 @@ _NORMAL_EQ_COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class RegressionFeatures:
-    """Width, height, and area (pixels) of a person detection box."""
+    """Width and height (pixels) of a person detection box; the area is their product."""
 
     w_b: float
     h_b: float
-    area: float
 
     def __post_init__(self):
         if not self.w_b > 0 or not self.h_b > 0:
             raise DomainError(f"box dimensions must be positive, got {self.w_b}x{self.h_b}")
         if not math.isfinite(self.area):
             raise DomainError(f"box area {self.area} is not finite")
-        if self.area != self.w_b * self.h_b:
-            raise DomainError(
-                f"area {self.area} is not exactly w_b*h_b = {self.w_b * self.h_b}"
-            )
 
-    @classmethod
-    def from_dims(cls, w_b: float, h_b: float) -> "RegressionFeatures":
-        return cls(w_b=w_b, h_b=h_b, area=w_b * h_b)
+    @property
+    def area(self) -> float:
+        return self.w_b * self.h_b
 
     @classmethod
     def from_bbox(cls, bbox: BoundingBox) -> "RegressionFeatures":
-        return cls.from_dims(bbox.width_px, bbox.height_px)
+        return cls(bbox.width_px, bbox.height_px)
 
     def as_row(self, mode: str) -> tuple[float, ...]:
         if mode == MODE_THREE:

@@ -119,7 +119,7 @@ def test_acceptance_03_regression_recovery():
     def frame_at(d):
         w = float(rng.uniform(400, 800))
         h = (d - a * w) / (b + c * w)
-        return RegressionFeatures.from_dims(w, h)
+        return RegressionFeatures(w, h)
 
     clean = [
         LabeledFrame(frame_at(d), d) for d in (2.0, 3.0, 4.0) for _ in range(10)
