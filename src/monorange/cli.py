@@ -152,8 +152,11 @@ def _collect_vip_scores(
             if not vips:
                 continue
             depth_map = load_depth_map(stream_path, ann)
-            scaled = scale_bbox(vips[0].bbox, depth_map.width, depth_map.height)
-            score = depth_mod.normalize_region(depth_map, scaled, method)
+            try:
+                scaled = scale_bbox(vips[0].bbox, depth_map.width, depth_map.height)
+                score = depth_mod.normalize_region(depth_map, scaled, method)
+            except DomainError as exc:  # a box that collapses at the map's resolution
+                raise _frame_fault(stream, ann, exc) from exc
             by_distance.setdefault(float(truth), []).append(score)
     return by_distance
 
@@ -234,15 +237,20 @@ def _profile(source, flag: str, loader, who: str):
     return loader(source)
 
 
+def _frame_fault(stream: str, ann: FrameAnnotation, fault) -> DomainError:
+    """The exit-2 error for ``fault`` in frame ``ann`` of ``stream``, naming both."""
+    return DomainError(f"{stream}: frame {ann.frame_id}: {fault}")
+
+
 def _check_resolution(
     stream: str, ann: FrameAnnotation, bbox: BoundingBox, expected: tuple[int, int], what: str
 ) -> None:
     """Reject a box of ``stream`` that is not in the ``expected`` resolution of ``what``."""
     if (bbox.resolution_w, bbox.resolution_h) != expected:
-        raise DomainError(
-            f"{stream}: frame {ann.frame_id}: box resolution "
-            f"{bbox.resolution_w}x{bbox.resolution_h} differs from the {what} "
-            f"{expected[0]}x{expected[1]}; scale the box first"
+        raise _frame_fault(
+            stream, ann,
+            f"box resolution {bbox.resolution_w}x{bbox.resolution_h} differs from the {what} "
+            f"{expected[0]}x{expected[1]}; scale the box first",
         )
 
 
@@ -284,7 +292,11 @@ class _RegressionRunner:
             if self.native is None:
                 self.native = (det.bbox.resolution_w, det.bbox.resolution_h)
             _check_resolution(self.stream, ann, det.bbox, self.native, "calibrated")
-            estimate = predict_distance(self.model, RegressionFeatures.from_bbox(det.bbox))
+            try:
+                features = RegressionFeatures.from_bbox(det.bbox)
+            except DomainError as exc:  # an area too large for a float
+                raise _frame_fault(self.stream, ann, exc) from exc
+            estimate = predict_distance(self.model, features)
             flags = ["out-of-domain"] if estimate.out_of_domain else []
             out.append(object_record(ann, det, estimate, flags))
 
@@ -346,6 +358,7 @@ class _NeoRunner:
         # A one-score mean is not always the score: fsum turns -0.0 into 0.0.
         self.smoother = smoother if window > 1 else None
         self.coeffs = profile.to_coefficients()
+        self.stream = args.stream
         self.config = self.state = self.gt_model = None
         if not recalibrate:
             return
@@ -410,15 +423,19 @@ class _NeoRunner:
         frame = depth_mod.FrameObservation(
             detections=ann.detections, depth_map=depth_map, timestamp_s=ann.timestamp_s
         )
-        result = depth_mod.step(
-            frame,
-            None if self.state is None else self.vip_truth(ann),
-            self.state,
-            self.config,
-            self.coeffs,
-            method=self.method,
-            smoother=self.smoother,
-        )
+        try:
+            result = depth_mod.step(
+                frame,
+                None if self.state is None else self.vip_truth(ann),
+                self.state,
+                self.config,
+                self.coeffs,
+                method=self.method,
+                smoother=self.smoother,
+            )
+        except DomainError as exc:  # a box that collapses at the map's resolution, or
+            # a regression truth's box whose area is too large for a float
+            raise _frame_fault(self.stream, ann, exc) from exc
         self.coeffs = result.coeffs
         if result.recalibrated:
             c = self.coeffs

@@ -120,6 +120,26 @@ class TestCalibrateDepth:
         assert run_cli("calibrate", "depth", "--stream", s1, "--pair", "2.5,4.0",
                        "--out", tmp_path / "x.json") == 4
 
+    def test_frames_without_a_person_or_its_truth_are_skipped(self, tmp_path, capsys):
+        s1, s2 = synth_calibration_streams(tmp_path)
+        records = read_jsonl(s1)
+        del records[0]["ground_truth"]
+        records[1]["detections"][0]["is_vip"] = False
+        for rec in records[:2]:  # a skipped frame's map is never read
+            (s1.parent / rec["depth_map_path"]).unlink()
+        s1.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = tmp_path / "depth.json"
+        assert run_cli("calibrate", "depth", "--stream", s1, "--stream", s2, "--out", out) == 0
+        kept = len(records) - 2 + len(read_jsonl(s2))
+        assert f"samples={kept} " in capsys.readouterr().out
+        for rec in records:
+            rec.pop("ground_truth", None)
+        s1.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert run_cli("calibrate", "depth", "--stream", s1, "--out", tmp_path / "x.json") == 4
+        assert ("error: no frames with a detected person and ground truth found"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestCalibrateRegression:
     @staticmethod
@@ -181,6 +201,17 @@ class TestFocalCommand:
         printed = capsys.readouterr().out
         assert printed.count(f"{expected:.6g}") == 3  # q1 = median = q3
 
+    def test_non_finite_fov_exits_2_and_writes_no_profile(self, tmp_path, capsys):
+        samples = tmp_path / "focal.jsonl"
+        samples.write_text(json.dumps({
+            "bbox": {"x_min": 100, "y_min": 100, "x_max": 200, "y_max": 434.32,
+                     "resolution_w": 1280, "resolution_h": 720},
+            "object_height_m": 0.63, "true_distance_m": 3.0}) + "\n")
+        out = tmp_path / "cam.json"
+        assert run_cli("focal", "--samples", samples, "--fov-deg", "nan", "--out", out) == 2
+        assert f"error: profile file {out} not written: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _edit_third_record(stream, edit):
     """Write a copy of ``stream`` whose third record went through ``edit``."""
@@ -191,6 +222,20 @@ def _edit_third_record(stream, edit):
     bad = stream.with_name("bad.jsonl")
     bad.write_text("\n".join(lines) + "\n")
     return bad
+
+
+def _one_frame_stream(tmp_path, bbox, scores, ground_truth=None):
+    """A stream of frame ``f0``: one followed person in ``bbox``, a map of ``scores``."""
+    neod.write_depth_map(tmp_path / "m.neod", DepthMap(scores))
+    frame = {
+        "frame_id": "f0", "timestamp_s": 0.0, "depth_map_path": "m.neod",
+        "detections": [{"class_label": "vip", "confidence": 0.9, "is_vip": True, "bbox": bbox}],
+    }
+    if ground_truth is not None:
+        frame["ground_truth"] = ground_truth
+    stream = tmp_path / "frames.jsonl"
+    stream.write_text(json.dumps(frame) + "\n")
+    return stream
 
 
 def _write_depth_profile(path, m=6.0, s=1.0):
@@ -232,6 +277,61 @@ class TestEstimate:
         # measured bystander height (1.75) differs from the synthetic one (1.65)
         bystander = [r for r in records if r["class_label"] == "bystander"][0]
         assert bystander["distance_m"] == pytest.approx(4.0 * 1.75 / 1.65, rel=1e-9)
+
+    @pytest.mark.parametrize("estimator, car", [
+        ("geometric", {}),  # no entry for the label at all
+        ("geometric_star", {"car": {"expected_m": 1.70}}),  # no measured height
+    ])
+    def test_label_without_a_height_gives_a_no_height_record(self, tmp_path, estimator, car):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "static_mixed.json", "--out-dir", out) == 0
+        table = tmp_path / "heights.json"
+        table.write_text(json.dumps({
+            "vip": {"expected_m": 0.63, "actual_m": [0.63]},
+            "bystander": {"expected_m": 1.65, "actual_m": [1.65]},
+            **car,
+        }))
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", out / "frames.jsonl", "--estimator", estimator,
+                       "--camera-profile", "builtin:tello", "--height-table", table,
+                       "--out", est) == 0
+        records = read_jsonl(est)
+        assert len(records) == 3 * len(read_jsonl(out / "frames.jsonl"))
+        for r in records:
+            if r["class_label"] == "car":
+                assert (r["distance_m"], r["flags"]) == (None, ["no-height"])
+            else:
+                want = 3.0 if r["is_vip"] else 4.0
+                assert (r["distance_m"], r["flags"]) == (pytest.approx(want, rel=1e-9), [])
+
+    def test_smoothing_window_of_one_keeps_a_negative_zero_score(self, tmp_path):
+        # The mean of one score is not always the score: fsum([-0.0]) may be 0.0.
+        bbox = {"x_min": 100.0, "y_min": 100.0, "x_max": 300.0, "y_max": 500.0,
+                "resolution_w": 1280, "resolution_h": 720}
+        stream = _one_frame_stream(tmp_path, bbox, np.full((32, 64), -0.0))
+        profile = _write_depth_profile(tmp_path / "depth.json")  # smooth_window 1
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "neo_norc",
+                       "--depth-profile", profile, "--norm-method", "center", "--out", est) == 0
+        assert '"score": -0.0' in est.read_text()
+
+    @pytest.mark.parametrize("estimator, flags, message", [
+        ("regression", (), "estimator 'regression' needs --regression-profile"),
+        ("geometric", (), "estimator 'geometric' needs --camera-profile"),
+        ("geometric_star", (), "estimator 'geometric_star' needs --camera-profile"),
+        ("neo_norc", (), "estimator 'neo_norc' needs --depth-profile"),
+        ("neo", ("--depth-profile", "builtin:P1"),
+         "estimator 'neo' with --gt-source regression needs --regression-profile"),
+    ])
+    def test_estimate_without_its_profile_flag_exits_4(self, tmp_path, capsys, estimator,
+                                                        flags, message):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out) == 0
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", out / "frames.jsonl", "--estimator", estimator,
+                       *flags, "--out", est) == 4
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not est.exists()
 
     def test_neo_norc_exact_under_identity_law(self, tmp_path):
         scene = {
@@ -617,6 +717,46 @@ class TestInputFaults:
                        "--camera-profile", camera, *flags, "--out", tmp_path / "est.jsonl") == 2
         assert (f"error: {stream}: frame frame_000000: box resolution 1280x720 differs from "
                 f"the {what} 640x360; scale the box first") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--estimator", "neo_norc", "--depth-profile", "builtin:P1"),
+        ("estimate", "--estimator", "neo", "--depth-profile", "builtin:P1",
+         "--gt-source", "truth"),
+        ("calibrate", "depth"),
+    ], ids=["neo_norc", "neo", "calibrate"])
+    def test_box_that_collapses_at_the_map_resolution_names_stream_and_frame(
+        self, tmp_path, capsys, argv
+    ):
+        # Two adjacent floats: a valid box at 1280 px that scales to an empty one at 1024 px.
+        x_min = 487.5602200032237
+        x_max = math.nextafter(x_min, math.inf)
+        assert x_max == 487.5602200032238
+        bbox = {"x_min": x_min, "y_min": 100.0, "x_max": x_max, "y_max": 300.0,
+                "resolution_w": 1280, "resolution_h": 720}
+        stream = _one_frame_stream(tmp_path, bbox, np.full((320, 1024), 0.5), {"vip": 3.0})
+        out = tmp_path / "out.json"
+        assert run_cli(argv[0], *argv[1:], "--stream", stream, "--out", out) == 2
+        assert (f"error: {stream}: frame f0: x extent [390.048176002579, 390.048176002579] "
+                "invalid for width 1024\n") in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("estimate", "--stream", stream, "--estimator", "geometric",
+                       "--camera-profile", "builtin:tello", "--out", out) == 0
+
+    @pytest.mark.parametrize("estimator, flags", [
+        ("regression", ()),
+        ("neo", ("--depth-profile", "builtin:P1")),  # the regression truth of the frame
+    ])
+    def test_box_area_too_large_for_a_float_names_stream_and_frame(self, tmp_path, capsys,
+                                                                   estimator, flags):
+        bbox = {"x_min": 0.0, "y_min": 0.0, "x_max": 1e200, "y_max": 1e200,
+                "resolution_w": 10**300, "resolution_h": 10**300}
+        stream = _one_frame_stream(tmp_path, bbox, np.full((32, 64), 0.5))
+        out = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", estimator, *flags,
+                       "--regression-profile", "builtin:P1", "--out", out) == 2
+        assert (f"error: {stream}: frame f0: box area inf is not finite\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_depth_profile_anchor_that_overflows_names_the_profile(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -1077,6 +1217,22 @@ class TestMapReadAhead:
         assert got.pop("frame_000002") == [canonical_jsonl_line(error)]
         del want["frame_000002"]
         assert got == want
+
+    def test_frame_without_a_depth_map_gives_one_error_event(self, tmp_path):
+        stream, profile = self.five_frames(tmp_path)
+        clean = tmp_path / "clean.jsonl"
+        assert self.neo_norc(stream, profile, clean) == 0
+        records = read_jsonl(stream)
+        del records[2]["depth_map_path"]
+        stream.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        est = tmp_path / "est.jsonl"
+        assert self.neo_norc(stream, profile, est) == 0
+        want = clean.read_text().splitlines(keepends=True)
+        got = est.read_text().splitlines(keepends=True)
+        error = {"event": "error", "reason": "frame frame_000002: no depth map recorded",
+                 "frame_id": "frame_000002", "timestamp_s": 0.4}
+        assert got[2] == canonical_jsonl_line(error)
+        assert got[:2] + got[3:] == want[:2] + want[3:]
 
     def test_repeated_frame_id_leaves_no_output(self, tmp_path, capsys):
         stream, profile = self.five_frames(tmp_path)

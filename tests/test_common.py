@@ -1,3 +1,4 @@
+import ast
 import functools
 import re
 import threading
@@ -101,3 +102,33 @@ def test_only_common_imports_concurrent_futures():
         if re.search(r"^\s*(from|import)\s+concurrent\b", path.read_text(), re.MULTILINE)
     )
     assert importers == ["common.py"]
+
+
+def test_every_error_class_is_raised_or_is_a_base_of_one_that_is():
+    """Each check is made by one owner: an error class that nothing raises is dead."""
+    classes = {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for node in ast.parse((SRC / "common.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    errors = {"Exception"}
+    while True:  # the classes of common.py that derive from Exception
+        found = {name for name, bases in classes.items() if bases & errors} - errors
+        if not found:
+            break
+        errors |= found
+    errors.discard("Exception")
+    raised = {
+        node.exc.func.id
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+    }
+    live = raised & errors
+    while True:  # a base of a live class is live
+        found = {base for name in live for base in classes[name]} & errors - live
+        if not found:
+            break
+        live |= found
+    assert sorted(errors - live) == []

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monorange.common import (
@@ -18,6 +20,7 @@ from monorange.geometry import (
     camera_to_frame_coords,
     estimate_distance_geometric,
     estimate_focal_length,
+    pixel_window,
     project_world_point,
     scale_bbox,
 )
@@ -209,6 +212,64 @@ class TestScaleBbox:
         scaled = scale_bbox(bbox, tw, th)
         assert scaled.width_px / tw == pytest.approx(bbox.width_px / 1280, rel=1e-9)
         assert scaled.height_px / th == pytest.approx(bbox.height_px / 720, rel=1e-9)
+
+
+def _assert_window_inside(bbox):
+    r0, r1, c0, c1 = pixel_window(bbox)
+    assert 0 <= r0 < r1 <= bbox.resolution_h
+    assert 0 <= c0 < c1 <= bbox.resolution_w
+    assert bbox.height_px > 0 and bbox.width_px > 0
+
+
+SUBNORMAL = 5e-324  # the smallest positive float
+HUGE_RES = int(1e308)  # the whole number 1e308 is, exactly
+
+# Whole-number resolutions, from one pixel to 1e308.
+RESOLUTIONS = st.one_of(st.integers(1, 4096), st.integers(1, HUGE_RES))
+
+
+def _extent(data, res: int) -> tuple[float, float]:
+    """An extent near ``[0, res]``: adjacent and equal floats and subnormal ends included."""
+    top = float(res)
+    lo = data.draw(st.one_of(
+        st.just(0.0),
+        st.floats(min_value=-SUBNORMAL * 2**20, max_value=SUBNORMAL * 2**20),
+        st.floats(min_value=0.0, max_value=top),
+    ))
+    hi = data.draw(st.one_of(
+        st.just(math.nextafter(lo, math.inf)),
+        st.just(lo),
+        st.floats(min_value=0.0, max_value=top),
+        st.just(top),
+        st.just(math.nextafter(top, math.inf)),
+    ))
+    return lo, hi
+
+
+class TestBoxInvariant:
+    """A BoundingBox alone keeps its pixel window non-empty and inside its resolution,
+    and its pixel height positive, so no caller checks either again."""
+
+    @pytest.mark.parametrize("x_min, x_max, y_min, y_max, res", [
+        (0.0, SUBNORMAL, 0.0, SUBNORMAL, 1),
+        (SUBNORMAL, 2 * SUBNORMAL, 1.0, math.nextafter(1.0, 2.0), 2),
+        (math.nextafter(1280.0, 0.0), 1280.0, 719.0, math.nextafter(719.0, 720.0), 1280),
+        (487.5602200032237, 487.5602200032238, 0.0, 1.0, 1280),
+        (math.nextafter(1e308, 0.0), 1e308, 0.0, 1e308, HUGE_RES),
+    ])
+    def test_edge_boxes(self, x_min, x_max, y_min, y_max, res):
+        _assert_window_inside(BoundingBox(x_min, y_min, x_max, y_max, res, res))
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_every_box_it_accepts(self, data):
+        res_w, res_h = data.draw(RESOLUTIONS), data.draw(RESOLUTIONS)
+        (x_min, x_max), (y_min, y_max) = _extent(data, res_w), _extent(data, res_h)
+        if not (0 <= x_min < x_max <= res_w and 0 <= y_min < y_max <= res_h):
+            with pytest.raises(DomainError):
+                BoundingBox(x_min, y_min, x_max, y_max, res_w, res_h)
+            return
+        _assert_window_inside(BoundingBox(x_min, y_min, x_max, y_max, res_w, res_h))
 
 
 class TestTypesValidation:

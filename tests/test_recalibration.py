@@ -352,3 +352,31 @@ class TestStep:
         recal = [r for r in results if r.recalibrated][0]
         expected = recal.coeffs.m * recal.estimates[0].score + recal.coeffs.s
         assert recal.vip_distance.value_m == pytest.approx(expected, abs=1e-12)
+
+    def test_frame_without_a_truth_warns_and_leaves_the_buffers_alone(self):
+        config = RecalibrationConfig()
+        state = fresh_state(config)
+        frame = one_frame([VIP], INTR, POSE, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
+        coeffs = self.static_coeffs()
+        result = step(frame.to_observation(), None, state, config, coeffs)
+        assert result.warning == "no-vip-truth"
+        assert len(state.T) == 0 and state.seconds_seen == 0
+        assert result.coeffs is coeffs and not result.drift_detected
+        assert result.vip_distance is not None  # estimation still happens
+
+    def test_drift_before_the_train_buffer_holds_n_new_warns_not_ready(self):
+        # At 1 fps the detector fires on its fifth sample, when T holds 5 < n_new = 7.
+        config = RecalibrationConfig(w=5, w_prime_s=10.0, fps=1, alpha=0.75, n_o=20)
+        assert config.n_new == 7
+        state = fresh_state(config)
+        frames = drift_sequence(
+            [VIP], INTR, POSE, PRE_LAW, POST_LAW, 0.0, 5.0, 1,
+            depth_w=DEPTH_W, depth_h=DEPTH_H,
+        )
+        coeffs = self.static_coeffs()
+        results = run_stream(frames, state, config, coeffs)
+        assert [r.warning for r in results] == [None] * 4 + ["recalibration-not-ready"]
+        assert [r.drift_detected for r in results] == [False] * 4 + [True]
+        assert not any(r.recalibrated for r in results)
+        assert results[-1].coeffs is coeffs
+        assert state.flag and len(state.T) == 5
