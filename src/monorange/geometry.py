@@ -75,6 +75,7 @@ class BoundingBox:
 
     @property
     def height_px(self) -> float:
+        """Always positive: ``y_min < y_max``, and float subtraction underflows gradually."""
         return self.y_max - self.y_min
 
     @property

@@ -735,7 +735,7 @@ class TestInputFaults:
                 "resolution_w": 1280, "resolution_h": 720}
         stream = _one_frame_stream(tmp_path, bbox, np.full((320, 1024), 0.5), {"vip": 3.0})
         out = tmp_path / "out.json"
-        assert run_cli(argv[0], *argv[1:], "--stream", stream, "--out", out) == 2
+        assert run_cli(*argv, "--stream", stream, "--out", out) == 2
         assert (f"error: {stream}: frame f0: x extent [390.048176002579, 390.048176002579] "
                 "invalid for width 1024\n") in capsys.readouterr().err
         assert not out.exists()
