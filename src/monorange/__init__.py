@@ -59,6 +59,6 @@ from .regression import (
     fit_regression,
     predict_distance,
 )
-from .synth import DepthLawSpec, SceneObject, drift_sequence
+from .synth import DepthLawSpec, SceneObject, SceneSpec
 
 __version__ = "0.1.0"

@@ -48,9 +48,6 @@ from .geometry import (
 )
 from .profiles import camera_from_payload
 
-LOW_NEAR = "low-near"
-HIGH_NEAR = "high-near"
-
 # Score assigned to pixels outside every object box; far enough that it never
 # wins a nearest-region statistic inside a box.
 BACKGROUND_DISTANCE_M = 50.0
@@ -95,49 +92,30 @@ class SceneObject:
 class DepthLawSpec:
     """The line generating scores from distances: score = (d - s_true) / m_true.
 
-    ``score_orientation`` documents which tail is nearest and must agree with
-    the sign of ``m_true`` (positive slope means low scores are near).
+    The sign of ``m_true`` says which scores are near: low ones for a positive
+    slope, high ones for a negative slope.
     """
 
     m_true: float
     s_true: float
     noise_sigma: float = 0.0
-    score_orientation: str = LOW_NEAR
 
     def __post_init__(self):
         if self.m_true == 0.0:
             raise DomainError("generating slope must be nonzero")
         if self.noise_sigma < 0:
             raise DomainError(f"noise sigma must be >= 0, got {self.noise_sigma}")
-        if self.score_orientation not in (LOW_NEAR, HIGH_NEAR):
-            raise DomainError(f"unknown orientation {self.score_orientation!r}")
-        expected = LOW_NEAR if self.m_true > 0 else HIGH_NEAR
-        if self.score_orientation != expected:
-            raise DomainError(
-                f"orientation {self.score_orientation!r} inconsistent with "
-                f"m_true={self.m_true} (expected {expected!r})"
-            )
 
     def score_for_distance(self, distance_m: float) -> float:
         return (distance_m - self.s_true) / self.m_true
 
 
 @dataclass(frozen=True)
-class SynthFrame:
-    """One generated frame: detections, depth map, and per-detection truths."""
+class SynthFrame(FrameObservation):
+    """One generated frame, with each detection's true distance and the law it follows."""
 
-    detections: tuple[Detection, ...]
-    depth_map: DepthMap
     truths: tuple[float, ...]
-    timestamp_s: float
     law: DepthLawSpec
-
-    def to_observation(self) -> FrameObservation:
-        return FrameObservation(
-            detections=self.detections,
-            depth_map=self.depth_map,
-            timestamp_s=self.timestamp_s,
-        )
 
 
 def _object_bbox(obj: SceneObject, intrinsics: CameraIntrinsics, pose: DronePose) -> BoundingBox:
@@ -213,7 +191,7 @@ def _paint(
     # threshold at twice a map's size: a process that goes on to read maps
     # (estimate after synth in one process) then has its heap trimmed and
     # faulted back in on some frames, which raised its p98 frame time by 40 %.
-    # Identical frames are rendered once (drift_sequence), which changes how
+    # Identical frames are rendered once (SceneSpec.frames), which changes how
     # often this canvas is painted, not how.
     background = law.score_for_distance(BACKGROUND_DISTANCE_M)
     scores = np.full((depth_h, depth_w), background, dtype=np.float64)
@@ -226,68 +204,9 @@ def _paint(
     return DepthMap(scores)
 
 
-def drift_sequence(
-    objects: Sequence[SceneObject],
-    intrinsics: CameraIntrinsics,
-    pose: DronePose,
-    pre_law: DepthLawSpec,
-    post_law: DepthLawSpec,
-    switch_time_s: float,
-    duration_s: float,
-    fps: int,
-    seed: int = 0,
-    depth_w: int = DEFAULT_DEPTH_W,
-    depth_h: int = DEFAULT_DEPTH_H,
-) -> Iterator[SynthFrame]:
-    """Replayable frame stream whose generating law switches mid-run.
-
-    Frames with ``timestamp < switch_time_s`` follow ``pre_law``, later ones
-    ``post_law``; timestamps advance at ``1/fps``. Boxes, detections and
-    truths are projected once; a frame whose map equals the previous frame's
-    shares that frame's :class:`DepthMap`. A noisy frame's draws come from a
-    helper thread, one frame ahead; a draw that fails raises from its own
-    frame's ``next()``.
-    """
-    if not duration_s > switch_time_s:
-        raise DomainError(
-            f"duration {duration_s}s must exceed the switch time {switch_time_s}s"
-        )
-    if switch_time_s < 0:
-        raise DomainError(f"switch time must be >= 0, got {switch_time_s}")
-    if fps < 1:
-        raise DomainError(f"fps must be >= 1, got {fps}")
-    if not math.isfinite(duration_s * fps):
-        raise DomainError(f"duration {duration_s}s at {fps} fps holds too many frames to count")
-    n_frames = int(round(duration_s * fps))
-    if n_frames < 1:
-        raise DomainError(f"duration {duration_s}s at {fps} fps holds no frame")
-    rng = np.random.default_rng(seed)
-    detections, truths, regions = _project(objects, intrinsics, pose, depth_w, depth_h)
-
-    def draw(law: DepthLawSpec):
-        """A noisy frame's draws, the only use of ``rng``; a noiseless frame has none."""
-        return functools.partial(_draw, regions, law, rng) if law.noise_sigma > 0 else None
-
-    laws = (pre_law if i / fps < switch_time_s else post_law for i in range(n_frames))
-    frame = None
-    with contextlib.closing(one_ahead(laws, draw)) as ahead:
-        for i, (law, noise) in enumerate(ahead):
-            # Objects stand still, so a map changes only with the law or its
-            # noise. Objects that move must add "and no object moved" to this
-            # condition.
-            if frame is not None and frame.law == law and law.noise_sigma == 0:
-                depth_map = frame.depth_map
-            else:
-                depth_map = _paint(
-                    regions, law, None if noise is None else noise.result(), depth_w, depth_h
-                )
-            frame = SynthFrame(detections, depth_map, truths, i / fps, law)
-            yield frame
-
-
 @dataclass(frozen=True)
 class SceneSpec:
-    """Parsed scene description for the command-line generator."""
+    """A synthetic scene: camera, still objects and generating law; it renders its own frames."""
 
     intrinsics: CameraIntrinsics
     pose: DronePose
@@ -308,20 +227,58 @@ class SceneSpec:
             )
 
     def frames(self, seed: int = 0) -> Iterator[SynthFrame]:
-        """The scene's frames; without a ``post_law`` the law never switches."""
-        yield from drift_sequence(
-            self.objects,
-            self.intrinsics,
-            self.pose,
-            self.law,
-            self.law if self.post_law is None else self.post_law,
-            self.switch_time_s,
-            self.duration_s,
-            self.fps,
-            seed=seed,
-            depth_w=self.depth_w,
-            depth_h=self.depth_h,
+        """Replayable frame stream whose generating law may switch mid-run.
+
+        Frames with ``timestamp < switch_time_s`` follow ``law``, later ones
+        ``post_law``; without a ``post_law`` the law never switches.
+        Timestamps advance at ``1/fps``. Boxes, detections and truths are
+        projected once; a frame whose map equals the previous frame's shares
+        that frame's :class:`DepthMap`. A noisy frame's draws come from a
+        helper thread, one frame ahead; a draw that fails raises from its own
+        frame's ``next()``.
+        """
+        duration_s, switch_time_s, fps = self.duration_s, self.switch_time_s, self.fps
+        if not duration_s > switch_time_s:
+            raise DomainError(
+                f"duration {duration_s}s must exceed the switch time {switch_time_s}s"
+            )
+        if switch_time_s < 0:
+            raise DomainError(f"switch time must be >= 0, got {switch_time_s}")
+        if fps < 1:
+            raise DomainError(f"fps must be >= 1, got {fps}")
+        if not math.isfinite(duration_s * fps):
+            raise DomainError(
+                f"duration {duration_s}s at {fps} fps holds too many frames to count"
+            )
+        n_frames = int(round(duration_s * fps))
+        if n_frames < 1:
+            raise DomainError(f"duration {duration_s}s at {fps} fps holds no frame")
+        rng = np.random.default_rng(seed)
+        depth_w, depth_h = self.depth_w, self.depth_h
+        detections, truths, regions = _project(
+            self.objects, self.intrinsics, self.pose, depth_w, depth_h
         )
+
+        def draw(law: DepthLawSpec):
+            """A noisy frame's draws, the only use of ``rng``; a noiseless frame has none."""
+            return functools.partial(_draw, regions, law, rng) if law.noise_sigma > 0 else None
+
+        post_law = self.law if self.post_law is None else self.post_law
+        laws = (self.law if i / fps < switch_time_s else post_law for i in range(n_frames))
+        frame = None
+        with contextlib.closing(one_ahead(laws, draw)) as ahead:
+            for i, (law, noise) in enumerate(ahead):
+                # Objects stand still, so a map changes only with the law or its
+                # noise. Objects that move must add "and no object moved" to this
+                # condition.
+                if frame is not None and frame.law == law and law.noise_sigma == 0:
+                    depth_map = frame.depth_map
+                else:
+                    depth_map = _paint(
+                        regions, law, None if noise is None else noise.result(), depth_w, depth_h
+                    )
+                frame = SynthFrame(detections, depth_map, i / fps, truths, law)
+                yield frame
 
 
 def _parse_law(payload: dict) -> DepthLawSpec:
@@ -329,9 +286,6 @@ def _parse_law(payload: dict) -> DepthLawSpec:
         m_true=float(payload["m_true"]),
         s_true=float(payload["s_true"]),
         noise_sigma=float(payload.get("noise_sigma", 0.0)),
-        score_orientation=payload.get(
-            "score_orientation", LOW_NEAR if float(payload["m_true"]) > 0 else HIGH_NEAR
-        ),
     )
 
 

@@ -55,7 +55,7 @@ from monorange.regression import (
     fit_regression,
     predict_distance,
 )
-from monorange.synth import DepthLawSpec, SceneObject, drift_sequence
+from monorange.synth import DepthLawSpec, SceneObject, SceneSpec
 
 F = 1592.0
 INTR = CameraIntrinsics(F, 1280, 720, 82.6)
@@ -260,10 +260,11 @@ def _drive(post_law, duration_s):
     state = RecalibrationState(DRIFT_CONFIG, _anchor_samples(), seed=0)
     coeffs = fit_coefficients(_anchor_samples())
     results = []
-    frames = drift_sequence([VIP], INTR, POSE, PRE_LAW, post_law, 20.0, duration_s, 30,
-                            depth_w=64, depth_h=40)
+    frames = SceneSpec(intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30,
+                       duration_s=duration_s, depth_w=64, depth_h=40, post_law=post_law,
+                       switch_time_s=20.0).frames()
     for frame in frames:
-        result = step(frame.to_observation(), 3.0, state, DRIFT_CONFIG, coeffs)
+        result = step(frame, 3.0, state, DRIFT_CONFIG, coeffs)
         coeffs = result.coeffs
         results.append(result)
     return results

@@ -953,8 +953,6 @@ class TestSceneFaults:
         (lambda s: s.update(depth_resolution=[64]),
          "malformed scene spec (not enough values to unpack"),
         (lambda s: s.update(fps=2.7), "malformed scene spec (fps 2.7 is not a whole number)"),
-        (lambda s: s["law"].update(score_orientation="up"),
-         "malformed scene spec (unknown orientation 'up')"),
         (lambda s: s["law"].update(m_true=1e-300),
          "scene cannot be rendered (depth map contains non-finite scores)"),
         (lambda s: s.update(fps=0), "scene cannot be rendered (fps must be >= 1, got 0)"),
@@ -963,7 +961,7 @@ class TestSceneFaults:
             for d, x in ((5.0, -1.0), (7.0, 1.0))),
          "ambiguous ground truth (2 detections carry the ground-truth key 'car')"),
     ], ids=["negative-resolution", "zero-resolution", "short-resolution", "fractional-fps",
-            "orientation", "tiny-slope", "zero-fps", "shared-truth-key"])
+            "tiny-slope", "zero-fps", "shared-truth-key"])
     def test_bad_scene_exits_2_naming_the_file(self, tmp_path, capsys, edit, message):
         scene = json.loads((SCENES / "calib_2p5m.json").read_text())
         edit(scene)

@@ -12,7 +12,7 @@ from monorange.depth import (
     step,
 )
 from monorange.geometry import CameraIntrinsics, DronePose
-from monorange.synth import DepthLawSpec, SceneObject, drift_sequence
+from monorange.synth import DepthLawSpec, SceneObject, SceneSpec
 
 INTR = CameraIntrinsics(1592.0, 1280, 720, 82.6)
 POSE = DronePose(1.5)
@@ -25,8 +25,9 @@ DEPTH_W, DEPTH_H = 64, 40
 
 def one_frame(objects, intrinsics, pose, law, seed=0, **kwargs):
     """The single frame of a one-second stream at 1 fps, rendered from ``seed``."""
-    return next(drift_sequence(objects, intrinsics, pose, law, law, 0.0, 1.0, 1,
-                               seed=seed, **kwargs))
+    spec = SceneSpec(intrinsics=intrinsics, pose=pose, objects=tuple(objects), law=law, fps=1,
+                     duration_s=1.0, **kwargs)
+    return next(spec.frames(seed))
 
 
 def anchor_samples(law, n_per=10, distances=(2.5, 4.0)):
@@ -182,7 +183,7 @@ def run_stream(frames, state, config, coeffs, truth=3.0):
     """Drive step() over a synthetic stream; returns per-frame results."""
     results = []
     for frame in frames:
-        result = step(frame.to_observation(), truth, state, config, coeffs)
+        result = step(frame, truth, state, config, coeffs)
         coeffs = result.coeffs
         results.append(result)
     return results
@@ -213,30 +214,30 @@ class TestStep:
     def test_train_buffer_capacity_after_five_seconds(self):
         config = RecalibrationConfig(w_prime_s=5.0, fps=30)
         state = fresh_state(config)
-        frames = drift_sequence(
-            [VIP], INTR, POSE, PRE_LAW, PRE_LAW, 1.0, 5.0, 30,
-            depth_w=DEPTH_W, depth_h=DEPTH_H,
-        )
+        frames = SceneSpec(
+            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=5.0,
+            depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=PRE_LAW, switch_time_s=1.0,
+        ).frames()
         run_stream(frames, state, config, self.static_coeffs())
         assert len(state.T) == 150
 
     def test_one_per_second_cadence(self):
         config = RecalibrationConfig()
         state = fresh_state(config)
-        frames = drift_sequence(
-            [VIP], INTR, POSE, PRE_LAW, PRE_LAW, 1.0, 3.5, 30,
-            depth_w=DEPTH_W, depth_h=DEPTH_H,
-        )
+        frames = SceneSpec(
+            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=3.5,
+            depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=PRE_LAW, switch_time_s=1.0,
+        ).frames()
         run_stream(frames, state, config, self.static_coeffs())
         assert state.seconds_seen == 4  # seconds 0, 1, 2, 3
 
     def test_constant_scene_never_changes_coefficients(self):
         config = self.CONFIG
         state = fresh_state(config)
-        frames = drift_sequence(
-            [VIP], INTR, POSE, PRE_LAW, PRE_LAW, 10.0, 40.0, 10,
-            depth_w=DEPTH_W, depth_h=DEPTH_H,
-        )
+        frames = SceneSpec(
+            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=10, duration_s=40.0,
+            depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=PRE_LAW, switch_time_s=10.0,
+        ).frames()
         results = run_stream(frames, state, config, self.static_coeffs())
         assert not any(r.drift_detected for r in results)
         assert not any(r.recalibrated for r in results)
@@ -245,10 +246,10 @@ class TestStep:
     def test_drift_detection_fires_within_window(self):
         config = self.CONFIG
         state = fresh_state(config)
-        frames = drift_sequence(
-            [VIP], INTR, POSE, PRE_LAW, POST_LAW, 20.0, 28.0, 30,
-            depth_w=DEPTH_W, depth_h=DEPTH_H,
-        )
+        frames = SceneSpec(
+            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=28.0,
+            depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=20.0,
+        ).frames()
         results = run_stream(frames, state, config, self.static_coeffs())
         fired = [r.timestamp_s for r in results if r.drift_detected]
         assert fired, "drift was never detected"
@@ -257,10 +258,10 @@ class TestStep:
     def test_recalibration_brings_error_under_threshold(self):
         config = self.CONFIG
         state = fresh_state(config)
-        frames = drift_sequence(
-            [VIP], INTR, POSE, PRE_LAW, POST_LAW, 20.0, 30.0, 30,
-            depth_w=DEPTH_W, depth_h=DEPTH_H,
-        )
+        frames = SceneSpec(
+            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=30.0,
+            depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=20.0,
+        ).frames()
         results = run_stream(frames, state, config, self.static_coeffs())
         recal = [r for r in results if r.recalibrated]
         assert len(recal) == 1
@@ -277,10 +278,10 @@ class TestStep:
     def test_recalibrated_line_lies_between_laws(self):
         config = self.CONFIG
         state = fresh_state(config)
-        frames = drift_sequence(
-            [VIP], INTR, POSE, PRE_LAW, POST_LAW, 20.0, 30.0, 30,
-            depth_w=DEPTH_W, depth_h=DEPTH_H,
-        )
+        frames = SceneSpec(
+            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=30.0,
+            depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=20.0,
+        ).frames()
         results = run_stream(frames, state, config, self.static_coeffs())
         recal = [r for r in results if r.recalibrated][0]
         score = POST_LAW.score_for_distance(3.0)
@@ -297,7 +298,7 @@ class TestStep:
         bystander = SceneObject("bystander", 1.65, 4.0, lateral_offset_m=1.0)
         frame = one_frame([bystander], INTR, POSE, PRE_LAW,
                           depth_w=DEPTH_W, depth_h=DEPTH_H)
-        result = step(frame.to_observation(), 3.0, state, config, self.static_coeffs())
+        result = step(frame, 3.0, state, config, self.static_coeffs())
         assert result.warning == "no-vip-detection"
         assert result.vip_distance is None
         assert len(result.estimates) == 1
@@ -310,7 +311,7 @@ class TestStep:
         )
         config = RecalibrationConfig()
         with pytest.raises(DomainError):
-            step(frame.to_observation(), 3.0, fresh_state(config), config,
+            step(frame, 3.0, fresh_state(config), config,
                  self.static_coeffs())
 
     def test_out_of_domain_truth_excluded(self):
@@ -320,7 +321,7 @@ class TestStep:
         state = fresh_state(config)
         frame = one_frame([VIP], INTR, POSE, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
         result = step(
-            frame.to_observation(),
+            frame,
             DistanceEstimate(-1.0, out_of_domain=True),
             state, config, self.static_coeffs(),
         )
@@ -330,12 +331,12 @@ class TestStep:
 
     def test_without_state_no_drift_handling(self):
         coeffs = self.static_coeffs()
-        frames = drift_sequence(
-            [VIP], INTR, POSE, PRE_LAW, POST_LAW, 2.0, 4.0, 10,
-            depth_w=DEPTH_W, depth_h=DEPTH_H,
-        )
+        frames = SceneSpec(
+            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=10, duration_s=4.0,
+            depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=2.0,
+        ).frames()
         for frame in frames:
-            result = step(frame.to_observation(), 3.0, None, None, coeffs)
+            result = step(frame, 3.0, None, None, coeffs)
             assert result.coeffs is coeffs
             assert not result.drift_detected and not result.recalibrated
             assert result.warning is None
@@ -344,10 +345,10 @@ class TestStep:
     def test_estimates_use_post_recalibration_coefficients(self):
         config = self.CONFIG
         state = fresh_state(config)
-        frames = drift_sequence(
-            [VIP], INTR, POSE, PRE_LAW, POST_LAW, 20.0, 27.0, 30,
-            depth_w=DEPTH_W, depth_h=DEPTH_H,
-        )
+        frames = SceneSpec(
+            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=27.0,
+            depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=20.0,
+        ).frames()
         results = run_stream(frames, state, config, self.static_coeffs())
         recal = [r for r in results if r.recalibrated][0]
         expected = recal.coeffs.m * recal.estimates[0].score + recal.coeffs.s
@@ -358,7 +359,7 @@ class TestStep:
         state = fresh_state(config)
         frame = one_frame([VIP], INTR, POSE, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
         coeffs = self.static_coeffs()
-        result = step(frame.to_observation(), None, state, config, coeffs)
+        result = step(frame, None, state, config, coeffs)
         assert result.warning == "no-vip-truth"
         assert len(state.T) == 0 and state.seconds_seen == 0
         assert result.coeffs is coeffs and not result.drift_detected
@@ -369,10 +370,10 @@ class TestStep:
         config = RecalibrationConfig(w=5, w_prime_s=10.0, fps=1, alpha=0.75, n_o=20)
         assert config.n_new == 7
         state = fresh_state(config)
-        frames = drift_sequence(
-            [VIP], INTR, POSE, PRE_LAW, POST_LAW, 0.0, 5.0, 1,
-            depth_w=DEPTH_W, depth_h=DEPTH_H,
-        )
+        frames = SceneSpec(
+            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=1, duration_s=5.0,
+            depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=0.0,
+        ).frames()
         coeffs = self.static_coeffs()
         results = run_stream(frames, state, config, coeffs)
         assert [r.warning for r in results] == [None] * 4 + ["recalibration-not-ready"]

@@ -37,9 +37,9 @@ from monorange.synth import (
     BACKGROUND_DISTANCE_M,
     DepthLawSpec,
     SceneObject,
+    SceneSpec,
     _paint,
     _project,
-    drift_sequence,
     load_scene_spec,
 )
 
@@ -51,8 +51,9 @@ LAW = DepthLawSpec(m_true=6.0, s_true=1.0)
 
 def one_frame(objects, intrinsics, pose, law, seed=0, **kwargs):
     """The single frame of a one-second stream at 1 fps, rendered from ``seed``."""
-    return next(drift_sequence(objects, intrinsics, pose, law, law, 0.0, 1.0, 1,
-                               seed=seed, **kwargs))
+    spec = SceneSpec(intrinsics=intrinsics, pose=pose, objects=tuple(objects), law=law, fps=1,
+                     duration_s=1.0, **kwargs)
+    return next(spec.frames(seed))
 
 
 class TestSynthFrame:
@@ -190,10 +191,11 @@ class TestDriftSequence:
 
     def test_timestamps_and_law_switch(self):
         frames = list(
-            drift_sequence(
-                [self.VIP], INTR, POSE, LAW, DepthLawSpec(6.0, 2.0), 1.0, 2.0, 10,
-                depth_w=64, depth_h=40,
-            )
+            SceneSpec(
+                intrinsics=INTR, pose=POSE, objects=(self.VIP,), law=LAW, fps=10,
+                duration_s=2.0, depth_w=64, depth_h=40, post_law=DepthLawSpec(6.0, 2.0),
+                switch_time_s=1.0,
+            ).frames()
         )
         assert len(frames) == 20
         assert frames[0].timestamp_s == 0.0
@@ -203,16 +205,18 @@ class TestDriftSequence:
     def test_duration_must_exceed_switch(self):
         with pytest.raises(DomainError):
             list(
-                drift_sequence([self.VIP], INTR, POSE, LAW, LAW, 5.0, 5.0, 10)
+                SceneSpec(intrinsics=INTR, pose=POSE, objects=(self.VIP,), law=LAW, fps=10,
+                          duration_s=5.0, switch_time_s=5.0).frames()
             )
 
     def test_a_frame_count_too_large_to_count_is_rejected(self):
         with pytest.raises(DomainError, match="too many frames"):
-            next(drift_sequence([self.VIP], INTR, POSE, LAW, LAW, 0.0, 1e308, 30))
+            next(SceneSpec(intrinsics=INTR, pose=POSE, objects=(self.VIP,), law=LAW, fps=30,
+                           duration_s=1e308).frames())
 
     def test_laws_are_picked_as_frames_are_taken(self):
-        frames = drift_sequence([self.VIP], INTR, POSE, LAW, LAW, 0.0, 1e5, 30,
-                                depth_w=64, depth_h=40)
+        frames = SceneSpec(intrinsics=INTR, pose=POSE, objects=(self.VIP,), law=LAW, fps=30,
+                           duration_s=1e5, depth_w=64, depth_h=40).frames()
         tracemalloc.start()
         try:
             next(frames), next(frames)
@@ -236,8 +240,9 @@ class TestDriftSequence:
 
     def test_identical_laws_give_identical_score_streams(self):
         frames = list(
-            drift_sequence([self.VIP], INTR, POSE, LAW, LAW, 1.0, 2.0, 5,
-                           depth_w=64, depth_h=40)
+            SceneSpec(intrinsics=INTR, pose=POSE, objects=(self.VIP,), law=LAW, fps=5,
+                      duration_s=2.0, depth_w=64, depth_h=40, post_law=LAW,
+                      switch_time_s=1.0).frames()
         )
         first = frames[0].depth_map.scores.tobytes()
         assert all(f.depth_map.scores.tobytes() == first for f in frames)
@@ -254,8 +259,10 @@ class TestMapReuse:
     POST = DepthLawSpec(m_true=6.0, s_true=1.45)
 
     def frames(self, pre_law, post_law, switch_time_s=1.0):
-        return list(drift_sequence(self.OBJECTS, INTR, POSE, pre_law, post_law,
-                                   switch_time_s, 2.0, 5, seed=3, depth_w=64, depth_h=40))
+        spec = SceneSpec(intrinsics=INTR, pose=POSE, objects=self.OBJECTS, law=pre_law, fps=5,
+                         duration_s=2.0, depth_w=64, depth_h=40, post_law=post_law,
+                         switch_time_s=switch_time_s)
+        return list(spec.frames(3))
 
     def test_noiseless_frames_under_one_law_share_one_fresh_map(self):
         frames = self.frames(LAW, self.POST)
@@ -313,8 +320,9 @@ class TestDrawAhead:
     NOISY = TestMapReuse.NOISY
 
     def frames(self, law, seed=3):
-        return drift_sequence(self.OBJECTS, INTR, POSE, law, law, 0.0, 2.0, 5,
-                              seed=seed, depth_w=64, depth_h=40)
+        spec = SceneSpec(intrinsics=INTR, pose=POSE, objects=self.OBJECTS, law=law, fps=5,
+                         duration_s=2.0, depth_w=64, depth_h=40)
+        return spec.frames(seed)
 
     @staticmethod
     def maps(frames):
@@ -384,11 +392,6 @@ class TestDrawAhead:
 
 
 class TestLawSpec:
-    def test_orientation_must_match_slope_sign(self):
-        with pytest.raises(DomainError):
-            DepthLawSpec(m_true=6.0, s_true=1.0, score_orientation="high-near")
-        DepthLawSpec(m_true=-6.0, s_true=1.0, score_orientation="high-near")
-
     def test_zero_slope_rejected(self):
         with pytest.raises(DomainError):
             DepthLawSpec(m_true=0.0, s_true=1.0)
@@ -396,7 +399,7 @@ class TestLawSpec:
     def test_inverted_map_with_highest_tail_selection(self):
         """Negative-slope law: near pixels carry high scores; the nearest-region
         statistic must then take the highest tail."""
-        law = DepthLawSpec(m_true=-2.0, s_true=10.0, score_orientation="high-near")
+        law = DepthLawSpec(m_true=-2.0, s_true=10.0)
         obj = SceneObject("vip", 0.63, 3.0, is_vip=True)
         frame = one_frame([obj], INTR, POSE, law, depth_w=64, depth_h=40)
         scaled = scale_bbox(frame.detections[0].bbox, 64, 40)
