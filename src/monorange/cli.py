@@ -254,24 +254,43 @@ def _check_resolution(
         )
 
 
-class _RegressionRunner:
-    """Applies a fitted box-feature model to the stream's person detections.
+class _CheckedRegression:
+    """A fitted box-feature model that predicts only in its calibrated resolution.
 
     Features are meaningful only in the resolution the model was calibrated
-    in, so boxes from any other resolution are rejected; the native resolution
-    comes from the camera profile when given, otherwise from the first frame.
+    in, so a box from any other resolution is rejected; the native resolution
+    comes from the camera profile when given, otherwise from the first box.
     """
 
-    needs_depth_map = False
-
-    def __init__(self, name: str, args):
+    def __init__(self, flag_for: str, args):
         self.model = _profile(
             args.regression_profile, "--regression-profile",
-            profiles.load_regression_profile, f"estimator {name!r}",
+            profiles.load_regression_profile, flag_for,
         )
         camera = profiles.load_camera_profile(args.camera_profile) if args.camera_profile else None
         self.native = (camera.image_width_px, camera.image_height_px) if camera else None
         self.stream = args.stream
+
+    def predict(self, ann: FrameAnnotation, bbox: BoundingBox) -> DistanceEstimate:
+        """The distance for ``bbox`` of frame ``ann``; a fault names the stream and frame."""
+        if self.native is None:
+            self.native = (bbox.resolution_w, bbox.resolution_h)
+        _check_resolution(self.stream, ann, bbox, self.native, "calibrated")
+        try:
+            features = RegressionFeatures.from_bbox(bbox)
+        except DomainError as exc:  # an area too large for a float
+            raise _frame_fault(self.stream, ann, exc) from exc
+        return predict_distance(self.model, features)
+
+
+class _RegressionRunner:
+    """Applies a fitted box-feature model to the stream's person detections."""
+
+    needs_depth_map = False
+
+    def __init__(self, name: str, args):
+        self.regression = _CheckedRegression(f"estimator {name!r}", args)
+        self.model = self.regression.model
         self._warned_vip = False
 
     def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
@@ -289,14 +308,7 @@ class _RegressionRunner:
         for det in ann.detections:
             if not det.is_vip:
                 continue  # this estimator only covers the followed person
-            if self.native is None:
-                self.native = (det.bbox.resolution_w, det.bbox.resolution_h)
-            _check_resolution(self.stream, ann, det.bbox, self.native, "calibrated")
-            try:
-                features = RegressionFeatures.from_bbox(det.bbox)
-            except DomainError as exc:  # an area too large for a float
-                raise _frame_fault(self.stream, ann, exc) from exc
-            estimate = predict_distance(self.model, features)
+            estimate = self.regression.predict(ann, det.bbox)
             flags = ["out-of-domain"] if estimate.out_of_domain else []
             out.append(object_record(ann, det, estimate, flags))
 
@@ -359,7 +371,7 @@ class _NeoRunner:
         self.smoother = smoother if window > 1 else None
         self.coeffs = profile.to_coefficients()
         self.stream = args.stream
-        self.config = self.state = self.gt_model = None
+        self.config = self.state = self.gt_regression = None
         if not recalibrate:
             return
         self.config = depth_mod.RecalibrationConfig(
@@ -371,10 +383,8 @@ class _NeoRunner:
             n_o=args.n_o,
         )
         if args.gt_source == "regression":
-            self.gt_model = _profile(
-                args.regression_profile, "--regression-profile",
-                profiles.load_regression_profile,
-                f"estimator {name!r} with --gt-source regression",
+            self.gt_regression = _CheckedRegression(
+                f"estimator {name!r} with --gt-source regression", args
             )
         self.state = depth_mod.RecalibrationState(
             self.config, self._load_recal_samples(args, profile), seed=args.seed
@@ -411,30 +421,31 @@ class _NeoRunner:
         return anchors
 
     def vip_truth(self, ann: FrameAnnotation) -> DistanceEstimate | None:
-        if self.gt_model is None:
+        if self.gt_regression is None:
             value = (ann.ground_truth or {}).get("vip")
             return None if value is None else DistanceEstimate(float(value))
         vips = [d for d in ann.detections if d.is_vip]
         if not vips:
             return None
-        return predict_distance(self.gt_model, RegressionFeatures.from_bbox(vips[0].bbox))
+        return self.gt_regression.predict(ann, vips[0].bbox)
 
     def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
         frame = depth_mod.FrameObservation(
             detections=ann.detections, depth_map=depth_map, timestamp_s=ann.timestamp_s
         )
+        # A regression truth's faults already name the stream and frame.
+        truth = None if self.state is None else self.vip_truth(ann)
         try:
             result = depth_mod.step(
                 frame,
-                None if self.state is None else self.vip_truth(ann),
+                truth,
                 self.state,
                 self.config,
                 self.coeffs,
                 method=self.method,
                 smoother=self.smoother,
             )
-        except DomainError as exc:  # a box that collapses at the map's resolution, or
-            # a regression truth's box whose area is too large for a float
+        except DomainError as exc:  # a box that collapses at the map's resolution
             raise _frame_fault(self.stream, ann, exc) from exc
         self.coeffs = result.coeffs
         if result.recalibrated:

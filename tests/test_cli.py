@@ -718,6 +718,35 @@ class TestInputFaults:
         assert (f"error: {stream}: frame frame_000000: box resolution 1280x720 differs from "
                 f"the {what} 640x360; scale the box first") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator, flags", [
+        ("regression", ()),
+        ("neo", ("--depth-profile", "builtin:P1")),  # the regression truth of the frame
+    ])
+    def test_mixed_resolution_stream_exits_2_naming_the_frame_once(self, tmp_path, capsys,
+                                                                   estimator, flags):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "static_mixed.json", "--out-dir", out,
+                       "--seed", 1) == 0
+        lines = []
+        for i, line in enumerate((out / "frames.jsonl").read_text().splitlines()):
+            frame = json.loads(line)
+            if i % 2:  # every other frame's boxes rescaled from 1280x720 to 1920x1080
+                for det in frame["detections"]:
+                    bbox = det["bbox"]
+                    for key in ("x_min", "y_min", "x_max", "y_max"):
+                        bbox[key] *= 1.5
+                    bbox.update(resolution_w=1920, resolution_h=1080)
+            lines.append(json.dumps(frame) + "\n")
+        stream = out / "mixed.jsonl"
+        stream.write_text("".join(lines))
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", estimator, *flags,
+                       "--regression-profile", "builtin:P1", "--out", est) == 2
+        assert capsys.readouterr().err == (
+            f"error: {stream}: frame frame_000001: box resolution 1920x1080 differs from the "
+            "calibrated 1280x720; scale the box first\n")
+        assert not est.exists()
+
     @pytest.mark.parametrize("argv", [
         ("estimate", "--estimator", "neo_norc", "--depth-profile", "builtin:P1"),
         ("estimate", "--estimator", "neo", "--depth-profile", "builtin:P1",
@@ -770,6 +799,106 @@ class TestInputFaults:
         assert (f"error: depth profile {profile}: its line gives no usable anchor "
                 "(normalized score must be finite, got inf)") in capsys.readouterr().err
         assert not est.exists()
+
+
+class TestNeoRecalibrationInputs:
+    """The offline anchors and the regression truths that ``neo`` recalibrates from."""
+
+    @staticmethod
+    def drift_stream(tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out,
+                       "--seed", 5) == 0
+        return out / "frames.jsonl"
+
+    @staticmethod
+    def neo(stream, profile, out, *flags):
+        return run_cli("estimate", "--stream", stream, "--estimator", "neo",
+                       "--depth-profile", profile, "--gt-source", "truth", "--fps", "10",
+                       "--seed", "11", *flags, "--out", out)
+
+    @staticmethod
+    def write_anchors(path, profile, count):
+        """``count`` of the anchors the profile's line gives its pair: (d - s) / m, 10 each."""
+        coeffs = load_depth_profile(profile).to_coefficients()
+        anchors = [{"normalized_score": (d - coeffs.s) / coeffs.m, "true_distance_m": d}
+                   for d in (2.5, 4.0) for _ in range(10)]
+        path.write_text("".join(json.dumps(a) + "\n" for a in anchors[:count]))
+        return path
+
+    def test_samples_equal_to_the_profile_anchors_give_the_same_bytes(self, tmp_path):
+        stream = self.drift_stream(tmp_path)
+        profile = _write_depth_profile(tmp_path / "depth.json", m=5.9, s=1.1)
+        samples = self.write_anchors(tmp_path / "samples.jsonl", profile, 20)
+        assert self.neo(stream, profile, tmp_path / "a.jsonl") == 0
+        assert self.neo(stream, profile, tmp_path / "b.jsonl", "--recal-samples", samples) == 0
+        text = (tmp_path / "a.jsonl").read_text()
+        assert '"event": "recalibration"' in text
+        assert (tmp_path / "b.jsonl").read_text() == text
+
+    def test_a_sample_count_other_than_n_o_exits_2(self, tmp_path, capsys):
+        stream = self.drift_stream(tmp_path)
+        profile = _write_depth_profile(tmp_path / "depth.json")
+        samples = self.write_anchors(tmp_path / "samples.jsonl", profile, 19)
+        est = tmp_path / "est.jsonl"
+        assert self.neo(stream, profile, est, "--recal-samples", samples) == 2
+        assert f"error: --n-o is 20 but {samples} holds 19\n" in capsys.readouterr().err
+        assert not est.exists()
+
+    def test_a_profile_without_a_pair_needs_samples(self, tmp_path, capsys):
+        stream = self.drift_stream(tmp_path)
+        profile = tmp_path / "depth.json"
+        save_profile(profile, DepthProfile(vip_id="S1", m=6.0, s=1.0, unit="m"))
+        est = tmp_path / "est.jsonl"
+        assert self.neo(stream, profile, est) == 4
+        assert ("error: depth profile has no calibration pair; provide --recal-samples\n"
+                in capsys.readouterr().err)
+        assert not est.exists()
+
+    def test_a_frame_without_a_vip_keeps_its_other_records(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "static_mixed.json", "--out-dir", out,
+                       "--seed", 1) == 0
+        stream = _edit_third_record(
+            out / "frames.jsonl",
+            lambda r: r.update(detections=[d for d in r["detections"] if not d["is_vip"]]),
+        )
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "neo",
+                       "--depth-profile", "builtin:P1", "--regression-profile", "builtin:P1",
+                       "--out", est) == 0
+        records = read_jsonl(est)
+        assert not [r for r in records if "event" in r]
+        third = [r for r in records if r["frame_id"] == "frame_000002"]
+        assert sorted(r["class_label"] for r in third) == ["bystander", "car"]
+        assert len(records) == 3 * 10 - 1
+
+
+class TestInvertedMap:
+    """A map whose near pixels score high, calibrated and scored with ``--lt-take highest``."""
+
+    def test_highest_tail_recovers_the_line_and_the_distance(self, tmp_path):
+        streams = {}
+        for d in (2.5, 4.0, 3.0):
+            scene = json.loads((SCENES / "calib_2p5m.json").read_text())
+            scene["objects"][0]["distance_m"] = d
+            scene.update(law={"m_true": -6.0, "s_true": 30.0, "noise_sigma": 0.05},
+                         depth_resolution=[256, 160], duration_s=20)
+            scene_path = tmp_path / f"scene_{d}.json"
+            scene_path.write_text(json.dumps(scene))
+            out = tmp_path / f"run_{d}"
+            assert run_cli("synth", "--scene", scene_path, "--out-dir", out, "--seed", 3) == 0
+            streams[d] = out / "frames.jsonl"
+        profile = tmp_path / "depth.json"
+        assert run_cli("calibrate", "depth", "--stream", streams[2.5], "--stream", streams[4.0],
+                       "--lt-take", "highest", "--out", profile) == 0
+        assert load_depth_profile(profile).m == pytest.approx(-6.0, abs=0.01)
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", streams[3.0], "--estimator", "neo_norc",
+                       "--depth-profile", profile, "--lt-take", "highest", "--out", est) == 0
+        errors = [abs(r["distance_m"] - 3.0) for r in read_jsonl(est)]
+        assert len(errors) == 20
+        assert float(np.median(errors)) < 0.01
 
 
 class TestCodecFaults:
