@@ -262,10 +262,9 @@ class _CheckedRegression:
     comes from the camera profile when given, otherwise from the first box.
     """
 
-    def __init__(self, flag_for: str, args):
+    def __init__(self, who: str, args):
         self.model = _profile(
-            args.regression_profile, "--regression-profile",
-            profiles.load_regression_profile, flag_for,
+            args.regression_profile, "--regression-profile", profiles.load_regression_profile, who
         )
         camera = profiles.load_camera_profile(args.camera_profile) if args.camera_profile else None
         self.native = (camera.image_width_px, camera.image_height_px) if camera else None
@@ -290,19 +289,19 @@ class _RegressionRunner:
 
     def __init__(self, name: str, args):
         self.regression = _CheckedRegression(f"estimator {name!r}", args)
-        self.model = self.regression.model
         self._warned_vip = False
 
     def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
+        calibrated_for = self.regression.model.calibrated_for
         if (
             not self._warned_vip
             and ann.vip_id
-            and self.model.calibrated_for
-            and ann.vip_id != self.model.calibrated_for
+            and calibrated_for
+            and ann.vip_id != calibrated_for
         ):
             log.info(
                 "predicting person %s with a profile calibrated for %s",
-                ann.vip_id, self.model.calibrated_for,
+                ann.vip_id, calibrated_for,
             )
             self._warned_vip = True
         for det in ann.detections:
