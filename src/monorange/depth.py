@@ -506,8 +506,9 @@ class RecalibrationState:
     Single-writer: one stream owns one state. ``R`` holds trusted distances
     and ``D`` the depth-based estimates, both sampled once per wall-clock
     second; ``T`` holds (score, trusted distance) pairs at full frame rate.
-    All buffer writes stop while a detection is latched (``flag``) and resume
-    after recalibration clears it.
+    ``R`` and ``D`` stop while a detection is latched (``flag``) and resume
+    after recalibration clears it; ``T`` keeps filling, so a detection that
+    latches before ``T`` holds ``n_new`` samples refits once it does.
     """
 
     def __init__(
@@ -685,10 +686,11 @@ def step(
             warning = "no-vip-truth"
         elif truth.out_of_domain:
             warning = "vip-truth-out-of-domain"
-        elif not state.flag:
+        else:
             state.T.append(CalibrationSample(vip_score, truth.value_m))
-            estimated_m = coeffs.m * vip_score + coeffs.s
-            state.sample_second(frame.timestamp_s, truth.value_m, estimated_m)
+            if not state.flag:
+                estimated_m = coeffs.m * vip_score + coeffs.s
+                state.sample_second(frame.timestamp_s, truth.value_m, estimated_m)
 
         was_flagged = state.flag
         detect_drift(state, config)

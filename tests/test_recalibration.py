@@ -367,17 +367,26 @@ class TestStep:
 
     def test_drift_before_the_train_buffer_holds_n_new_warns_not_ready(self):
         # At 1 fps the detector fires on its fifth sample, when T holds 5 < n_new = 7.
+        # T keeps filling while the detection is latched, so the seventh frame refits.
         config = RecalibrationConfig(w=5, w_prime_s=10.0, fps=1, alpha=0.75, n_o=20)
         assert config.n_new == 7
         state = fresh_state(config)
         frames = SceneSpec(
-            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=1, duration_s=5.0,
+            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=1, duration_s=7.0,
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=0.0,
         ).frames()
         coeffs = self.static_coeffs()
         results = run_stream(frames, state, config, coeffs)
-        assert [r.warning for r in results] == [None] * 4 + ["recalibration-not-ready"]
-        assert [r.drift_detected for r in results] == [False] * 4 + [True]
-        assert not any(r.recalibrated for r in results)
-        assert results[-1].coeffs is coeffs
-        assert state.flag and len(state.T) == 5
+        assert [r.warning for r in results] == (
+            [None] * 4 + ["recalibration-not-ready"] * 2 + [None]
+        )
+        assert [r.drift_detected for r in results] == [False] * 4 + [True] + [False] * 2
+        assert [r.recalibrated for r in results] == [False] * 6 + [True]
+        assert results[5].coeffs is coeffs
+        # The refit drew all 7 samples of T, the two taken while latched among them.
+        assert not state.flag and state.recalibration_count == 1 and len(state.T) == 7
+        refit = results[-1].coeffs
+        oracle = fit_coefficients(list(state.original_samples) + list(state.T))
+        assert refit.sample_count == 27 and (refit.m, refit.s) == (oracle.m, oracle.s)
+        before, after = results[5].vip_distance.value_m, results[-1].vip_distance.value_m
+        assert abs(after - 3.0) < abs(before - 3.0)
