@@ -42,13 +42,10 @@ from .geometry import (
     BoundingBox,
     CameraIntrinsics,
     Detection,
-    DronePose,
     FocalEstimate,
     HeightTable,
-    WorldPoint,
     estimate_distance_geometric,
     estimate_focal_length,
-    project_world_point,
     scale_bbox,
 )
 from .metrics import ErrorRecord, MetricsSummary, QuadrantMatrix, quadrant_matrix, summarize

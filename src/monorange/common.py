@@ -18,11 +18,7 @@ class MonorangeError(Exception):
 
 
 class DomainError(MonorangeError):
-    """Input violates an operation's domain (out-of-frame point, bad height, ...)."""
-
-
-class BehindCameraError(DomainError):
-    """World point lies on or behind the camera plane (z <= 0)."""
+    """Input violates an operation's domain (out-of-frame box, bad height, ...)."""
 
 
 class EmptyInputError(MonorangeError):

@@ -1,9 +1,8 @@
-"""Pinhole-camera transforms and box-height distance estimation.
+"""Camera and box types, box scaling and box-height distance estimation.
 
 Conventions used throughout:
 
 * Detector frame: origin at the top-left corner, x right, y down, pixels.
-* Camera-centered frame: origin at the image center, x right, y up, pixels.
 * World distances and heights are in meters; pixel quantities stay in pixels.
 
 All functions here are pure and all types are immutable, so everything in
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .common import (
-    BehindCameraError,
     DomainError,
     EmptyInputError,
     MissingDataError,
@@ -98,26 +96,6 @@ class Detection:
 
 
 @dataclass(frozen=True)
-class WorldPoint:
-    """A 3D point in meters."""
-
-    x_w: float
-    y_w: float
-    z_w: float
-
-
-@dataclass(frozen=True)
-class DronePose:
-    """Drone height above the ground, meters."""
-
-    height_m: float
-
-    def __post_init__(self):
-        if not self.height_m > 0:
-            raise DomainError(f"drone height must be positive, got {self.height_m}")
-
-
-@dataclass(frozen=True)
 class HeightTable:
     """Expected per-class object heights plus optional measured instance heights."""
 
@@ -149,31 +127,6 @@ class HeightTable:
         if not heights:
             raise MissingDataError(f"no actual height recorded for class {class_label!r}")
         return float(heights[0])
-
-
-def camera_to_frame_coords(
-    p: tuple[float, float], intrinsics: CameraIntrinsics
-) -> tuple[float, float]:
-    """Detector-frame pixel (y down) of a camera-centered one (y up); no bounds
-    check, since projections of world points may legitimately fall outside it."""
-    x_c, y_c = p
-    return x_c + intrinsics.image_width_px / 2.0, intrinsics.image_height_px / 2.0 - y_c
-
-
-def project_world_point(
-    point: WorldPoint, pose: DronePose, intrinsics: CameraIntrinsics
-) -> tuple[float, float]:
-    """Project a world point to camera-centered pixel coordinates.
-
-    The drone flies at ``pose.height_m``, so the world y-coordinate is shifted
-    by that height before the perspective divide.
-    """
-    if point.z_w <= 0:
-        raise BehindCameraError(f"point at z={point.z_w} is not in front of the camera")
-    f = intrinsics.focal_length_px
-    px_c = f * point.x_w / point.z_w
-    py_c = f * (point.y_w + pose.height_m) / point.z_w
-    return px_c, py_c
 
 
 def estimate_distance_geometric(

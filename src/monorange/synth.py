@@ -1,10 +1,11 @@
 """Forward generator for synthetic detections and depth maps.
 
 Scenes are generated from ground-truth geometry so every estimator has an
-exact round-trip check: a box comes from projecting the object's top-left and
-bottom-right corners through the pinhole model, and the depth-map pixels of
-its :func:`~monorange.geometry.pixel_window`, the ones the depth scorer reads,
-carry the score the generating line assigns to the object's distance.
+exact round-trip check: a box's edges come from the pinhole formula, in
+which a length ``l`` at distance ``z`` spans ``f * l / z`` pixels, and the
+depth-map pixels of its :func:`~monorange.geometry.pixel_window`, the ones the
+depth scorer reads, carry the score the generating line assigns to the
+object's distance.
 Objects are placed vertically centered on the optical axis, which keeps them
 in frame at any distance; the generator owns that convention since box height
 depends only on object height and distance.
@@ -39,11 +40,7 @@ from .geometry import (
     BoundingBox,
     CameraIntrinsics,
     Detection,
-    DronePose,
-    WorldPoint,
-    camera_to_frame_coords,
     pixel_window,
-    project_world_point,
     scale_bbox,
 )
 from .profiles import camera_from_payload
@@ -118,24 +115,19 @@ class SynthFrame(FrameObservation):
     law: DepthLawSpec
 
 
-def _object_bbox(obj: SceneObject, intrinsics: CameraIntrinsics, pose: DronePose) -> BoundingBox:
+def _object_bbox(obj: SceneObject, intrinsics: CameraIntrinsics) -> BoundingBox:
     """Project an object's extent into the detector frame.
 
     The object spans ``height_m`` vertically, centered on the optical axis,
-    at depth ``distance_m`` and lateral offset ``lateral_offset_m``. Each
-    pixel coordinate comes from one world coordinate, so the top-left and
-    bottom-right corners give the whole box.
+    at depth ``distance_m`` and lateral offset ``lateral_offset_m``.
     """
-    axis_y = -pose.height_m  # world y of the optical axis
-    half_h = obj.height_m / 2.0
-    half_w = obj.effective_width_m / 2.0
-    top_left = WorldPoint(obj.lateral_offset_m - half_w, axis_y + half_h, obj.distance_m)
-    bottom_right = WorldPoint(obj.lateral_offset_m + half_w, axis_y - half_h, obj.distance_m)
-    x_min, y_min = camera_to_frame_coords(project_world_point(top_left, pose, intrinsics),
-                                          intrinsics)
-    x_max, y_max = camera_to_frame_coords(project_world_point(bottom_right, pose, intrinsics),
-                                          intrinsics)
+    f, z = intrinsics.focal_length_px, obj.distance_m
     w, h = intrinsics.image_width_px, intrinsics.image_height_px
+    half_w = obj.effective_width_m / 2.0
+    half_h_px = f * (obj.height_m / 2.0) / z
+    x_min = w / 2.0 + f * (obj.lateral_offset_m - half_w) / z
+    x_max = w / 2.0 + f * (obj.lateral_offset_m + half_w) / z
+    y_min, y_max = h / 2.0 - half_h_px, h / 2.0 + half_h_px
     if x_min < 0 or y_min < 0 or x_max > w or y_max > h:
         raise DomainError(
             f"object {obj.class_label!r} at {obj.distance_m} m projects outside "
@@ -147,7 +139,6 @@ def _object_bbox(obj: SceneObject, intrinsics: CameraIntrinsics, pose: DronePose
 def _project(
     objects: Sequence[SceneObject],
     intrinsics: CameraIntrinsics,
-    pose: DronePose,
     depth_w: int,
     depth_h: int,
 ) -> tuple[tuple[Detection, ...], tuple[float, ...], tuple[Region, ...]]:
@@ -155,7 +146,7 @@ def _project(
 
     Regions are listed far to near so closer objects overwrite overlapping ones.
     """
-    boxes = [_object_bbox(obj, intrinsics, pose) for obj in objects]
+    boxes = [_object_bbox(obj, intrinsics) for obj in objects]
     detections = tuple(
         Detection(bbox=bbox, class_label=obj.class_label, confidence=1.0, is_vip=obj.is_vip)
         for obj, bbox in zip(objects, boxes)
@@ -209,7 +200,6 @@ class SceneSpec:
     """A synthetic scene: camera, still objects and generating law; it renders its own frames."""
 
     intrinsics: CameraIntrinsics
-    pose: DronePose
     objects: tuple[SceneObject, ...]
     law: DepthLawSpec
     fps: int = 30
@@ -255,9 +245,7 @@ class SceneSpec:
             raise DomainError(f"duration {duration_s}s at {fps} fps holds no frame")
         rng = np.random.default_rng(seed)
         depth_w, depth_h = self.depth_w, self.depth_h
-        detections, truths, regions = _project(
-            self.objects, self.intrinsics, self.pose, depth_w, depth_h
-        )
+        detections, truths, regions = _project(self.objects, self.intrinsics, depth_w, depth_h)
 
         def draw(law: DepthLawSpec):
             """A noisy frame's draws, the only use of ``rng``; a noiseless frame has none."""
@@ -306,7 +294,6 @@ def _scene_spec(payload: dict) -> SceneSpec:
     drift = payload.get("drift")
     return SceneSpec(
         intrinsics=intrinsics,
-        pose=DronePose(height_m=float(payload.get("drone_height_m", 1.5))),
         objects=objects,
         law=_parse_law(payload["law"]),
         fps=whole(payload.get("fps", 30), "fps"),

@@ -35,7 +35,6 @@ from monorange.depth import (
 from monorange.geometry import (
     BoundingBox,
     CameraIntrinsics,
-    DronePose,
     estimate_distance_geometric,
     estimate_focal_length,
 )
@@ -60,7 +59,6 @@ from monorange.synth import DepthLawSpec, SceneObject, SceneSpec
 F = 1592.0
 INTR = CameraIntrinsics(F, 1280, 720, 82.6)
 TALL_INTR = CameraIntrinsics(F, 1280, 65536)
-POSE = DronePose(1.5)
 
 
 def report(number, text, elapsed):
@@ -260,7 +258,7 @@ def _drive(post_law, duration_s):
     state = RecalibrationState(DRIFT_CONFIG, _anchor_samples(), seed=0)
     coeffs = fit_coefficients(_anchor_samples())
     results = []
-    frames = SceneSpec(intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30,
+    frames = SceneSpec(intrinsics=INTR, objects=(VIP,), law=PRE_LAW, fps=30,
                        duration_s=duration_s, depth_w=64, depth_h=40, post_law=post_law,
                        switch_time_s=20.0).frames()
     for frame in frames:
@@ -368,7 +366,6 @@ def test_acceptance_10_format_stability(tmp_path):
     # corrupted inputs abort with exit code 2 and produce no output file
     scene = {
         "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
-        "drone_height_m": 1.5,
         "depth_resolution": [32, 20],
         "fps": 1,
         "duration_s": 3,
@@ -424,7 +421,6 @@ def test_acceptance_11_replication_harness_ready(tmp_path):
     out_dir = tmp_path / "surrogate"
     scene = {
         "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
-        "drone_height_m": 1.5,
         "depth_resolution": [64, 40],
         "fps": 2,
         "duration_s": 3,

@@ -77,7 +77,6 @@ class TestCalibrateDepth:
         for i, d in enumerate((2.0, 2.5, 3.0, 3.5, 4.0)):
             scene = {
                 "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
-                "drone_height_m": 1.5,
                 "depth_resolution": [64, 40],
                 "fps": 1,
                 "duration_s": 5,
@@ -336,7 +335,6 @@ class TestEstimate:
     def test_neo_norc_exact_under_identity_law(self, tmp_path):
         scene = {
             "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
-            "drone_height_m": 1.5,
             "depth_resolution": [64, 40],
             "fps": 2,
             "duration_s": 2,
@@ -532,7 +530,7 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "field, value, message",
         [("x_min", float("nan"), "x extent [nan, 740.296] invalid for width 1280"),
-         ("y_max", 721.0, "y extent [192.84000000000003, 721.0] invalid for height 720"),
+         ("y_max", 721.0, "y extent [192.84, 721.0] invalid for height 720"),
          ("resolution_w", 0, "resolution must be positive, got 0x720")],
         ids=["nan", "outside", "resolution"],
     )
@@ -1246,7 +1244,7 @@ class TestMapReadAhead:
         """A 5-frame stream of one followed person on small maps, and a depth profile."""
         scene = {
             "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
-            "drone_height_m": 1.5, "depth_resolution": [64, 40], "fps": 5, "duration_s": 1,
+            "depth_resolution": [64, 40], "fps": 5, "duration_s": 1,
             "objects": [
                 {"class_label": "vip", "height_m": 0.63, "distance_m": 3.0, "is_vip": True}
             ],
@@ -1459,7 +1457,6 @@ class TestEvaluate:
         # pinhole estimator exact on every detection
         scene = {
             "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
-            "drone_height_m": 1.5,
             "depth_resolution": [64, 40],
             "fps": 2,
             "duration_s": 5,

@@ -5,65 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monorange.common import (
-    BehindCameraError,
-    DomainError,
-    EmptyInputError,
-)
+from monorange.common import DomainError, EmptyInputError
 from monorange.geometry import (
     BoundingBox,
     CameraIntrinsics,
     Detection,
-    DronePose,
     HeightTable,
-    WorldPoint,
-    camera_to_frame_coords,
     estimate_distance_geometric,
     estimate_focal_length,
     pixel_window,
-    project_world_point,
     scale_bbox,
 )
 
 INTR = CameraIntrinsics(focal_length_px=1592.0, image_width_px=1280, image_height_px=720)
-POSE = DronePose(height_m=1.5)
-
-
-class TestCameraToFrameCoords:
-    def test_origin_maps_to_center(self):
-        assert camera_to_frame_coords((0.0, 0.0), INTR) == (640.0, 360.0)
-
-    def test_top_left_corner(self):
-        assert camera_to_frame_coords((-640.0, 360.0), INTR) == (0.0, 0.0)
-
-    def test_bottom_right_corner(self):
-        assert camera_to_frame_coords((640.0, -360.0), INTR) == (1280.0, 720.0)
-
-    @given(
-        x=st.floats(min_value=0, max_value=1280, allow_nan=False),
-        y=st.floats(min_value=0, max_value=720, allow_nan=False),
-    )
-    def test_recentered_pixel_maps_back(self, x, y):
-        back = camera_to_frame_coords((x - 640.0, -(y - 360.0)), INTR)
-        assert back[0] == pytest.approx(x, abs=1e-9)
-        assert back[1] == pytest.approx(y, abs=1e-9)
-
-
-class TestProjectWorldPoint:
-    def test_optical_axis_point_projects_to_origin(self):
-        assert project_world_point(WorldPoint(0.0, -1.5, 7.3), POSE, INTR) == (0.0, 0.0)
-
-    def test_vertical_offset(self):
-        assert project_world_point(WorldPoint(0.0, 0.0, 3.0), POSE, INTR) == (0.0, 796.0)
-
-    def test_lateral_offset(self):
-        assert project_world_point(WorldPoint(1.5, 0.0, 3.0), POSE, INTR) == (796.0, 796.0)
-
-    def test_behind_camera_rejected(self):
-        with pytest.raises(BehindCameraError):
-            project_world_point(WorldPoint(0.0, 0.0, 0.0), POSE, INTR)
-        with pytest.raises(BehindCameraError):
-            project_world_point(WorldPoint(0.0, 0.0, -2.0), POSE, INTR)
 
 
 class TestEstimateDistanceGeometric:
@@ -102,19 +56,13 @@ class TestEstimateDistanceGeometric:
         )
 
 
-def _project_box(height_m, distance_m, intrinsics, pose, lateral=0.0, width_px=10.0):
-    """Box whose pixel height comes from projecting the object's top and bottom."""
-    axis_y = -pose.height_m
-    _, py_top = project_world_point(
-        WorldPoint(lateral, axis_y + height_m / 2, distance_m), pose, intrinsics
-    )
-    _, py_bot = project_world_point(
-        WorldPoint(lateral, axis_y - height_m / 2, distance_m), pose, intrinsics
-    )
-    _, y_min = camera_to_frame_coords((0.0, py_top), intrinsics)
-    _, y_max = camera_to_frame_coords((0.0, py_bot), intrinsics)
-    return BoundingBox(0.0, y_min, width_px, y_max, intrinsics.image_width_px,
-                       intrinsics.image_height_px)
+def _project_box(height_m, distance_m, intrinsics, width_px=10.0):
+    """Box centered on the optical axis whose edges come from the pinhole formula:
+    a length ``l`` at distance ``z`` spans ``f * l / z`` pixels."""
+    half_px = intrinsics.focal_length_px * (height_m / 2) / distance_m
+    center_y = intrinsics.image_height_px / 2.0
+    return BoundingBox(0.0, center_y - half_px, width_px, center_y + half_px,
+                       intrinsics.image_width_px, intrinsics.image_height_px)
 
 
 class TestProjectionRoundTrip:
@@ -127,7 +75,7 @@ class TestProjectionRoundTrip:
         distance=st.floats(min_value=1.0, max_value=10.0),
     )
     def test_project_then_invert_recovers_distance(self, height, distance):
-        bbox = _project_box(height, distance, self.TALL, POSE)
+        bbox = _project_box(height, distance, self.TALL)
         recovered = estimate_distance_geometric(bbox, height, self.TALL)
         assert abs(recovered - distance) < 1e-9
 
@@ -292,7 +240,3 @@ class TestTypesValidation:
         assert table.actual("car") == 1.56
         with pytest.raises(Exception):
             table.expected("mailbox")
-
-    def test_pose_positive(self):
-        with pytest.raises(DomainError):
-            DronePose(0.0)

@@ -38,7 +38,6 @@ SUITE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_synthet
 
 SCENE = {
     "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
-    "drone_height_m": 1.5,
     "depth_resolution": [256, 96],
     "fps": 10,
     "duration_s": 10,
@@ -83,27 +82,27 @@ MIXED_NOISE_SCENES = {
 }
 
 EXPECTED = {
-    "frames.jsonl": "c468b259fc9e8ad3f440fdd55da0bba7269f5c0f4356a03a281c24b1283a2851",
+    "frames.jsonl": "cd3e1bf0dbe389c4723dc5a70487a9ab0418a40f01fb53f43cefcf11891aab7d",
     "maps": "05c8fdf51880b63fb0c5db720c2faee3063e7d3da74fa9f1f0da46e62fddbfe2",
     "neo": "be2de5eaf4c3b401717441a15f70b552a05888cb5433446703859ddb481c09c6",
-    "neo_norc.center": "8a31f663e4355c078a544859852b10451c5af455feacfb918ff631f5ba83e17d",
+    "neo_norc.center": "1a14ae00e848a0a8372f7b484521bc85fb2df5a57047ca023f992518c15832e2",
     "neo_norc.center_ring": "5f2e76470a2c4512fe96a58c468000be73a5b0754aa60eebf795a28dda539acd",
     "neo_norc.disc_center": "8396ba6b34c9215cbbc22f382953c77a90c4a25b650a16a8a9dadc0be1f608df",
     "neo_norc.five_point_center_weighted":
-        "82559807d17a4bd271ebb219dfc49294485d74c0f400945011ccdad0d5a1aba7",
+        "3891474672c5536833a1a693dd9a5705674c57570b75b3bc7a3af3fa181d2c67",
     "neo_norc.five_point_uniform":
-        "3453b3745a2317dfdca4d054a2e58959c7f30ae9279fe8c4737c44fed5f51880",
+        "dfd28b62e6404dfa75bbf0d4884006a4f8a32b05e7a52d322f5f0e6de2c14a9a",
     "neo_norc.low_threshold": "bcfc1a8880145cf1a35f9e826a79a4f3b6b72d59b354932b181be7f84bdd398d",
     "neo_norc.mean": "57768397db1df028e1681dab82b5741c6ff2badeb186d4bb68ccb268a6a23d33",
     "neo_norc.median": "3a53da2ea1657c77d85dc6e38f105beee7507b7a9110dbbff76521daa9f13bb2",
     "regression": "834406f94086f6a6cb3d68c51c43348a775ba9b4679f535b833cbd38bfa5d687",
-    "geometric": "d83caa137e4427914874ef35a9e12faf2f0ec84a05e98dc025fb9bcff8314f97",
-    "geometric_star": "db5aee1813baab5590b6af1811303ce6c1cd234920f36919057ce867c57b4987",
+    "geometric": "475803881634404a5cf23e3a21ab37000619a2b7adddce900213bfd75e7a5de8",
+    "geometric_star": "bc755ec4b4929bcf2ba98642b7c1cb52fd0bfbfb0042bc07e5f291836216818f",
 }
 
 
 EXPECTED_NEGATIVE = {
-    "frames.jsonl": "c468b259fc9e8ad3f440fdd55da0bba7269f5c0f4356a03a281c24b1283a2851",
+    "frames.jsonl": "cd3e1bf0dbe389c4723dc5a70487a9ab0418a40f01fb53f43cefcf11891aab7d",
     "maps": "b6e20fc27c40fe7b7565bc57e36125b7ff7169bfa967c51de0ec1e79a2546942",
     "neo": "f5d90a24fab1ce8dc73b83c5a1786786a1432322705c4e2362c201c75de9c468",
     "neo_norc.disc_center": "74ebd21150f490c793a7c230e34c9ee01e95c1a2f92086e722299ff57fcad1fb",
@@ -113,19 +112,19 @@ EXPECTED_NEGATIVE = {
 
 EXPECTED_MIXED_NOISE = {
     "noiseless_to_noisy": {
-        "frames.jsonl": "c468b259fc9e8ad3f440fdd55da0bba7269f5c0f4356a03a281c24b1283a2851",
+        "frames.jsonl": "cd3e1bf0dbe389c4723dc5a70487a9ab0418a40f01fb53f43cefcf11891aab7d",
         "maps": "137c850c57f32602d71dc6bff5019bd9122712928e4234828ff48e7a1c5a59f8",
         "neo": "e78e2602e4b5f253e87fb8590ac92bd12ad8f9cf04cfb9651c480f0df0ead1ba",
     },
     "noisy_to_noiseless": {
-        "frames.jsonl": "c468b259fc9e8ad3f440fdd55da0bba7269f5c0f4356a03a281c24b1283a2851",
+        "frames.jsonl": "cd3e1bf0dbe389c4723dc5a70487a9ab0418a40f01fb53f43cefcf11891aab7d",
         "maps": "d731bba214dcbd270f18ac7fb30c48ca6ac798d4fe8468e4b610bd59862386a8",
         "neo": "cb183c0f388e5ed9395df849d8d5dd542eba79d33d1a3386ea5d326937279415",
     },
 }
 
 SUITE_FILES = 355
-SUITE_SHA256 = "32d6142a9f0c24f11cc64da76ff2342e3a4b1c984bca38dc934cda659947d6e0"
+SUITE_SHA256 = "b0303aa6aaed4e7709476c770c43bc450991e13824a58831d077228882ee4b71"
 
 
 def sha256(path: Path) -> str:

@@ -11,11 +11,10 @@ from monorange.depth import (
     recalibrate,
     step,
 )
-from monorange.geometry import CameraIntrinsics, DronePose
+from monorange.geometry import CameraIntrinsics
 from monorange.synth import DepthLawSpec, SceneObject, SceneSpec
 
 INTR = CameraIntrinsics(1592.0, 1280, 720, 82.6)
-POSE = DronePose(1.5)
 VIP = SceneObject("vip", height_m=0.63, distance_m=3.0, is_vip=True)
 PRE_LAW = DepthLawSpec(m_true=6.0, s_true=1.0)
 POST_LAW = DepthLawSpec(m_true=6.0, s_true=1.32)  # 0.32 m shift, above tau
@@ -23,9 +22,9 @@ POST_LAW = DepthLawSpec(m_true=6.0, s_true=1.32)  # 0.32 m shift, above tau
 DEPTH_W, DEPTH_H = 64, 40
 
 
-def one_frame(objects, intrinsics, pose, law, seed=0, **kwargs):
+def one_frame(objects, intrinsics, law, seed=0, **kwargs):
     """The single frame of a one-second stream at 1 fps, rendered from ``seed``."""
-    spec = SceneSpec(intrinsics=intrinsics, pose=pose, objects=tuple(objects), law=law, fps=1,
+    spec = SceneSpec(intrinsics=intrinsics, objects=tuple(objects), law=law, fps=1,
                      duration_s=1.0, **kwargs)
     return next(spec.frames(seed))
 
@@ -215,7 +214,7 @@ class TestStep:
         config = RecalibrationConfig(w_prime_s=5.0, fps=30)
         state = fresh_state(config)
         frames = SceneSpec(
-            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=5.0,
+            intrinsics=INTR, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=5.0,
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=PRE_LAW, switch_time_s=1.0,
         ).frames()
         run_stream(frames, state, config, self.static_coeffs())
@@ -225,7 +224,7 @@ class TestStep:
         config = RecalibrationConfig()
         state = fresh_state(config)
         frames = SceneSpec(
-            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=3.5,
+            intrinsics=INTR, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=3.5,
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=PRE_LAW, switch_time_s=1.0,
         ).frames()
         run_stream(frames, state, config, self.static_coeffs())
@@ -235,7 +234,7 @@ class TestStep:
         config = self.CONFIG
         state = fresh_state(config)
         frames = SceneSpec(
-            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=10, duration_s=40.0,
+            intrinsics=INTR, objects=(VIP,), law=PRE_LAW, fps=10, duration_s=40.0,
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=PRE_LAW, switch_time_s=10.0,
         ).frames()
         results = run_stream(frames, state, config, self.static_coeffs())
@@ -247,7 +246,7 @@ class TestStep:
         config = self.CONFIG
         state = fresh_state(config)
         frames = SceneSpec(
-            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=28.0,
+            intrinsics=INTR, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=28.0,
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=20.0,
         ).frames()
         results = run_stream(frames, state, config, self.static_coeffs())
@@ -259,7 +258,7 @@ class TestStep:
         config = self.CONFIG
         state = fresh_state(config)
         frames = SceneSpec(
-            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=30.0,
+            intrinsics=INTR, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=30.0,
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=20.0,
         ).frames()
         results = run_stream(frames, state, config, self.static_coeffs())
@@ -279,7 +278,7 @@ class TestStep:
         config = self.CONFIG
         state = fresh_state(config)
         frames = SceneSpec(
-            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=30.0,
+            intrinsics=INTR, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=30.0,
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=20.0,
         ).frames()
         results = run_stream(frames, state, config, self.static_coeffs())
@@ -296,7 +295,7 @@ class TestStep:
         config = RecalibrationConfig()
         state = fresh_state(config)
         bystander = SceneObject("bystander", 1.65, 4.0, lateral_offset_m=1.0)
-        frame = one_frame([bystander], INTR, POSE, PRE_LAW,
+        frame = one_frame([bystander], INTR, PRE_LAW,
                           depth_w=DEPTH_W, depth_h=DEPTH_H)
         result = step(frame, 3.0, state, config, self.static_coeffs())
         assert result.warning == "no-vip-detection"
@@ -307,7 +306,7 @@ class TestStep:
     def test_multiple_vips_rejected(self):
         frame = one_frame(
             [VIP, SceneObject("vip", 0.63, 2.0, lateral_offset_m=0.5, is_vip=True)],
-            INTR, POSE, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H,
+            INTR, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H,
         )
         config = RecalibrationConfig()
         with pytest.raises(DomainError):
@@ -319,7 +318,7 @@ class TestStep:
 
         config = RecalibrationConfig()
         state = fresh_state(config)
-        frame = one_frame([VIP], INTR, POSE, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
+        frame = one_frame([VIP], INTR, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
         result = step(
             frame,
             DistanceEstimate(-1.0, out_of_domain=True),
@@ -332,7 +331,7 @@ class TestStep:
     def test_without_state_no_drift_handling(self):
         coeffs = self.static_coeffs()
         frames = SceneSpec(
-            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=10, duration_s=4.0,
+            intrinsics=INTR, objects=(VIP,), law=PRE_LAW, fps=10, duration_s=4.0,
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=2.0,
         ).frames()
         for frame in frames:
@@ -346,7 +345,7 @@ class TestStep:
         config = self.CONFIG
         state = fresh_state(config)
         frames = SceneSpec(
-            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=27.0,
+            intrinsics=INTR, objects=(VIP,), law=PRE_LAW, fps=30, duration_s=27.0,
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=20.0,
         ).frames()
         results = run_stream(frames, state, config, self.static_coeffs())
@@ -357,7 +356,7 @@ class TestStep:
     def test_frame_without_a_truth_warns_and_leaves_the_buffers_alone(self):
         config = RecalibrationConfig()
         state = fresh_state(config)
-        frame = one_frame([VIP], INTR, POSE, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
+        frame = one_frame([VIP], INTR, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
         coeffs = self.static_coeffs()
         result = step(frame, None, state, config, coeffs)
         assert result.warning == "no-vip-truth"
@@ -372,7 +371,7 @@ class TestStep:
         assert config.n_new == 7
         state = fresh_state(config)
         frames = SceneSpec(
-            intrinsics=INTR, pose=POSE, objects=(VIP,), law=PRE_LAW, fps=1, duration_s=7.0,
+            intrinsics=INTR, objects=(VIP,), law=PRE_LAW, fps=1, duration_s=7.0,
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=0.0,
         ).frames()
         coeffs = self.static_coeffs()

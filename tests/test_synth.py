@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monorange import synth
 from monorange.cli import main
@@ -28,7 +30,6 @@ from monorange.depth import (
 from monorange.geometry import (
     BoundingBox,
     CameraIntrinsics,
-    DronePose,
     estimate_distance_geometric,
     scale_bbox,
 )
@@ -44,14 +45,14 @@ from monorange.synth import (
 )
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
+BENCH_SCENES = Path(__file__).resolve().parent.parent / "perfbench" / "scenes"
 INTR = CameraIntrinsics(1592.0, 1280, 720, 82.6)
-POSE = DronePose(1.5)
 LAW = DepthLawSpec(m_true=6.0, s_true=1.0)
 
 
-def one_frame(objects, intrinsics, pose, law, seed=0, **kwargs):
+def one_frame(objects, intrinsics, law, seed=0, **kwargs):
     """The single frame of a one-second stream at 1 fps, rendered from ``seed``."""
-    spec = SceneSpec(intrinsics=intrinsics, pose=pose, objects=tuple(objects), law=law, fps=1,
+    spec = SceneSpec(intrinsics=intrinsics, objects=tuple(objects), law=law, fps=1,
                      duration_s=1.0, **kwargs)
     return next(spec.frames(seed))
 
@@ -59,16 +60,50 @@ def one_frame(objects, intrinsics, pose, law, seed=0, **kwargs):
 class TestSynthFrame:
     def test_projected_box_height_matches_similar_triangles(self):
         obj = SceneObject("vip", height_m=0.63, distance_m=3.0, is_vip=True)
-        frame = one_frame([obj], INTR, POSE, LAW, depth_w=64, depth_h=40)
+        frame = one_frame([obj], INTR, LAW, depth_w=64, depth_h=40)
         bbox = frame.detections[0].bbox
         assert bbox.height_px == pytest.approx(1592.0 * 0.63 / 3.0, abs=1e-9)
         recovered = estimate_distance_geometric(bbox, 0.63, INTR)
         assert recovered == pytest.approx(3.0, abs=1e-9)
 
+    def test_axis_centered_box_is_centered_on_the_frame(self):
+        # f * (1.0 / 2) / 4.0 = 199 px exactly, so every edge is exact.
+        obj = SceneObject("car", height_m=1.0, distance_m=4.0, width_m=1.0)
+        bbox = one_frame([obj], INTR, LAW, depth_w=64, depth_h=40).detections[0].bbox
+        assert (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max) == (441.0, 161.0, 839.0, 559.0)
+        assert bbox.center == (640.0, 360.0)
+
+    def test_lateral_offset_shifts_x_by_f_lateral_over_z(self):
+        # f * 1.0 / 4.0 = 398 px to the right; the rows stay where they were.
+        obj = SceneObject("car", height_m=1.0, distance_m=4.0, width_m=1.0, lateral_offset_m=1.0)
+        bbox = one_frame([obj], INTR, LAW, depth_w=64, depth_h=40).detections[0].bbox
+        assert (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max) == (839.0, 161.0, 1237.0, 559.0)
+
+    @given(
+        height=st.floats(min_value=0.1, max_value=0.8),
+        width=st.floats(min_value=0.1, max_value=0.4),
+        distance=st.floats(min_value=2.0, max_value=50.0),
+        lateral=st.floats(min_value=-0.5, max_value=0.5),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_box_is_the_pinhole_formula(self, height, width, distance, lateral):
+        obj = SceneObject("car", height, distance, lateral_offset_m=lateral, width_m=width)
+        bbox = synth._object_bbox(obj, INTR)
+        f = INTR.focal_length_px
+        assert bbox.center[0] == pytest.approx(640.0 + f * lateral / distance, abs=1e-9)
+        assert bbox.center[1] == pytest.approx(360.0, abs=1e-9)
+        assert bbox.width_px == pytest.approx(f * width / distance, rel=1e-12)
+        assert bbox.height_px == pytest.approx(f * height / distance, rel=1e-12)
+
+    @pytest.mark.parametrize("distance", [0.0, -2.0])
+    def test_object_on_or_behind_the_camera_rejected(self, distance):
+        with pytest.raises(DomainError, match="object distance must be positive"):
+            SceneObject("car", height_m=1.0, distance_m=distance)
+
     def test_identity_law_scores_equal_distance(self):
         law = DepthLawSpec(m_true=1.0, s_true=0.0)
         obj = SceneObject("car", height_m=1.5, distance_m=4.0)
-        frame = one_frame([obj], INTR, POSE, law, depth_w=64, depth_h=40)
+        frame = one_frame([obj], INTR, law, depth_w=64, depth_h=40)
         scaled = scale_bbox(frame.detections[0].bbox, 64, 40)
         score = normalize_region(frame.depth_map, scaled, NormalizationMethod(LOW_THRESHOLD))
         assert score == pytest.approx(4.0, abs=1e-6)
@@ -78,7 +113,7 @@ class TestSynthFrame:
         samples = []
         for d in (2.5, 4.0):
             obj = SceneObject("vip", height_m=0.63, distance_m=d, is_vip=True)
-            frame = one_frame([obj], INTR, POSE, LAW, depth_w=64, depth_h=40)
+            frame = one_frame([obj], INTR, LAW, depth_w=64, depth_h=40)
             scaled = scale_bbox(frame.detections[0].bbox, 64, 40)
             score = normalize_region(
                 frame.depth_map, scaled, NormalizationMethod(LOW_THRESHOLD)
@@ -95,7 +130,7 @@ class TestSynthFrame:
             SceneObject("bystander", 1.65, 4.0, lateral_offset_m=1.0),
             SceneObject("car", 1.56, 4.6, lateral_offset_m=-1.2),
         ]
-        frame = one_frame(objects, INTR, POSE, law, depth_w=256, depth_h=160)
+        frame = one_frame(objects, INTR, law, depth_w=256, depth_h=160)
         coeffs = fit_coefficients(
             [
                 CalibrationSample(law.score_for_distance(2.5), 2.5),
@@ -112,7 +147,7 @@ class TestSynthFrame:
 
     def test_background_far_from_any_object(self):
         frame = one_frame(
-            [SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, LAW,
+            [SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, LAW,
             depth_w=64, depth_h=40,
         )
         corner = float(frame.depth_map.scores[0, 0])
@@ -121,7 +156,7 @@ class TestSynthFrame:
     def test_nearer_object_overwrites_overlap(self):
         near = SceneObject("bicycle", 1.0, 2.5)
         far = SceneObject("car", 1.5, 6.0)
-        frame = one_frame([far, near], INTR, POSE, LAW, depth_w=128, depth_h=80)
+        frame = one_frame([far, near], INTR, LAW, depth_w=128, depth_h=80)
         scaled = scale_bbox(frame.detections[1].bbox, 128, 80)
         score = normalize_region(frame.depth_map, scaled, NormalizationMethod(MEDIAN))
         assert score == pytest.approx(LAW.score_for_distance(2.5), abs=1e-6)
@@ -129,16 +164,16 @@ class TestSynthFrame:
     def test_out_of_frame_rejected(self):
         giant = SceneObject("car", height_m=3.0, distance_m=2.0)
         with pytest.raises(DomainError, match="projects outside the 1280x720 frame"):
-            one_frame([giant], INTR, POSE, LAW)
+            one_frame([giant], INTR, LAW)
 
     def test_determinism_identical_seeds_byte_identical(self):
         law = DepthLawSpec(m_true=6.0, s_true=1.0, noise_sigma=0.05)
-        a = one_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, law,
+        a = one_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, law,
                       seed=42, depth_w=64, depth_h=40)
-        b = one_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, law,
+        b = one_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, law,
                       seed=42, depth_w=64, depth_h=40)
         assert a.depth_map.scores.tobytes() == b.depth_map.scores.tobytes()
-        c = one_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, POSE, law,
+        c = one_frame([SceneObject("vip", 0.63, 3.0, is_vip=True)], INTR, law,
                       seed=43, depth_w=64, depth_h=40)
         assert a.depth_map.scores.tobytes() != c.depth_map.scores.tobytes()
 
@@ -192,7 +227,7 @@ class TestDriftSequence:
     def test_timestamps_and_law_switch(self):
         frames = list(
             SceneSpec(
-                intrinsics=INTR, pose=POSE, objects=(self.VIP,), law=LAW, fps=10,
+                intrinsics=INTR, objects=(self.VIP,), law=LAW, fps=10,
                 duration_s=2.0, depth_w=64, depth_h=40, post_law=DepthLawSpec(6.0, 2.0),
                 switch_time_s=1.0,
             ).frames()
@@ -205,17 +240,17 @@ class TestDriftSequence:
     def test_duration_must_exceed_switch(self):
         with pytest.raises(DomainError):
             list(
-                SceneSpec(intrinsics=INTR, pose=POSE, objects=(self.VIP,), law=LAW, fps=10,
+                SceneSpec(intrinsics=INTR, objects=(self.VIP,), law=LAW, fps=10,
                           duration_s=5.0, switch_time_s=5.0).frames()
             )
 
     def test_a_frame_count_too_large_to_count_is_rejected(self):
         with pytest.raises(DomainError, match="too many frames"):
-            next(SceneSpec(intrinsics=INTR, pose=POSE, objects=(self.VIP,), law=LAW, fps=30,
+            next(SceneSpec(intrinsics=INTR, objects=(self.VIP,), law=LAW, fps=30,
                            duration_s=1e308).frames())
 
     def test_laws_are_picked_as_frames_are_taken(self):
-        frames = SceneSpec(intrinsics=INTR, pose=POSE, objects=(self.VIP,), law=LAW, fps=30,
+        frames = SceneSpec(intrinsics=INTR, objects=(self.VIP,), law=LAW, fps=30,
                            duration_s=1e5, depth_w=64, depth_h=40).frames()
         tracemalloc.start()
         try:
@@ -240,7 +275,7 @@ class TestDriftSequence:
 
     def test_identical_laws_give_identical_score_streams(self):
         frames = list(
-            SceneSpec(intrinsics=INTR, pose=POSE, objects=(self.VIP,), law=LAW, fps=5,
+            SceneSpec(intrinsics=INTR, objects=(self.VIP,), law=LAW, fps=5,
                       duration_s=2.0, depth_w=64, depth_h=40, post_law=LAW,
                       switch_time_s=1.0).frames()
         )
@@ -259,14 +294,14 @@ class TestMapReuse:
     POST = DepthLawSpec(m_true=6.0, s_true=1.45)
 
     def frames(self, pre_law, post_law, switch_time_s=1.0):
-        spec = SceneSpec(intrinsics=INTR, pose=POSE, objects=self.OBJECTS, law=pre_law, fps=5,
+        spec = SceneSpec(intrinsics=INTR, objects=self.OBJECTS, law=pre_law, fps=5,
                          duration_s=2.0, depth_w=64, depth_h=40, post_law=post_law,
                          switch_time_s=switch_time_s)
         return list(spec.frames(3))
 
     def test_noiseless_frames_under_one_law_share_one_fresh_map(self):
         frames = self.frames(LAW, self.POST)
-        _, _, regions = _project(self.OBJECTS, INTR, POSE, 64, 40)
+        _, _, regions = _project(self.OBJECTS, INTR, 64, 40)
         for group, law in ((frames[:5], LAW), (frames[5:], self.POST)):
             assert all(f.depth_map is group[0].depth_map for f in group)
             assert all(f.detections is group[0].detections for f in group)
@@ -320,7 +355,7 @@ class TestDrawAhead:
     NOISY = TestMapReuse.NOISY
 
     def frames(self, law, seed=3):
-        spec = SceneSpec(intrinsics=INTR, pose=POSE, objects=self.OBJECTS, law=law, fps=5,
+        spec = SceneSpec(intrinsics=INTR, objects=self.OBJECTS, law=law, fps=5,
                          duration_s=2.0, depth_w=64, depth_h=40)
         return spec.frames(seed)
 
@@ -401,7 +436,7 @@ class TestLawSpec:
         statistic must then take the highest tail."""
         law = DepthLawSpec(m_true=-2.0, s_true=10.0)
         obj = SceneObject("vip", 0.63, 3.0, is_vip=True)
-        frame = one_frame([obj], INTR, POSE, law, depth_w=64, depth_h=40)
+        frame = one_frame([obj], INTR, law, depth_w=64, depth_h=40)
         scaled = scale_bbox(frame.detections[0].bbox, 64, 40)
         method = NormalizationMethod(LOW_THRESHOLD, lt_take="highest")
         score = normalize_region(frame.depth_map, scaled, method)
@@ -412,3 +447,28 @@ class TestLawSpec:
             ]
         )
         assert estimate_distance_depth(score, coeffs).value_m == pytest.approx(3.0, abs=1e-6)
+
+
+class TestSceneFile:
+    @pytest.mark.parametrize("height", [1.5, 0.0, -3.0])
+    def test_drone_height_is_an_ignored_key(self, tmp_path, height):
+        # Box edges are the pinhole formula alone. The benchmark's scenes still
+        # set the key, so it loads, whatever its value, and changes no byte.
+        for path in sorted(BENCH_SCENES.glob("*.json")):
+            payload = json.loads(path.read_text())
+            assert payload.pop("drone_height_m") == 1.5
+            without = tmp_path / path.name
+            without.write_text(json.dumps(payload))
+            assert load_scene_spec(path) == load_scene_spec(without)
+        scene = json.loads((SCENES / "static_mixed.json").read_text())
+        with_key = tmp_path / "with_key.json"
+        with_key.write_text(json.dumps({**scene, "drone_height_m": height}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        for scene_path, out in ((SCENES / "static_mixed.json", a), (with_key, b)):
+            assert main(["synth", "--scene", str(scene_path), "--out-dir", str(out),
+                         "--seed", "3"]) == 0
+        files_a = sorted(f.relative_to(a) for f in a.rglob("*") if f.is_file())
+        files_b = sorted(f.relative_to(b) for f in b.rglob("*") if f.is_file())
+        assert files_a == files_b and len(files_a) == 11
+        for name in files_a:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
