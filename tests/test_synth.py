@@ -79,6 +79,14 @@ class TestSynthFrame:
         bbox = one_frame([obj], INTR, LAW, depth_w=64, depth_h=40).detections[0].bbox
         assert (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max) == (839.0, 161.0, 1237.0, 559.0)
 
+    def test_frame_filling_box_reaches_both_corners(self):
+        # f = 80 px at 1 m: 16 m wide spans 1280 px and 9 m high spans 720 px,
+        # so the edges land exactly on the frame's corners and the box is accepted.
+        intr = CameraIntrinsics(80.0, 1280, 720)
+        obj = SceneObject("car", height_m=9.0, distance_m=1.0, width_m=16.0)
+        bbox = one_frame([obj], intr, LAW, depth_w=64, depth_h=40).detections[0].bbox
+        assert (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max) == (0.0, 0.0, 1280.0, 720.0)
+
     @given(
         height=st.floats(min_value=0.1, max_value=0.8),
         width=st.floats(min_value=0.1, max_value=0.4),
