@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -63,19 +64,6 @@ EXIT_OK = 0
 EXIT_FORMAT = 2
 EXIT_FIT = 3
 EXIT_MISSING = 4
-
-
-def _norm_method_from_args(args, depth_profile=None) -> depth_mod.NormalizationMethod:
-    lt_percentile = args.lt_percentile
-    if lt_percentile is None:
-        lt_percentile = depth_profile.lt_percentile if depth_profile is not None else 10.0
-    return depth_mod.NormalizationMethod(
-        kind=args.norm_method,
-        diameter_px=args.diameter_px,
-        lt_percentile=lt_percentile,
-        center_weight=args.center_weight,
-        lt_take=args.lt_take,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +158,10 @@ def _parse_pair(text: str, sep: str, flag: str) -> tuple[float, float]:
 
 
 def _cmd_calibrate_depth(args) -> int:
-    method = _norm_method_from_args(args)
+    method = depth_mod.NormalizationMethod(
+        kind=args.norm_method, lt_percentile=args.lt_percentile, lt_take=args.lt_take
+    )
+    depth_mod.ScoreSmoother(args.smooth_window)  # which checks the window before any read
     if args.candidate_pairs:
         pairs = [
             _parse_pair(chunk, ":", "--candidate-pairs")
@@ -207,7 +198,9 @@ def _cmd_calibrate_depth(args) -> int:
         s=coeffs.s,
         unit="m",
         pair=pair,
+        norm_method=method.kind,
         lt_percentile=method.lt_percentile,
+        lt_take=method.lt_take,
         smooth_window=args.smooth_window,
     )
     profiles.save_profile(args.out, profile)
@@ -363,11 +356,12 @@ class _NeoRunner:
             args.depth_profile, "--depth-profile", profiles.load_depth_profile,
             f"estimator {name!r}",
         )
-        self.method = _norm_method_from_args(args, profile)
-        window = args.smooth_window if args.smooth_window is not None else profile.smooth_window
-        smoother = depth_mod.ScoreSmoother(window)  # which checks the window
+        # The profile's line holds for scores made its way; --norm-method may
+        # only swap the method.
+        self.method = replace(profile.method, kind=args.norm_method or profile.norm_method)
+        window = profile.smooth_window
         # A one-score mean is not always the score: fsum turns -0.0 into 0.0.
-        self.smoother = smoother if window > 1 else None
+        self.smoother = depth_mod.ScoreSmoother(window) if window > 1 else None
         self.coeffs = profile.to_coefficients()
         self.stream = args.stream
         self.config = self.state = self.gt_regression = None
@@ -644,16 +638,6 @@ def cmd_synth(args) -> int:
 # parser / entry point
 
 
-def _add_norm_flags(parser):
-    parser.add_argument(
-        "--norm-method", choices=depth_mod.METHOD_KINDS, default=depth_mod.LOW_THRESHOLD
-    )
-    parser.add_argument("--lt-percentile", type=float, default=None)
-    parser.add_argument("--lt-take", choices=("lowest", "highest"), default="lowest")
-    parser.add_argument("--diameter-px", type=int, default=40)
-    parser.add_argument("--center-weight", type=float, default=0.5)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after that.
@@ -686,9 +670,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--candidate-pairs", default=None, help="pairs to rank, 'd1:d2,d1:d2,...'"
     )
     cal_depth.add_argument("--vip-id", default="")
+    cal_depth.add_argument(
+        "--norm-method", choices=depth_mod.METHOD_KINDS, default=depth_mod.LOW_THRESHOLD
+    )
+    cal_depth.add_argument("--lt-percentile", type=float, default=10.0)
+    cal_depth.add_argument("--lt-take", choices=("lowest", "highest"), default="lowest")
     cal_depth.add_argument("--smooth-window", type=int, default=5)
     cal_depth.add_argument("--out", required=True)
-    _add_norm_flags(cal_depth)
     cal_depth.set_defaults(handler="cmd_calibrate")
 
     focal = sub.add_parser("focal", help="estimate the focal length")
@@ -712,10 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--train-window-s", type=float, default=5.0)
     est.add_argument("--fps", type=int, default=30)
     est.add_argument("--n-o", type=int, default=20)
-    est.add_argument("--smooth-window", type=int, default=None)
+    # Scores with this method in place of the one the depth profile records.
+    est.add_argument("--norm-method", choices=depth_mod.METHOD_KINDS, default=None)
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--out", required=True)
-    _add_norm_flags(est)
     est.set_defaults(handler="cmd_estimate")
 
     ev = sub.add_parser("evaluate", help="join estimates with truth and emit metric CSVs")

@@ -17,18 +17,28 @@ from pathlib import Path
 from .common import (
     DomainError, MissingDataError, NonFiniteError, canonical_json, read_json, unwritable, whole,
 )
-from .depth import PROVENANCE_STATIC, DepthCoefficients, NormalizationMethod, ScoreSmoother
+from .depth import (
+    LOW_THRESHOLD, PROVENANCE_STATIC, DepthCoefficients, NormalizationMethod, ScoreSmoother,
+)
 from .geometry import CameraIntrinsics, HeightTable
 from .regression import RegressionModel
 
 
 @dataclass(frozen=True)
 class DepthProfile:
-    """Scale/shift calibration as recorded, with its unit and method settings.
+    """Scale/shift calibration as recorded, with its unit and how its scores were made.
+
+    The line ``distance = m * score + s`` holds only for scores made the way
+    the calibration made them, so the profile records that way too: the
+    normalization ``norm_method``, its ``lt_percentile`` and ``lt_take`` (see
+    :class:`NormalizationMethod`, whose defaults these are) and the
+    ``smooth_window`` of the per-object score mean. ``estimate`` takes all of
+    them from here; only its ``--norm-method`` overrides the method.
 
     Construction checks every field: the unit, a pair of exactly two positive
-    distances, coefficients :class:`DepthCoefficients` accepts, and a
-    percentile and smoothing window the method and smoother accept.
+    distances, coefficients :class:`DepthCoefficients` accepts, and a method
+    and smoothing window :class:`NormalizationMethod` and
+    :class:`ScoreSmoother` accept.
     """
 
     vip_id: str
@@ -36,7 +46,9 @@ class DepthProfile:
     s: float
     unit: str = "m"
     pair: tuple[float, float] | None = None
+    norm_method: str = LOW_THRESHOLD
     lt_percentile: float = 10.0
+    lt_take: str = "lowest"
     smooth_window: int = 5
 
     def __post_init__(self):
@@ -45,8 +57,15 @@ class DepthProfile:
         if self.pair is not None and (len(self.pair) != 2 or not all(d > 0 for d in self.pair)):
             raise DomainError(f"pair must hold two positive distances, got {list(self.pair)}")
         self.to_coefficients()
-        NormalizationMethod(lt_percentile=self.lt_percentile)
+        self.method  # which checks the method's settings
         ScoreSmoother(self.smooth_window)
+
+    @property
+    def method(self) -> NormalizationMethod:
+        """The normalization the calibration scored with, at the library's disc settings."""
+        return NormalizationMethod(
+            kind=self.norm_method, lt_percentile=self.lt_percentile, lt_take=self.lt_take
+        )
 
     def to_coefficients(self) -> DepthCoefficients:
         """Working coefficients in meters regardless of the recorded unit."""
@@ -128,7 +147,9 @@ def _depth(payload: dict) -> DepthProfile:
         s=float(payload["s"]),
         unit=payload.get("unit", "m"),
         pair=tuple(float(d) for d in pair) if pair is not None else None,
+        norm_method=payload.get("norm_method", LOW_THRESHOLD),
         lt_percentile=float(payload.get("lt_percentile", 10.0)),
+        lt_take=payload.get("lt_take", "lowest"),
         smooth_window=whole(payload.get("smooth_window", 5), "smooth_window"),
     )
 

@@ -114,6 +114,19 @@ class TestCalibrateDepth:
         assert f"{flag}: expected" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("value, message", [
+        ("0", "window must be >= 1, got 0"),
+        ("100000000000000000000", "smoothing window 100000000000000000000 is longer"),
+    ])
+    def test_bad_smoothing_window_exits_2_before_any_read(self, tmp_path, capsys, value,
+                                                          message):
+        # A stream that does not exist would exit 4 once it was opened.
+        out = tmp_path / "x.json"
+        assert run_cli("calibrate", "depth", "--stream", tmp_path / "missing.jsonl",
+                       "--smooth-window", value, "--out", out) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_distance_is_missing_data(self, tmp_path):
         s1, _ = synth_calibration_streams(tmp_path)
         assert run_cli("calibrate", "depth", "--stream", s1, "--pair", "2.5,4.0",
@@ -873,7 +886,10 @@ class TestNeoRecalibrationInputs:
 
 
 class TestInvertedMap:
-    """A map whose near pixels score high, calibrated and scored with ``--lt-take highest``."""
+    """A map whose near pixels score high, calibrated with ``--lt-take highest``.
+
+    The profile records the tail, so a plain ``estimate`` scores with it too.
+    """
 
     def test_highest_tail_recovers_the_line_and_the_distance(self, tmp_path):
         streams = {}
@@ -891,12 +907,65 @@ class TestInvertedMap:
         assert run_cli("calibrate", "depth", "--stream", streams[2.5], "--stream", streams[4.0],
                        "--lt-take", "highest", "--out", profile) == 0
         assert load_depth_profile(profile).m == pytest.approx(-6.0, abs=0.01)
+        assert load_depth_profile(profile).lt_take == "highest"
         est = tmp_path / "est.jsonl"
         assert run_cli("estimate", "--stream", streams[3.0], "--estimator", "neo_norc",
-                       "--depth-profile", profile, "--lt-take", "highest", "--out", est) == 0
+                       "--depth-profile", profile, "--out", est) == 0
         errors = [abs(r["distance_m"] - 3.0) for r in read_jsonl(est)]
         assert len(errors) == 20
         assert float(np.median(errors)) < 0.01
+
+
+class TestProfileRecordsTheMethod:
+    """``estimate`` scores the way the profile's calibration did; ``--norm-method`` overrides."""
+
+    def test_calibrated_method_is_the_estimate_default(self, tmp_path):
+        s1, s2 = (self.noisy_stream(tmp_path, d) for d in (2.5, 4.0))
+        profile = tmp_path / "depth.json"
+        assert run_cli("calibrate", "depth", "--stream", s1, "--stream", s2,
+                       "--norm-method", "center", "--out", profile) == 0
+        assert load_depth_profile(profile).norm_method == "center"
+        plain, flagged = tmp_path / "plain.jsonl", tmp_path / "flagged.jsonl"
+        for out, flags in ((plain, ()), (flagged, ("--norm-method", "center"))):
+            assert run_cli("estimate", "--stream", s1, "--estimator", "neo_norc",
+                           "--depth-profile", profile, *flags, "--out", out) == 0
+        assert plain.read_bytes() == flagged.read_bytes()
+        lowest = tmp_path / "lowest.jsonl"
+        assert run_cli("estimate", "--stream", s1, "--estimator", "neo_norc", "--depth-profile",
+                       profile, "--norm-method", "low_threshold", "--out", lowest) == 0
+        assert lowest.read_bytes() != plain.read_bytes()
+
+    @staticmethod
+    def noisy_stream(tmp_path, distance_m):
+        """A calibration stream at ``distance_m`` whose methods give different scores."""
+        scene = json.loads((SCENES / "calib_2p5m.json").read_text())
+        scene["objects"][0]["distance_m"] = distance_m
+        scene["law"]["noise_sigma"] = 0.05
+        scene_path = tmp_path / f"scene_{distance_m}.json"
+        scene_path.write_text(json.dumps(scene))
+        out = tmp_path / f"run_{distance_m}"
+        assert run_cli("synth", "--scene", scene_path, "--out-dir", out, "--seed", 5) == 0
+        return out / "frames.jsonl"
+
+    def test_profile_without_the_method_keys_loads_as_before(self, tmp_path):
+        # The keys and values a depth profile held before it recorded its method.
+        old = tmp_path / "old.json"
+        old.write_text('{\n  "lt_percentile": 10.0,\n  "m": 6.0,\n  "pair": [\n    2.5,\n'
+                       '    4.0\n  ],\n  "s": 1.0,\n  "smooth_window": 5,\n  "unit": "m",\n'
+                       '  "vip_id": "S1"\n}\n')
+        loaded = load_depth_profile(old)
+        assert loaded == DepthProfile(vip_id="S1", m=6.0, s=1.0, pair=(2.5, 4.0))
+        assert loaded.method == depth.NormalizationMethod()
+        new = tmp_path / "new.json"
+        save_profile(new, loaded)
+        assert json.loads(new.read_text()) == {**json.loads(old.read_text()),
+                                               "norm_method": "low_threshold",
+                                               "lt_take": "lowest"}
+        stream, _ = TestMapReadAhead.five_frames(tmp_path)
+        for name in ("old", "new"):
+            assert TestMapReadAhead.neo_norc(stream, tmp_path / f"{name}.json",
+                                             tmp_path / f"{name}.jsonl") == 0
+        assert (tmp_path / "old.jsonl").read_bytes() == (tmp_path / "new.jsonl").read_bytes()
 
 
 class TestCodecFaults:
@@ -1409,8 +1478,6 @@ class TestMapReadAhead:
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--window", "100000000000000000000", "detection window 100000000000000000000 is longer"),
-    ("--smooth-window", "100000000000000000000",
-     "smoothing window 100000000000000000000 is longer"),
     ("--train-window-s", "1e300", "train window 1e+300 s at 30 fps holds more samples"),
     ("--train-window-s", "1e308", "train window 1e+308 s at 30 fps holds more samples"),
     ("--train-window-s", "inf", "train window inf s at 30 fps holds more samples"),
@@ -1437,18 +1504,31 @@ def test_every_estimator_has_a_runner():
         assert isinstance(runner.needs_depth_map, bool) and callable(runner.run_frame)
 
 
-def test_estimate_defaults_equal_the_library_defaults():
+def test_estimate_defaults_equal_the_library_defaults(tmp_path):
     """The benchmark replays ``estimate neo`` through the library with
-    ``RecalibrationConfig`` and ``NormalizationMethod`` defaults."""
+    ``RecalibrationConfig`` defaults and ``NormalizationMethod`` defaults but
+    the profile's percentile; a default calibration records exactly that."""
     args = build_parser().parse_args(["estimate", "--stream", "frames.jsonl", "--estimator",
                                       "neo", "--out", "est.jsonl"])
     config = depth.RecalibrationConfig()
     assert (args.window, args.train_window_s, args.fps, args.alpha, args.n_o) == (
         config.w, config.w_prime_s, config.fps, config.alpha, config.n_o)
     assert args.tau_cm / 100 == config.tau_m
+    assert args.norm_method is None  # the profile's method
     method = depth.NormalizationMethod()
-    assert (args.norm_method, args.diameter_px, args.center_weight, args.lt_take) == (
-        method.kind, method.diameter_px, method.center_weight, method.lt_take)
+    cal = build_parser().parse_args(["calibrate", "depth", "--stream", "frames.jsonl",
+                                     "--out", "depth.json"])
+    assert (cal.norm_method, cal.lt_percentile, cal.lt_take) == (
+        method.kind, method.lt_percentile, method.lt_take)
+    fields = DepthProfile(vip_id="", m=6.0, s=1.0)
+    assert (fields.norm_method, fields.lt_percentile, fields.lt_take) == (
+        method.kind, method.lt_percentile, method.lt_take)
+    assert fields.method == method  # so also the disc diameter and the center weight
+    s1, s2 = synth_calibration_streams(tmp_path)
+    assert run_cli("calibrate", "depth", "--stream", s1, "--stream", s2,
+                   "--out", tmp_path / "depth.json") == 0
+    profile = load_depth_profile(tmp_path / "depth.json")
+    assert depth.NormalizationMethod(lt_percentile=profile.lt_percentile) == profile.method
 
 
 class TestEvaluate:

@@ -124,7 +124,7 @@ EXPECTED_MIXED_NOISE = {
 }
 
 SUITE_FILES = 355
-SUITE_SHA256 = "b0303aa6aaed4e7709476c770c43bc450991e13824a58831d077228882ee4b71"
+SUITE_SHA256 = "b4f0cb2d8c42e179796a40876d85f31d25d989bc836b45fbad56f711a759cb4d"
 
 
 def sha256(path: Path) -> str:

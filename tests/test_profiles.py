@@ -173,6 +173,10 @@ class TestErrors:
              "malformed depth profile (scale coefficient must be finite and nonzero, got 0.0)"),
             (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "lt_percentile": 0}',
              "malformed depth profile (percentile 0.0 outside (0, 100])"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "lt_take": "up"}',
+             "malformed depth profile (lt_take must be 'lowest' or 'highest', got 'up')"),
+            (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "norm_method": "foo"}',
+             "malformed depth profile (unknown normalization method 'foo')"),
             (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "smooth_window": 0}',
              "malformed depth profile (window must be >= 1, got 0)"),
             (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "pair": [2.5]}',
@@ -194,7 +198,8 @@ class TestErrors:
              "malformed depth profile (smooth_window 3.9 is not a whole number)"),
         ],
         ids=["camera", "regression", "depth", "height_table", "overflow", "depth-unit",
-             "depth-zero-slope", "depth-percentile", "depth-window", "depth-short-pair",
+             "depth-zero-slope", "depth-percentile", "depth-tail", "depth-method",
+             "depth-window", "depth-short-pair",
              "depth-negative-pair",
              "camera-focal", "camera-width", "regression-mode", "height-table-height",
              "camera-fractional-width", "depth-fractional-window"],
