@@ -919,6 +919,18 @@ class TestInvertedMap:
 class TestProfileRecordsTheMethod:
     """``estimate`` scores the way the profile's calibration did; ``--norm-method`` overrides."""
 
+    @staticmethod
+    def noisy_stream(tmp_path, distance_m):
+        """A calibration stream at ``distance_m`` whose methods give different scores."""
+        scene = json.loads((SCENES / "calib_2p5m.json").read_text())
+        scene["objects"][0]["distance_m"] = distance_m
+        scene["law"]["noise_sigma"] = 0.05
+        scene_path = tmp_path / f"scene_{distance_m}.json"
+        scene_path.write_text(json.dumps(scene))
+        out = tmp_path / f"run_{distance_m}"
+        assert run_cli("synth", "--scene", scene_path, "--out-dir", out, "--seed", 5) == 0
+        return out / "frames.jsonl"
+
     def test_calibrated_method_is_the_estimate_default(self, tmp_path):
         s1, s2 = (self.noisy_stream(tmp_path, d) for d in (2.5, 4.0))
         profile = tmp_path / "depth.json"
@@ -934,18 +946,6 @@ class TestProfileRecordsTheMethod:
         assert run_cli("estimate", "--stream", s1, "--estimator", "neo_norc", "--depth-profile",
                        profile, "--norm-method", "low_threshold", "--out", lowest) == 0
         assert lowest.read_bytes() != plain.read_bytes()
-
-    @staticmethod
-    def noisy_stream(tmp_path, distance_m):
-        """A calibration stream at ``distance_m`` whose methods give different scores."""
-        scene = json.loads((SCENES / "calib_2p5m.json").read_text())
-        scene["objects"][0]["distance_m"] = distance_m
-        scene["law"]["noise_sigma"] = 0.05
-        scene_path = tmp_path / f"scene_{distance_m}.json"
-        scene_path.write_text(json.dumps(scene))
-        out = tmp_path / f"run_{distance_m}"
-        assert run_cli("synth", "--scene", scene_path, "--out-dir", out, "--seed", 5) == 0
-        return out / "frames.jsonl"
 
     def test_profile_without_the_method_keys_loads_as_before(self, tmp_path):
         # The keys and values a depth profile held before it recorded its method.
@@ -1520,10 +1520,10 @@ def test_estimate_defaults_equal_the_library_defaults(tmp_path):
                                      "--out", "depth.json"])
     assert (cal.norm_method, cal.lt_percentile, cal.lt_take) == (
         method.kind, method.lt_percentile, method.lt_take)
-    fields = DepthProfile(vip_id="", m=6.0, s=1.0)
-    assert (fields.norm_method, fields.lt_percentile, fields.lt_take) == (
+    defaults = DepthProfile(vip_id="", m=6.0, s=1.0)
+    assert (defaults.norm_method, defaults.lt_percentile, defaults.lt_take) == (
         method.kind, method.lt_percentile, method.lt_take)
-    assert fields.method == method  # so also the disc diameter and the center weight
+    assert defaults.method == method  # so also the disc diameter and the center weight
     s1, s2 = synth_calibration_streams(tmp_path)
     assert run_cli("calibrate", "depth", "--stream", s1, "--stream", s2,
                    "--out", tmp_path / "depth.json") == 0
