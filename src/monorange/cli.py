@@ -235,15 +235,12 @@ def _frame_fault(stream: str, ann: FrameAnnotation, fault) -> DomainError:
     return DomainError(f"{stream}: frame {ann.frame_id}: {fault}")
 
 
-def _check_resolution(
-    stream: str, ann: FrameAnnotation, bbox: BoundingBox, expected: tuple[int, int], what: str
-) -> None:
-    """Reject a box of ``stream`` that is not in the ``expected`` resolution of ``what``."""
+def _check_resolution(bbox: BoundingBox, expected: tuple[int, int], what: str) -> None:
+    """Reject a box that is not in the ``expected`` resolution of ``what``."""
     if (bbox.resolution_w, bbox.resolution_h) != expected:
-        raise _frame_fault(
-            stream, ann,
+        raise DomainError(
             f"box resolution {bbox.resolution_w}x{bbox.resolution_h} differs from the {what} "
-            f"{expected[0]}x{expected[1]}; scale the box first",
+            f"{expected[0]}x{expected[1]}; scale the box first"
         )
 
 
@@ -261,18 +258,12 @@ class _CheckedRegression:
         )
         camera = profiles.load_camera_profile(args.camera_profile) if args.camera_profile else None
         self.native = (camera.image_width_px, camera.image_height_px) if camera else None
-        self.stream = args.stream
 
-    def predict(self, ann: FrameAnnotation, bbox: BoundingBox) -> DistanceEstimate:
-        """The distance for ``bbox`` of frame ``ann``; a fault names the stream and frame."""
+    def predict(self, bbox: BoundingBox) -> DistanceEstimate:
         if self.native is None:
             self.native = (bbox.resolution_w, bbox.resolution_h)
-        _check_resolution(self.stream, ann, bbox, self.native, "calibrated")
-        try:
-            features = RegressionFeatures.from_bbox(bbox)
-        except DomainError as exc:  # an area too large for a float
-            raise _frame_fault(self.stream, ann, exc) from exc
-        return predict_distance(self.model, features)
+        _check_resolution(bbox, self.native, "calibrated")
+        return predict_distance(self.model, RegressionFeatures.from_bbox(bbox))
 
 
 class _RegressionRunner:
@@ -300,7 +291,7 @@ class _RegressionRunner:
         for det in ann.detections:
             if not det.is_vip:
                 continue  # this estimator only covers the followed person
-            estimate = self.regression.predict(ann, det.bbox)
+            estimate = self.regression.predict(det.bbox)
             flags = ["out-of-domain"] if estimate.out_of_domain else []
             out.append(object_record(ann, det, estimate, flags))
 
@@ -321,11 +312,10 @@ class _GeometricRunner:
         )
         self.height = heights.actual if actual else heights.expected
         self.resolution = (self.intrinsics.image_width_px, self.intrinsics.image_height_px)
-        self.stream = args.stream
 
     def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
         for det in ann.detections:
-            _check_resolution(self.stream, ann, det.bbox, self.resolution, "camera profile")
+            _check_resolution(det.bbox, self.resolution, "camera profile")
             try:
                 height = self.height(truth_key(det.class_label, det.is_vip))
             except MissingDataError:
@@ -333,13 +323,6 @@ class _GeometricRunner:
                 continue
             value = estimate_distance_geometric(det.bbox, height, self.intrinsics)
             out.append(object_record(ann, det, DistanceEstimate(value), []))
-
-
-def _calibration_sample(payload: dict) -> depth_mod.CalibrationSample:
-    return depth_mod.CalibrationSample(
-        normalized_score=float(payload["normalized_score"]),
-        true_distance_m=float(payload["true_distance_m"]),
-    )
 
 
 class _NeoRunner:
@@ -363,7 +346,6 @@ class _NeoRunner:
         # A one-score mean is not always the score: fsum turns -0.0 into 0.0.
         self.smoother = depth_mod.ScoreSmoother(window) if window > 1 else None
         self.coeffs = profile.to_coefficients()
-        self.stream = args.stream
         self.config = self.state = self.gt_regression = None
         if not recalibrate:
             return
@@ -373,45 +355,27 @@ class _NeoRunner:
             fps=args.fps,
             alpha=args.alpha,
             tau_m=args.tau_cm / 100.0,
-            n_o=args.n_o,
         )
         if args.gt_source == "regression":
             self.gt_regression = _CheckedRegression(
                 f"estimator {name!r} with --gt-source regression", args
             )
         self.state = depth_mod.RecalibrationState(
-            self.config, self._load_recal_samples(args, profile), seed=args.seed
+            self.config, self._anchors(args.depth_profile, profile.pair), seed=args.seed
         )
 
-    def _load_recal_samples(self, args, profile: profiles.DepthProfile):
-        """Offline anchor samples for recalibration.
-
-        Prefers an explicit sidecar file; otherwise reconstructs ``n_o`` anchors
-        from the profile's fitted line at its calibration pair distances.
-        """
-        n_o = self.config.n_o
-        if args.recal_samples:
-            samples = list(read_jsonl(args.recal_samples, "sample", _calibration_sample))
-            if len(samples) != n_o:
-                raise DomainError(
-                    f"--n-o is {n_o} but {args.recal_samples} holds {len(samples)}"
-                )
-            return samples
-        if profile.pair is None:
-            raise MissingDataError(
-                "depth profile has no calibration pair; provide --recal-samples"
-            )
-        coeffs = profile.to_coefficients()
-        d1, d2 = profile.pair
-        n1 = n_o // 2
+    def _anchors(self, source: str, pair: tuple[float, float] | None):
+        """The offline set: ``n_o`` samples on the profile's line, half at each pair distance."""
+        if pair is None:
+            raise MissingDataError("depth profile has no calibration pair")
+        c, n_o = self.coeffs, self.config.n_o
         try:
-            anchors = [depth_mod.CalibrationSample((d1 - coeffs.s) / coeffs.m, d1)] * n1
-            anchors += [depth_mod.CalibrationSample((d2 - coeffs.s) / coeffs.m, d2)] * (n_o - n1)
+            at_d1, at_d2 = (depth_mod.CalibrationSample((d - c.s) / c.m, d) for d in pair)
         except DomainError as exc:  # a line so flat that an anchor's score overflows
             raise DomainError(
-                f"depth profile {args.depth_profile}: its line gives no usable anchor ({exc})"
+                f"depth profile {source}: its line gives no usable anchor ({exc})"
             ) from exc
-        return anchors
+        return [at_d1] * (n_o // 2) + [at_d2] * (n_o - n_o // 2)
 
     def vip_truth(self, ann: FrameAnnotation) -> DistanceEstimate | None:
         if self.gt_regression is None:
@@ -420,26 +384,15 @@ class _NeoRunner:
         vips = [d for d in ann.detections if d.is_vip]
         if not vips:
             return None
-        return self.gt_regression.predict(ann, vips[0].bbox)
+        return self.gt_regression.predict(vips[0].bbox)
 
     def run_frame(self, ann: FrameAnnotation, depth_map, out: list[dict]):
         frame = depth_mod.FrameObservation(
             detections=ann.detections, depth_map=depth_map, timestamp_s=ann.timestamp_s
         )
-        # A regression truth's faults already name the stream and frame.
         truth = None if self.state is None else self.vip_truth(ann)
-        try:
-            result = depth_mod.step(
-                frame,
-                truth,
-                self.state,
-                self.config,
-                self.coeffs,
-                method=self.method,
-                smoother=self.smoother,
-            )
-        except DomainError as exc:  # a box that collapses at the map's resolution
-            raise _frame_fault(self.stream, ann, exc) from exc
+        result = depth_mod.step(frame, truth, self.state, self.config, self.coeffs,
+                                method=self.method, smoother=self.smoother)
         self.coeffs = result.coeffs
         if result.recalibrated:
             c = self.coeffs
@@ -458,7 +411,7 @@ class _NeoRunner:
 # Each estimator's runner, built once per run as ``runner(name, args)``. It
 # loads and checks the profiles it needs, and ``run_frame(ann, depth_map,
 # out)`` appends the frame's records to ``out``; ``depth_map`` is None unless
-# ``needs_depth_map``.
+# ``needs_depth_map``. A ``DomainError`` it raises is a fault of the frame.
 RUNNERS = {
     "regression": _RegressionRunner,
     "geometric": functools.partial(_GeometricRunner, actual=False),
@@ -468,6 +421,14 @@ RUNNERS = {
 }
 
 ESTIMATORS = tuple(RUNNERS)
+
+
+def _run_frame(runner, stream: str, ann: FrameAnnotation, depth_map, out: list[dict]) -> None:
+    """``runner``'s records of frame ``ann`` into ``out``; a fault names the stream and frame."""
+    try:
+        runner.run_frame(ann, depth_map, out)
+    except DomainError as exc:
+        raise _frame_fault(stream, ann, exc) from exc
 
 
 def cmd_estimate(args) -> int:
@@ -488,9 +449,11 @@ def cmd_estimate(args) -> int:
                 frames += 1
                 out: list[dict] = []
                 try:
-                    # Not a local, which would keep this map while the next is built.
-                    runner.run_frame(
-                        ann, load_depth_map(stream_path, ann, read) if needs_map else None, out
+                    # Not a local, which would keep this map while the next is built;
+                    # loaded here, so a fault of the map names the map, not the frame.
+                    _run_frame(
+                        runner, args.stream, ann,
+                        load_depth_map(stream_path, ann, read) if needs_map else None, out,
                     )
                     lines = record_lines(ann, out)
                 except (MissingDataError, DegenerateGeometryError, NonFiniteError) as exc:
@@ -567,6 +530,9 @@ def cmd_evaluate(args) -> int:
                 metrics.quadrant_matrix(joined, near_m),
                 out_dir / "quadrant.csv",
             )
+        else:  # so that no table of an earlier run reads as this run's
+            for name in ("records.csv", "summary.csv", "quadrant.csv"):
+                (out_dir / name).unlink(missing_ok=True)
     except OSError as exc:
         raise unwritable(f"output path {exc.filename or out_dir}", exc) from exc
     print(
@@ -638,6 +604,17 @@ def cmd_synth(args) -> int:
 # parser / entry point
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: numpy's random generators take only a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after that.
@@ -692,17 +669,15 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--regression-profile", default=None)
     est.add_argument("--depth-profile", default=None)
     est.add_argument("--height-table", default=None)
-    est.add_argument("--recal-samples", default=None)
     est.add_argument("--gt-source", choices=("regression", "truth"), default="regression")
     est.add_argument("--alpha", type=float, default=0.75)
     est.add_argument("--tau-cm", type=float, default=30.0)
     est.add_argument("--window", type=int, default=5)
     est.add_argument("--train-window-s", type=float, default=5.0)
     est.add_argument("--fps", type=int, default=30)
-    est.add_argument("--n-o", type=int, default=20)
     # Scores with this method in place of the one the depth profile records.
     est.add_argument("--norm-method", choices=depth_mod.METHOD_KINDS, default=None)
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--seed", type=_seed, default=0)
     est.add_argument("--out", required=True)
     est.set_defaults(handler="cmd_estimate")
 
@@ -717,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("synth", help="generate a synthetic stream from a scene spec")
     sy.add_argument("--scene", required=True)
     sy.add_argument("--out-dir", required=True)
-    sy.add_argument("--seed", type=int, default=0)
+    sy.add_argument("--seed", type=_seed, default=0)
     sy.set_defaults(handler="cmd_synth")
 
     return parser

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -828,42 +829,22 @@ class TestNeoRecalibrationInputs:
                        "--depth-profile", profile, "--gt-source", "truth", "--fps", "10",
                        "--seed", "11", *flags, "--out", out)
 
-    @staticmethod
-    def write_anchors(path, profile, count):
-        """``count`` of the anchors the profile's line gives its pair: (d - s) / m, 10 each."""
-        coeffs = load_depth_profile(profile).to_coefficients()
-        anchors = [{"normalized_score": (d - coeffs.s) / coeffs.m, "true_distance_m": d}
-                   for d in (2.5, 4.0) for _ in range(10)]
-        path.write_text("".join(json.dumps(a) + "\n" for a in anchors[:count]))
-        return path
-
-    def test_samples_equal_to_the_profile_anchors_give_the_same_bytes(self, tmp_path):
+    def test_a_refit_mixes_the_profile_anchors_and_new_samples(self, tmp_path):
         stream = self.drift_stream(tmp_path)
         profile = _write_depth_profile(tmp_path / "depth.json", m=5.9, s=1.1)
-        samples = self.write_anchors(tmp_path / "samples.jsonl", profile, 20)
         assert self.neo(stream, profile, tmp_path / "a.jsonl") == 0
-        assert self.neo(stream, profile, tmp_path / "b.jsonl", "--recal-samples", samples) == 0
-        text = (tmp_path / "a.jsonl").read_text()
-        assert '"event": "recalibration"' in text
-        assert (tmp_path / "b.jsonl").read_text() == text
+        refits = [r for r in read_jsonl(tmp_path / "a.jsonl") if "event" in r]
+        assert refits and refits[0]["event"] == "recalibration"
+        config = depth.RecalibrationConfig()
+        assert refits[0]["sample_count"] == config.n_o + config.n_new == 27
 
-    def test_a_sample_count_other_than_n_o_exits_2(self, tmp_path, capsys):
-        stream = self.drift_stream(tmp_path)
-        profile = _write_depth_profile(tmp_path / "depth.json")
-        samples = self.write_anchors(tmp_path / "samples.jsonl", profile, 19)
-        est = tmp_path / "est.jsonl"
-        assert self.neo(stream, profile, est, "--recal-samples", samples) == 2
-        assert f"error: --n-o is 20 but {samples} holds 19\n" in capsys.readouterr().err
-        assert not est.exists()
-
-    def test_a_profile_without_a_pair_needs_samples(self, tmp_path, capsys):
+    def test_a_profile_without_a_pair_exits_4(self, tmp_path, capsys):
         stream = self.drift_stream(tmp_path)
         profile = tmp_path / "depth.json"
         save_profile(profile, DepthProfile(vip_id="S1", m=6.0, s=1.0, unit="m"))
         est = tmp_path / "est.jsonl"
         assert self.neo(stream, profile, est) == 4
-        assert ("error: depth profile has no calibration pair; provide --recal-samples\n"
-                in capsys.readouterr().err)
+        assert "error: depth profile has no calibration pair\n" in capsys.readouterr().err
         assert not est.exists()
 
     def test_a_frame_without_a_vip_keeps_its_other_records(self, tmp_path):
@@ -1044,8 +1025,7 @@ class TestCodecFaults:
                 "not an object)") in capsys.readouterr().err
 
     @pytest.mark.parametrize("reader", ["regression", "regression-huge", "regression-inf",
-                                        "focal", "focal-nan", "focal-huge", "focal-inf-height",
-                                        "recal", "recal-nan", "recal-inf"])
+                                        "focal", "focal-nan", "focal-huge", "focal-inf-height"])
     def test_sample_outside_its_domain_names_file_and_line(self, tmp_path, capsys, reader):
         box = {"x_min": 540.0, "y_min": 193.0, "x_max": 740.0, "y_max": 527.0,
                "resolution_w": 1280, "resolution_h": 720}
@@ -1073,27 +1053,13 @@ class TestCodecFaults:
                                  {"bbox": box, "object_height_m": math.inf,
                                   "true_distance_m": 3.0},
                                  "focal sample", "focal length 0.0 px is not positive"),
-            "recal": ({"normalized_score": 0.3, "true_distance_m": 3.0},
-                      {"normalized_score": 0.3, "true_distance_m": -1.0},
-                      "sample", "true distance must be positive, got -1.0"),
-            "recal-nan": ({"normalized_score": 0.3, "true_distance_m": 3.0},
-                          {"normalized_score": math.nan, "true_distance_m": 3.0},
-                          "sample", "normalized score must be finite, got nan"),
-            "recal-inf": ({"normalized_score": 0.3, "true_distance_m": 3.0},
-                          {"normalized_score": 0.4, "true_distance_m": math.inf},
-                          "sample", "true distance must be finite, got inf"),
         }[reader]
         samples = tmp_path / "samples.jsonl"
         samples.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-        stream = tmp_path / "frames.jsonl"
-        stream.write_text("")
         argv = {
             "regression": ("calibrate", "regression", "--frames", samples,
                            "--out", tmp_path / "p.json"),
             "focal": ("focal", "--samples", samples, "--out", tmp_path / "p.json"),
-            "recal": ("estimate", "--stream", stream, "--estimator", "neo",
-                      "--depth-profile", "builtin:P1", "--gt-source", "truth",
-                      "--recal-samples", samples, "--out", tmp_path / "est.jsonl"),
         }[reader.partition("-")[0]]
         assert run_cli(*argv) == 2
         assert f"{samples}:2: malformed {what} ({message})" in capsys.readouterr().err
@@ -1511,8 +1477,8 @@ def test_estimate_defaults_equal_the_library_defaults(tmp_path):
     args = build_parser().parse_args(["estimate", "--stream", "frames.jsonl", "--estimator",
                                       "neo", "--out", "est.jsonl"])
     config = depth.RecalibrationConfig()
-    assert (args.window, args.train_window_s, args.fps, args.alpha, args.n_o) == (
-        config.w, config.w_prime_s, config.fps, config.alpha, config.n_o)
+    assert (args.window, args.train_window_s, args.fps, args.alpha) == (
+        config.w, config.w_prime_s, config.fps, config.alpha)
     assert args.tau_cm / 100 == config.tau_m
     assert args.norm_method is None  # the profile's method
     method = depth.NormalizationMethod()
@@ -1529,6 +1495,44 @@ def test_estimate_defaults_equal_the_library_defaults(tmp_path):
                    "--out", tmp_path / "depth.json") == 0
     profile = load_depth_profile(tmp_path / "depth.json")
     assert depth.NormalizationMethod(lt_percentile=profile.lt_percentile) == profile.method
+
+
+def _options(*command):
+    """The option strings of the subcommand ``command`` names, such as ("calibrate", "depth")."""
+    parser = build_parser()
+    for name in command:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_estimate_and_calibrate_depth_take_exactly_these_options():
+    """Every knob is pinned here, so a new one shows up in the diff."""
+    assert _options("estimate") == {
+        "--stream", "--estimator", "--out", "--camera-profile", "--regression-profile",
+        "--depth-profile", "--height-table", "--gt-source", "--alpha", "--tau-cm", "--window",
+        "--train-window-s", "--fps", "--norm-method", "--seed",
+    }
+    assert _options("calibrate", "depth") == {
+        "--stream", "--pair", "--candidate-pairs", "--vip-id", "--norm-method",
+        "--lt-percentile", "--lt-take", "--smooth-window", "--out",
+    }
+
+
+@pytest.mark.parametrize("command", ["synth", "estimate"])
+def test_a_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    argv = {
+        "synth": ("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out),
+        "estimate": ("estimate", "--stream", tmp_path / "frames.jsonl", "--estimator", "neo",
+                     "--depth-profile", "builtin:P1", "--gt-source", "truth", "--out", out),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--seed", "-1")
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-1'" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 class TestEvaluate:
@@ -1587,6 +1591,28 @@ class TestEvaluate:
         printed = capsys.readouterr().out
         assert "joined=1" in printed
         assert "unmatched=1" in printed
+
+    def test_a_run_that_joins_nothing_leaves_no_earlier_table(self, tmp_path, capsys):
+        est = tmp_path / "est.jsonl"
+        est.write_text(canonical_jsonl_line({
+            "frame_id": "f0", "timestamp_s": 0.0, "class_label": "car",
+            "is_vip": False, "distance_m": 3.0, "flags": [],
+        }))
+        truth = tmp_path / "truth.jsonl"
+        ann = {"frame_id": "f0", "timestamp_s": 0.0, "detections": [],
+               "ground_truth": {"car": 3.2}}
+        truth.write_text(json.dumps(ann) + "\n")
+        out = tmp_path / "m"
+        assert run_cli("evaluate", "--estimates", est, "--truth", truth, "--out-dir", out) == 0
+        tables = {"records.csv", "summary.csv", "quadrant.csv"}
+        assert {p.name for p in out.iterdir()} == tables
+        capsys.readouterr()
+        del ann["ground_truth"]
+        truth.write_text(json.dumps(ann) + "\n")
+        assert run_cli("evaluate", "--estimates", est, "--truth", truth, "--out-dir", out) == 0
+        assert capsys.readouterr().out == (
+            f"metrics -> {out}  joined=0 unmatched=1 beyond_8m=0 missed=0\n")
+        assert not list(out.iterdir())
 
     def test_truths_no_estimate_names_are_counted_missed(self, tmp_path, capsys):
         out = tmp_path / "run"
