@@ -51,7 +51,6 @@ class FrameAnnotation:
     depth_map_path: str | None = None
     ground_truth: dict[str, float] | None = None
     vip_id: str = ""
-    scene: str = ""
 
     def __post_init__(self):
         if not math.isfinite(self.timestamp_s):
@@ -119,8 +118,6 @@ def annotation_payload(ann: FrameAnnotation) -> dict:
         payload["ground_truth"] = dict(sorted(ann.ground_truth.items()))
     if ann.vip_id:
         payload["vip_id"] = ann.vip_id
-    if ann.scene:
-        payload["scene"] = ann.scene
     return payload
 
 
@@ -150,7 +147,7 @@ def _annotation(payload: dict) -> FrameAnnotation:
         raise TypeError(f"ground_truth is {type(truth).__name__}, not an object")
     return FrameAnnotation(
         frame_id, timestamp_s, tuple(detections), depth_map_path, ground_truth,
-        str(payload.get("vip_id", "")), str(payload.get("scene", "")),
+        str(payload.get("vip_id", "")),
     )
 
 

@@ -85,7 +85,6 @@ def reference_read_annotations(path):
                 }
                 or None,
                 vip_id=str(payload.get("vip_id", "")),
-                scene=str(payload.get("scene", "")),
             )
         except (DomainError, *PARSE_ERRORS) as exc:
             raise FormatError(f"{path}:{lineno}: malformed frame annotation ({exc})") from exc
@@ -326,6 +325,15 @@ def test_fields_of_another_type_are_format_errors(stream_file):
         with pytest.raises(FormatError) as info:
             list(read_annotations(stream_file))
         assert str(info.value) == f"{stream_file}:2: malformed frame annotation ({text})"
+
+
+def test_a_scene_key_is_ignored(stream_file):
+    """No field holds ``scene``: a line with one loads, and writing the frame drops it."""
+    frame = {"frame_id": "f", "timestamp_s": 0.0, "detections": [], "scene": "drift"}
+    stream_file.write_text(json.dumps(frame) + "\n")
+    [ann] = read_annotations(stream_file)
+    assert stream.annotation_payload(ann) == {"frame_id": "f", "timestamp_s": 0.0,
+                                              "detections": []}
 
 
 def test_repeated_frame_id_is_a_format_error(stream_file):
