@@ -1519,8 +1519,9 @@ def test_estimate_and_calibrate_depth_take_exactly_these_options():
     }
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
 @pytest.mark.parametrize("command", ["synth", "estimate"])
-def test_a_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+def test_a_bad_seed_exits_2_naming_the_flag(tmp_path, capsys, command, seed):
     out = tmp_path / "run"
     argv = {
         "synth": ("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out),
@@ -1528,9 +1529,9 @@ def test_a_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
                      "--depth-profile", "builtin:P1", "--gt-source", "truth", "--out", out),
     }[command]
     with pytest.raises(SystemExit) as exc:
-        run_cli(*argv, "--seed", "-1")
+        run_cli(*argv, "--seed", seed)
     assert exc.value.code == 2
-    assert "argument --seed: expected a non-negative integer, got '-1'" in (
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in (
         capsys.readouterr().err)
     assert not out.exists()
 

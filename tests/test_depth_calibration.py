@@ -48,6 +48,11 @@ class TestFitCoefficients:
         with pytest.raises(DomainError, match="normalized score must be finite"):
             CalibrationSample(score, 2.0)
 
+    @pytest.mark.parametrize("distance", [-1.0, 0.0, math.nan])
+    def test_sample_distance_must_be_positive(self, distance):
+        with pytest.raises(DomainError, match=f"true distance must be positive, got {distance}"):
+            CalibrationSample(0.3, distance)
+
     def test_sample_distance_must_be_finite(self):
         with pytest.raises(DomainError, match="true distance must be finite, got inf"):
             CalibrationSample(0.3, math.inf)
