@@ -33,7 +33,6 @@ from .common import (
     NonFiniteError,
     SingularFitError,
     canonical_jsonl_line,
-    one_ahead,
     read_jsonl,
     unwritable,
 )
@@ -55,7 +54,7 @@ from .regression import (
 )
 from .stream import (
     FrameAnnotation, annotation_payload, bbox_from_payload, estimate_entry, ground_truth,
-    load_depth_map, map_read, object_record, read_annotations, record, record_lines, truth_key,
+    load_depth_map, object_record, read_annotations, record, record_lines, truth_key,
 )
 
 log = logging.getLogger("monorange")
@@ -437,15 +436,9 @@ def cmd_estimate(args) -> int:
     out_path = Path(args.out)
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     frames = records = recals = errors = 0
-    needs_map = runner.needs_depth_map
-    # A depth estimator's map bytes are read one frame ahead on a helper
-    # thread; a box-only estimator reads none and starts no thread.
-    stream = one_ahead(
-        read_annotations(stream_path), lambda ann: map_read(stream_path, ann) if needs_map else None
-    )
     try:
         with open(tmp_path, "w") as fh:
-            for ann, read in stream:
+            for ann in read_annotations(stream_path):
                 frames += 1
                 out: list[dict] = []
                 try:
@@ -453,7 +446,7 @@ def cmd_estimate(args) -> int:
                     # loaded here, so a fault of the map names the map, not the frame.
                     _run_frame(
                         runner, args.stream, ann,
-                        load_depth_map(stream_path, ann, read) if needs_map else None, out,
+                        load_depth_map(stream_path, ann) if runner.needs_depth_map else None, out,
                     )
                     lines = record_lines(ann, out)
                 except (MissingDataError, DegenerateGeometryError, NonFiniteError) as exc:
@@ -468,7 +461,6 @@ def cmd_estimate(args) -> int:
     except OSError as exc:
         raise unwritable(f"output file {out_path}", exc) from exc
     finally:
-        stream.close()  # joins the helper thread on every exit
         if tmp_path.exists():
             tmp_path.unlink()
     print(
@@ -615,6 +607,19 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _fov_deg(text: str) -> float:
+    """A ``--fov-deg``: a camera sees less than a half-turn, and more than nothing."""
+    try:
+        fov = float(text)
+    except ValueError:
+        fov = math.nan
+    if not 0.0 < fov < 180.0:  # false for NaN too
+        raise argparse.ArgumentTypeError(
+            f"expected degrees strictly between 0 and 180, got {text!r}"
+        )
+    return fov
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after that.
@@ -658,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     focal = sub.add_parser("focal", help="estimate the focal length")
     focal.add_argument("--samples", required=True, help="JSONL of reference-object samples")
-    focal.add_argument("--fov-deg", type=float, default=None)
+    focal.add_argument("--fov-deg", type=_fov_deg, default=None)
     focal.add_argument("--out", required=True)
     focal.set_defaults(handler="cmd_calibrate", subject="focal")
 

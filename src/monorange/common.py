@@ -205,6 +205,12 @@ def one_ahead(
     The thread starts on the first submit, so items without work start none,
     and closing the generator joins it. Work must touch nothing that the
     caller uses meanwhile.
+
+    The handoff pays only for work that computes more than it moves: ``synth``
+    draws a frame's noise here. A depth map's read does not belong here. On
+    two cores with private L2 caches, the bytes that the helper read had to
+    cross to the core that checks the scores, and that transfer cost more
+    than the overlap saved.
     """
     items = iter(items)
     with ThreadPoolExecutor(max_workers=1) as helper:

@@ -4,14 +4,10 @@ Layout: 4 magic bytes ``NEOD``, little-endian u32 width, little-endian u32
 height, then ``width*height`` little-endian IEEE-754 float32 scores, row
 major, top row first.
 
-Reading is split in two halves, and :func:`read_depth_map` is the two
-composed. :func:`read_payload` is the I/O half: it opens the file, checks the
-header against the file's length and returns the width, the height and the
-score bytes, with no numpy, so most of its time is spent in system calls that
-run without the GIL. :func:`depth_map_from_payload` is the check half: it
-builds the :class:`DepthMap`, which rejects a map that is not finite.
-``monorange estimate`` runs the I/O half for the next frame on the helper
-thread of :func:`monorange.common.one_ahead` and the check half on its own.
+:func:`read_depth_map` reads a file and checks its layout and its scores in
+one call, on the thread that then uses the map: a map that another core has
+just read arrives from that core's cache, and the scores' finiteness check
+then cost ``monorange estimate`` more than the read it overlapped.
 """
 
 from __future__ import annotations
@@ -50,16 +46,16 @@ def write_depth_map(path: str | Path, depth_map: DepthMap) -> None:
         fh.write(_HEADER.pack(MAGIC, depth_map.width, depth_map.height))
 
 
-def read_payload(path: str | Path) -> tuple[int, int, bytes]:
-    """A NEOD file's width, height and score bytes, rejecting wrong magic and sizes.
+def read_depth_map(path: str | Path) -> DepthMap:
+    """Parse a NEOD file, rejecting wrong magic, wrong sizes and bad scores.
 
-    The I/O half of :func:`read_depth_map`: plain Python and system calls, no
-    numpy, so a helper thread can run it while another thread holds the GIL.
     The file is opened once, unbuffered. Its header is checked against the
     file's length (``fstat``) before any score is read, then exactly the
-    payload is read into one immutable ``bytes``. A read that comes back short
-    (the file shrank meanwhile) is a truncation error, never a partial map; a
-    header that declares an empty map is a :class:`DomainError` naming the file.
+    payload is read into the immutable ``bytes`` whose read-only view
+    :class:`DepthMap` keeps without a copy. A read that comes back short (the
+    file shrank meanwhile) is a truncation error, never a partial map. An
+    empty map or one holding a non-finite score is a :class:`DomainError`
+    naming the file.
     """
     with open(path, "rb", 0) as fh:
         head = fh.read(_HEADER.size)
@@ -86,26 +82,8 @@ def read_payload(path: str | Path) -> tuple[int, int, bytes]:
     got = _HEADER.size + len(payload)
     if got < expected:
         raise NeodTruncatedError(f"{path}: payload truncated, {got} bytes < {expected} expected")
-    return width, height, payload
-
-
-def depth_map_from_payload(path: str | Path, width: int, height: int, payload: bytes) -> DepthMap:
-    """The check half of :func:`read_depth_map`: the map that ``read_payload(path)`` read.
-
-    :class:`DepthMap` keeps a read-only view of ``payload`` without a copy; a
-    map holding a non-finite score is a :class:`DomainError` naming the file.
-    """
     scores = np.frombuffer(payload, dtype="<f4").reshape(height, width)
     try:
         return DepthMap(scores)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
-
-
-def read_depth_map(path: str | Path) -> DepthMap:
-    """Parse a NEOD file, rejecting wrong magic, wrong sizes and bad scores.
-
-    :func:`read_payload` reads and checks the file, then
-    :func:`depth_map_from_payload` checks the scores.
-    """
-    return depth_map_from_payload(path, *read_payload(path))

@@ -8,19 +8,16 @@ events. Both are written with the canonical JSONL encoder, so a run is
 byte-reproducible, and both are read through :func:`monorange.common.read_jsonl`,
 so every fault names its file and line.
 
-A frame's depth map is loaded by :func:`load_depth_map`. ``estimate``'s
-depth estimators read the next frame's map bytes ahead, with
-:func:`map_read` as the job of :func:`monorange.common.one_ahead`, and hand
-each finished read to :func:`load_depth_map`, which builds and checks the map.
+A frame's depth map is loaded by :func:`load_depth_map`, which reads and
+checks it on the calling thread, when the frame is reached.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import neod
 from .common import (
@@ -176,36 +173,15 @@ def read_annotations(path: str | Path) -> Iterator[FrameAnnotation]:
     return read_jsonl(Path(path), "frame annotation", frame, file_kind="stream file")
 
 
-def _map_path(stream_path: Path, ann: FrameAnnotation) -> Path:
+def load_depth_map(stream_path: Path, ann: FrameAnnotation) -> DepthMap:
+    """The depth map of frame ``ann``; a relative path starts at the stream's directory."""
     if ann.depth_map_path is None:
         raise MissingDataError(f"frame {ann.frame_id}: no depth map recorded")
-    return stream_path.parent / ann.depth_map_path  # an absolute path stays as it is
-
-
-def map_read(stream_path: Path, ann: FrameAnnotation) -> Callable[[], tuple] | None:
-    """The read of frame ``ann``'s map bytes, :func:`monorange.neod.read_payload`.
-
-    None for a frame that names no map: :func:`load_depth_map` reports that.
-    """
-    if ann.depth_map_path is None:
-        return None
-    return functools.partial(neod.read_payload, _map_path(stream_path, ann))
-
-
-def load_depth_map(stream_path: Path, ann: FrameAnnotation, read=None) -> DepthMap:
-    """The depth map of frame ``ann``; a relative path starts at the stream's directory.
-
-    The map is built from ``read``, the ``Future`` of the frame's finished
-    :func:`map_read`, or else read from its file here.
-    """
-    map_path = _map_path(stream_path, ann)
+    map_path = stream_path.parent / ann.depth_map_path  # an absolute path stays as it is
     try:
-        if read is None:
-            return neod.read_depth_map(map_path)
-        width, height, payload = read.result()
+        return neod.read_depth_map(map_path)
     except OSError as exc:
         raise unreadable(f"frame {ann.frame_id}: depth map {map_path}", exc) from exc
-    return neod.depth_map_from_payload(map_path, width, height, payload)
 
 
 def record(ann: FrameAnnotation, fields: dict) -> dict:

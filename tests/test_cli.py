@@ -214,16 +214,32 @@ class TestFocalCommand:
         printed = capsys.readouterr().out
         assert printed.count(f"{expected:.6g}") == 3  # q1 = median = q3
 
-    def test_non_finite_fov_exits_2_and_writes_no_profile(self, tmp_path, capsys):
+    @staticmethod
+    def one_sample(tmp_path):
         samples = tmp_path / "focal.jsonl"
         samples.write_text(json.dumps({
             "bbox": {"x_min": 100, "y_min": 100, "x_max": 200, "y_max": 434.32,
                      "resolution_w": 1280, "resolution_h": 720},
             "object_height_m": 0.63, "true_distance_m": 3.0}) + "\n")
+        return samples
+
+    @pytest.mark.parametrize("fov", ["nan", "inf", "-inf", "-5", "0", "180", "200", "wide"])
+    def test_a_bad_fov_exits_2_naming_the_flag(self, tmp_path, capsys, fov):
+        samples = self.one_sample(tmp_path)
         out = tmp_path / "cam.json"
-        assert run_cli("focal", "--samples", samples, "--fov-deg", "nan", "--out", out) == 2
-        assert f"error: profile file {out} not written: " in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("focal", "--samples", samples, f"--fov-deg={fov}", "--out", out)
+        assert exc.value.code == 2
+        assert (f"argument --fov-deg: expected degrees strictly between 0 and 180, "
+                f"got '{fov}'") in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fov", ["1e-300", "179.99"])
+    def test_a_fov_just_inside_the_range_is_kept(self, tmp_path, fov):
+        samples = self.one_sample(tmp_path)
+        out = tmp_path / "cam.json"
+        assert run_cli("focal", "--samples", samples, "--fov-deg", fov, "--out", out) == 0
+        assert load_camera_profile(out).fov_deg == float(fov)
 
 
 def _edit_third_record(stream, edit):
@@ -942,10 +958,10 @@ class TestProfileRecordsTheMethod:
         assert json.loads(new.read_text()) == {**json.loads(old.read_text()),
                                                "norm_method": "low_threshold",
                                                "lt_take": "lowest"}
-        stream, _ = TestMapReadAhead.five_frames(tmp_path)
+        stream, _ = TestEstimateMapReads.five_frames(tmp_path)
         for name in ("old", "new"):
-            assert TestMapReadAhead.neo_norc(stream, tmp_path / f"{name}.json",
-                                             tmp_path / f"{name}.jsonl") == 0
+            assert TestEstimateMapReads.neo_norc(stream, tmp_path / f"{name}.json",
+                                                 tmp_path / f"{name}.jsonl") == 0
         assert (tmp_path / "old.jsonl").read_bytes() == (tmp_path / "new.jsonl").read_bytes()
 
 
@@ -1267,11 +1283,11 @@ class TestUnwritableOutput:
         assert f"output path {regular_file} cannot be written" in capsys.readouterr().err
 
 
-class TestMapReadAhead:
-    """A depth estimator reads the next frame's map bytes on one helper thread.
+class TestEstimateMapReads:
+    """``estimate`` reads each frame's map when it reaches the frame, on its own thread.
 
-    The thread must not change what a run writes or which fault it reports,
-    must be joined on every exit, and must run nothing that is timed per layer.
+    A map is read once, in frame order; a fault of a map or of a line is
+    reported in frame order, and no estimator starts a thread.
     """
 
     @staticmethod
@@ -1303,31 +1319,10 @@ class TestMapReadAhead:
                        "--depth-profile", profile, "--gt-source", "truth", "--fps", "10",
                        "--out", out)
 
-    def test_helper_is_joined_on_every_exit(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert run_cli("synth", "--scene", SCENES / "drift_run.json", "--out-dir", out,
-                       "--seed", 5) == 0
-        stream = out / "frames.jsonl"
-        fractional = _edit_third_record(
-            stream, lambda r: r["detections"][0]["bbox"].update(resolution_w=1280.5))
-        before = threading.active_count()
-        assert self.neo_run(tmp_path, stream, tmp_path / "est.jsonl") == 0
-        assert threading.active_count() == before
-        assert self.neo_run(tmp_path, fractional, tmp_path / "bad.jsonl") == 2
-        assert f"{fractional}:3: malformed frame annotation" in capsys.readouterr().err
-        assert threading.active_count() == before
-        victim = out / "maps" / "frame_000002.neod"  # fails after map 4's read is submitted
-        victim.write_bytes(b"ZZZZ" + victim.read_bytes()[4:])
-        assert self.neo_run(tmp_path, stream, tmp_path / "bad.jsonl") == 2
-        assert f"error: {victim}: bad magic" in capsys.readouterr().err
-        assert threading.active_count() == before
-        assert self.neo_run(tmp_path, stream, tmp_path / "nodir" / "est.jsonl") == 4
-        assert threading.active_count() == before
-
-    def test_box_only_estimator_starts_no_thread(self, tmp_path, monkeypatch):
-        out = tmp_path / "run"
-        assert run_cli("synth", "--scene", SCENES / "static_mixed.json", "--out-dir", out) == 0
-        runner = RUNNERS["geometric"].func
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_no_estimator_starts_a_thread(self, tmp_path, monkeypatch, estimator):
+        stream, profile = self.five_frames(tmp_path)
+        runner = getattr(RUNNERS[estimator], "func", RUNNERS[estimator])  # unwrap a partial
         original = runner.run_frame
         counts = []
 
@@ -1337,9 +1332,11 @@ class TestMapReadAhead:
 
         monkeypatch.setattr(runner, "run_frame", run_frame)
         before = threading.active_count()
-        assert run_cli("estimate", "--stream", out / "frames.jsonl", "--estimator", "geometric",
-                       "--camera-profile", "builtin:tello", "--out", tmp_path / "est.jsonl") == 0
-        assert counts and set(counts) == {before}
+        assert run_cli("estimate", "--stream", stream, "--estimator", estimator,
+                       "--camera-profile", "builtin:tello", "--regression-profile", "builtin:P1",
+                       "--depth-profile", profile, "--gt-source", "truth",
+                       "--out", tmp_path / "est.jsonl") == 0
+        assert len(counts) == 5 and set(counts) == {before}
 
     def test_bad_map_is_reported_before_a_later_bad_line(self, tmp_path, capsys):
         stream, profile = self.five_frames(tmp_path)
@@ -1419,24 +1416,21 @@ class TestMapReadAhead:
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(neod, "read_depth_map", on_thread("read_depth_map",
-                                                              neod.read_depth_map))
+        read_paths = []
+
+        def read_depth_map(path, read=on_thread("read_depth_map", neod.read_depth_map)):
+            read_paths.append(path)
+            return read(path)
+
+        monkeypatch.setattr(neod, "read_depth_map", read_depth_map)
         monkeypatch.setattr(DepthMap, "__init__", on_thread("DepthMap", DepthMap.__init__))
         monkeypatch.setattr(depth, "normalize_region", on_thread("normalize_region",
                                                                  depth.normalize_region))
         monkeypatch.setattr(depth, "step", on_thread("step", depth.step))
-        read_paths = []
-
-        def read_payload(path, read=neod.read_payload):
-            read_paths.append(path)
-            return read(path)
-
-        monkeypatch.setattr(neod, "read_payload", read_payload)
         assert self.neo_run(tmp_path, stream, tmp_path / "est.jsonl") == 0
         frames = read_jsonl(stream)
-        assert "read_depth_map" not in threads  # the helper reads the bytes instead
-        assert len(threads["step"]) == len(threads["DepthMap"]) == len(frames)
-        assert len(threads["normalize_region"]) == len(frames)
+        assert sorted(threads) == ["DepthMap", "normalize_region", "read_depth_map", "step"]
+        assert all(len(calls) == len(frames) for calls in threads.values())
         main_thread = threading.main_thread()
         assert all(t is main_thread for calls in threads.values() for t in calls)
         assert read_paths == [out / f["depth_map_path"] for f in frames]
@@ -1450,7 +1444,7 @@ class TestMapReadAhead:
     ("--fps", "1" + "0" * 320, "fps must be between 1 and 9223372036854775807"),
 ])
 def test_window_no_deque_can_hold_exits_2(tmp_path, capsys, flag, value, message):
-    stream, profile = TestMapReadAhead.five_frames(tmp_path)
+    stream, profile = TestEstimateMapReads.five_frames(tmp_path)
     est = tmp_path / "est.jsonl"
     assert run_cli("estimate", "--stream", stream, "--estimator", "neo", "--depth-profile",
                    profile, "--gt-source", "truth", "--out", est, flag, value) == 2

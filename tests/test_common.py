@@ -104,6 +104,23 @@ def test_only_common_imports_concurrent_futures():
     assert importers == ["common.py"]
 
 
+def test_only_synth_reads_ahead():
+    """A helper pays only where its work outweighs the handoff: synth's noise draws.
+
+    A depth map read on the helper cost ``estimate`` more than it saved on
+    two cores with private L2 caches, so a new caller needs a new measurement.
+    """
+    def uses(node):
+        return (isinstance(node, ast.Name) and node.id == "one_ahead"
+                or isinstance(node, ast.Attribute) and node.attr == "one_ahead")
+
+    callers = sorted({
+        path.name for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text())) if uses(node)
+    })
+    assert callers == ["synth.py"]
+
+
 def test_every_error_class_is_raised_or_is_a_base_of_one_that_is():
     """Each check is made by one owner: an error class that nothing raises is dead."""
     classes = {

@@ -280,40 +280,34 @@ _LAYOUT_FAULTS = {
 }
 
 
-class TestReadPayload:
-    """The I/O half of read_depth_map raises every fault of a file's layout itself."""
+class TestLayoutFaults:
+    """read_depth_map raises every fault of a file's layout before it looks at a score."""
 
+    @pytest.mark.parametrize("first_score", [0.5, np.nan])
     @pytest.mark.parametrize("fault", sorted(_LAYOUT_FAULTS))
-    def test_same_fault_and_text_as_read_depth_map(self, tmp_path, fault):
+    def test_exact_fault_and_text(self, tmp_path, fault, first_score):
         corrupt, error, text = _LAYOUT_FAULTS[fault]
         path = tmp_path / "map.neod"
         write_depth_map(path, sample_map())
-        path.write_bytes(corrupt(path.read_bytes()))
-        for read in (neod.read_payload, read_depth_map):
-            with pytest.raises(error) as raised:
-                read(path)
-            assert type(raised.value) is error
-            assert str(raised.value) == f"{path}: {text}"
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = np.array([first_score], dtype="<f4").tobytes()
+        path.write_bytes(corrupt(bytes(raw)))
+        with pytest.raises(error) as raised:
+            read_depth_map(path)
+        assert type(raised.value) is error
+        assert str(raised.value) == f"{path}: {text}"
 
-    def test_returns_the_size_and_the_score_bytes(self, tmp_path):
+    def test_keeps_the_size_and_the_score_bytes(self, tmp_path):
         path = tmp_path / "map.neod"
         dm = sample_map(w=5, h=3)
         write_depth_map(path, dm)
-        width, height, payload = neod.read_payload(path)
-        assert (width, height) == (5, 3)
-        assert type(payload) is bytes and payload == dm.scores.astype("<f4").tobytes()
-        built = neod.depth_map_from_payload(path, width, height, payload)
-        assert np.array_equal(built.scores, dm.scores)
-
-    def test_non_finite_scores_pass_the_io_half(self, tmp_path):
-        path = tmp_path / "nan.neod"
-        write_depth_map(path, sample_map(w=2, h=2))
-        raw = bytearray(path.read_bytes())
-        raw[12:16] = np.array([np.nan], dtype="<f4").tobytes()
-        path.write_bytes(bytes(raw))
-        message = "^" + re.escape(f"{path}: depth map contains non-finite")
-        with pytest.raises(DomainError, match=message):
-            neod.depth_map_from_payload(path, *neod.read_payload(path))
+        read = read_depth_map(path)
+        assert (read.width, read.height) == (5, 3)
+        owner = read.scores
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert type(owner) is bytes and owner == dm.scores.astype("<f4").tobytes()
+        assert np.array_equal(read.scores, dm.scores)
 
 
 class TestReadOnlyMap:
