@@ -24,6 +24,14 @@ parent's interquartile range is wider than the bound and not every change
 run beats every parent run: its runs spread too widely to tell. The summary
 goes to ``--out`` under the workload's name, next to other workloads already
 in that file.
+
+After each run its raw samples, ``.bench_out/result-W-seedN-trace0.json`` in
+that checkout, give the CPU time of every throughput metric (one whose unit
+ends in ``/s``): total CPU ms over total units of the run's passes. Each
+side's median is printed next to the verdicts and kept in the summary as
+``cpu_ms_per_unit``. It is a diagnostic only, and no verdict reads it: on a
+host whose cores change speed, CPU time per unit can tell less work from a
+slower core where wall time cannot.
 """
 
 from __future__ import annotations
@@ -46,8 +54,17 @@ def src_sha256(checkout: Path) -> str:
     return h.hexdigest()
 
 
+def cpu_ms_per_unit(checkout: Path, workload: str, seed: int) -> dict[str, float]:
+    """CPU ms per unit of each throughput metric, from the last run's raw samples."""
+    raw = checkout / ".bench_out" / f"result-{workload}-seed{seed}-trace0.json"
+    samples = json.loads(raw.read_text())["samples"]
+    return {name: 1e3 * sum(p[2] for p in passes) / sum(p[0] for p in passes)
+            for name, passes in samples.items()
+            if passes and name not in ("setup_s", "frame_ms")}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result on the last line of one benchmark run."""
+    """The JSON result on the last line of one benchmark run, with its CPU time per unit."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
@@ -61,6 +78,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     # "round N traced=T outputs_sha256=X": the digest of every output of round N.
     result["outputs_sha256"] = sorted({line.rsplit("=", 1)[1] for line in lines
                                        if line.startswith("round ")})
+    result["cpu_ms_per_unit"] = cpu_ms_per_unit(checkout, workload, seed)
     return result
 
 
@@ -110,7 +128,7 @@ def main(argv=None) -> int:
 
     summary = {}
     print(f"{'metric':<28} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'ratio':>6} {'wins':>5}  verdict")
+          f"{'ratio':>6} {'wins':>5}  verdict  [CPU ms/unit: parent -> change]")
     for metric in declared:
         name = metric["name"]
         parent = [run["metrics"][name]["value"] for run in results["parent"]]
@@ -118,12 +136,19 @@ def main(argv=None) -> int:
         row = compare(parent, change, metric["better"], metric["bound"])
         row.update(unit=metric["unit"], better=metric["better"], bound_fraction=metric["bound"],
                    parent_runs=parent, change_runs=change)
+        cpu = ""
+        if metric["unit"].endswith("/s"):
+            row["cpu_ms_per_unit"] = {
+                side: statistics.median(run["cpu_ms_per_unit"][name] for run in runs)
+                for side, runs in results.items()}
+            cpu = (f"  [CPU ms/unit: {row['cpu_ms_per_unit']['parent']:.4g} -> "
+                   f"{row['cpu_ms_per_unit']['change']:.4g}]")
         summary[name] = row
         verdict = ("gain" if row["gain"] else "no gain") + (
             ", WORSE than bound" if not row["bound"]
             else ", unresolved" if row["unresolved"] else ", within bound")
         print(f"{name:<28} {spread(row['parent']):>30} {spread(row['change']):>30} "
-              f"{row['ratio']:>6.3f} {row['wins']:>2}/{row['pairs']:<2}  {verdict}")
+              f"{row['ratio']:>6.3f} {row['wins']:>2}/{row['pairs']:<2}  {verdict}{cpu}")
 
     failed_frac = {side: max(run["failed"] / max(run["attempted"], 1) for run in runs)
                    for side, runs in results.items()}

@@ -40,6 +40,12 @@ class CameraIntrinsics:
                 f"image dimensions must be positive, got "
                 f"{self.image_width_px}x{self.image_height_px}"
             )
+        # A camera sees less than a half-turn, and more than nothing; the
+        # comparison is false for NaN too.
+        if self.fov_deg is not None and not 0.0 < self.fov_deg < 180.0:
+            raise DomainError(
+                f"field of view must be strictly between 0 and 180 degrees, got {self.fov_deg}"
+            )
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,11 @@ how often a noiseless map is reused.
 
 A noisy frame's random draws run one frame ahead on the helper thread of
 :func:`monorange.common.one_ahead`, which is the only user of the seeded
-generator, so the bytes do not depend on it. A noiseless scene starts no
-thread.
+generator, so the bytes do not depend on it. They fill two sets of per-region
+buffers that are allocated once, one for even frames and one for odd ones.
+Maps are painted into one float32 canvas per law, which each frame's
+:class:`DepthMap` copies; the bytes are those of a float64 map rounded once
+to float32. A noiseless scene starts no thread and allocates no noise buffer.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class DepthLawSpec:
     def __post_init__(self):
         if self.m_true == 0.0:
             raise DomainError("generating slope must be nonzero")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN too, which would be neither noisy nor noiseless
             raise DomainError(f"noise sigma must be >= 0, got {self.noise_sigma}")
 
     def score_for_distance(self, distance_m: float) -> float:
@@ -158,41 +161,62 @@ def _project(
     return detections, tuple(obj.distance_m for obj in objects), regions
 
 
-def _draw(regions: Sequence[Region], law: DepthLawSpec, rng: np.random.Generator) -> list:
-    """One frame's noise: one float64 draw per region, in painting order."""
-    return [rng.normal(0.0, law.noise_sigma, size=(r1 - r0, c1 - c0))
-            for _, r0, r1, c0, c1 in regions]
+def _noise_buffers(regions: Sequence[Region]) -> list:
+    """One float64 buffer per region, in painting order, for one frame's noise."""
+    return [np.empty((r1 - r0, c1 - c0)) for _, r0, r1, c0, c1 in regions]
+
+
+def _draw(rng: np.random.Generator, noise: list) -> list:
+    """Fill ``noise``, :func:`_noise_buffers`' arrays, with standard normal draws; return it.
+
+    These are the draws ``z`` of ``rng.normal(0.0, sigma, size)``, which
+    returns ``0.0 + sigma * z``; :func:`_paint` scales them.
+    """
+    for buf in noise:
+        rng.standard_normal(out=buf)
+    return noise
+
+
+def _canvas(law: DepthLawSpec, depth_w: int, depth_h: int) -> np.ndarray:
+    """A float32 map of ``law``'s background score, for :func:`_paint` to paint into."""
+    with np.errstate(over="ignore"):  # a score beyond float32 becomes inf, rejected by DepthMap
+        return np.full(
+            (depth_h, depth_w), law.score_for_distance(BACKGROUND_DISTANCE_M), dtype=np.float32
+        )
 
 
 def _paint(
-    regions: Sequence[Region],
-    law: DepthLawSpec,
-    noise: list | None,
-    depth_w: int,
-    depth_h: int,
+    regions: Sequence[Region], law: DepthLawSpec, noise: list | None, canvas: np.ndarray
 ) -> DepthMap:
-    """Paint one depth map: the background, then each region far to near.
+    """Paint each region far to near into ``canvas``, which holds ``law``'s background.
 
-    ``noise`` holds :func:`_draw`'s arrays for a noisy law and is None for a
-    noiseless one.
+    ``noise`` holds :func:`_draw`'s arrays for a noisy law, which are scaled
+    in place, and is None for a noiseless one. Every region is painted whole
+    on every call, so a canvas painted before under the same law gives the
+    same map.
     """
-    # The map is painted in float64 and rounded to float32 once, by DepthMap.
-    # Painting straight into float32 saves a pass, but then the largest block
-    # synth frees is one float32 map, which keeps glibc's dynamic trim
-    # threshold at twice a map's size: a process that goes on to read maps
-    # (estimate after synth in one process) then has its heap trimmed and
-    # faulted back in on some frames, which raised its p98 frame time by 40 %.
-    # Identical frames are rendered once (SceneSpec.frames), which changes how
-    # often this canvas is painted, not how.
-    background = law.score_for_distance(BACKGROUND_DISTANCE_M)
-    scores = np.full((depth_h, depth_w), background, dtype=np.float64)
-    for k, (distance_m, r0, r1, c0, c1) in enumerate(regions):
-        value = law.score_for_distance(distance_m)
-        if noise is None:
-            scores[r0:r1, c0:c1] = value
-        else:
-            np.add(noise[k], value, out=scores[r0:r1, c0:c1])
-    return DepthMap(scores)
+    # Each score is one float64 sum rounded once to float32: the bytes of a
+    # float64 map rounded by astype, as ``(value + 0.0) + sigma * z`` equals
+    # ``value + (0.0 + sigma * z)`` for every double, signed zeros included.
+    # Scaling here rather than on the helper thread shortens the draw, which
+    # paces a noisy frame when the two threads run at once.
+    # The canvas may be reused because DepthMap copies it into bytes of its
+    # own, and it is allocated once per law: a fresh float32 canvas per frame
+    # once let glibc trim and re-fault the heap of a process that reads maps
+    # after synth, which raised its p98 frame time by 40 %. On a 2-vCPU KVM
+    # Xeon, six processes that ran synth on drift_hd and then read its maps
+    # saw 0.51 minor faults per map read with this canvas and with the
+    # float64 canvas per frame alike, and a p98 of 0.53-0.77 ms against
+    # 0.56-0.85 ms.
+    with np.errstate(over="ignore"):  # a score beyond float32 becomes inf, rejected below
+        for k, (distance_m, r0, r1, c0, c1) in enumerate(regions):
+            value = law.score_for_distance(distance_m)
+            if noise is None:
+                canvas[r0:r1, c0:c1] = value
+            else:
+                noisy = np.multiply(noise[k], law.noise_sigma, out=noise[k])
+                np.add(noisy, value + 0.0, out=canvas[r0:r1, c0:c1], casting="same_kind")
+    return DepthMap(canvas)
 
 
 @dataclass(frozen=True)
@@ -246,16 +270,25 @@ class SceneSpec:
         rng = np.random.default_rng(seed)
         depth_w, depth_h = self.depth_w, self.depth_h
         detections, truths, regions = _project(self.objects, self.intrinsics, depth_w, depth_h)
-
-        def draw(law: DepthLawSpec):
-            """A noisy frame's draws, the only use of ``rng``; a noiseless frame has none."""
-            return functools.partial(_draw, regions, law, rng) if law.noise_sigma > 0 else None
-
         post_law = self.law if self.post_law is None else self.post_law
+        # Frame i draws into buffer set i % 2: one_ahead submits frame i + 2's
+        # draw only once frame i + 1 is asked for, when frame i has been painted.
+        noisy = self.law.noise_sigma > 0 or post_law.noise_sigma > 0
+        buffers = (_noise_buffers(regions), _noise_buffers(regions)) if noisy else None
+
+        def draw(item: tuple[int, DepthLawSpec]):
+            """A noisy frame's draws, the only use of ``rng``; a noiseless frame has none."""
+            i, law = item
+            if law.noise_sigma == 0:
+                return None
+            return functools.partial(_draw, rng, buffers[i % 2])
+
         laws = (self.law if i / fps < switch_time_s else post_law for i in range(n_frames))
-        frame = None
-        with contextlib.closing(one_ahead(laws, draw)) as ahead:
-            for i, (law, noise) in enumerate(ahead):
+        frame = canvas = None
+        with contextlib.closing(one_ahead(enumerate(laws), draw)) as ahead:
+            for (i, law), noise in ahead:
+                if frame is None or frame.law != law:
+                    canvas = _canvas(law, depth_w, depth_h)
                 # Objects stand still, so a map changes only with the law or its
                 # noise. Objects that move must add "and no object moved" to this
                 # condition.
@@ -263,7 +296,7 @@ class SceneSpec:
                     depth_map = frame.depth_map
                 else:
                     depth_map = _paint(
-                        regions, law, None if noise is None else noise.result(), depth_w, depth_h
+                        regions, law, None if noise is None else noise.result(), canvas
                     )
                 frame = SynthFrame(detections, depth_map, i / fps, truths, law)
                 yield frame

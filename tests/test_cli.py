@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1138,8 +1139,11 @@ class TestSceneFaults:
             {"class_label": "car", "height_m": 1.7, "distance_m": d, "lateral_offset_m": x}
             for d, x in ((5.0, -1.0), (7.0, 1.0))),
          "ambiguous ground truth (2 detections carry the ground-truth key 'car')"),
+        (lambda s: s["camera"].update(fov_deg=200),
+         "malformed scene spec "
+         "(field of view must be strictly between 0 and 180 degrees, got 200.0)"),
     ], ids=["negative-resolution", "zero-resolution", "short-resolution", "fractional-fps",
-            "tiny-slope", "zero-fps", "shared-truth-key"])
+            "tiny-slope", "zero-fps", "shared-truth-key", "wide-fov"])
     def test_bad_scene_exits_2_naming_the_file(self, tmp_path, capsys, edit, message):
         scene = json.loads((SCENES / "calib_2p5m.json").read_text())
         edit(scene)
@@ -1188,6 +1192,18 @@ class TestSceneFaults:
                 "(depth map contains non-finite scores)") in capsys.readouterr().err
         assert (out / "maps" / "frame_000199.neod").exists()  # the frames before the switch
         self.assert_no_stream(tmp_path, out)
+
+    def test_noisy_scores_beyond_float32_exit_2_without_a_warning(self, tmp_path, capsys):
+        scene = json.loads((SCENES / "calib_2p5m.json").read_text())
+        scene["law"].update(m_true=1e-300, noise_sigma=0.01)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("synth", "--scene", scene_path, "--out-dir", tmp_path / "s") == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert (f"error: {scene_path}: scene cannot be rendered "
+                "(depth map contains non-finite scores)") in capsys.readouterr().err
 
     def test_whole_float_fps_is_accepted(self, tmp_path, capsys):
         scene = json.loads((SCENES / "calib_2p5m.json").read_text())

@@ -240,3 +240,12 @@ class TestTypesValidation:
         assert table.actual("car") == 1.56
         with pytest.raises(Exception):
             table.expected("mailbox")
+
+    @pytest.mark.parametrize("fov", [math.nan, math.inf, -math.inf, -5.0, 0.0, 180.0, 200.0])
+    def test_camera_field_of_view_outside_a_half_turn_rejected(self, fov):
+        with pytest.raises(DomainError, match="field of view must be strictly between"):
+            CameraIntrinsics(1592.0, 1280, 720, fov_deg=fov)
+
+    @pytest.mark.parametrize("fov", [None, 1e-300, 82.6, 179.99])
+    def test_camera_field_of_view_inside_a_half_turn_kept(self, fov):
+        assert CameraIntrinsics(1592.0, 1280, 720, fov_deg=fov).fov_deg == fov

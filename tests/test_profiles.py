@@ -196,13 +196,22 @@ class TestErrors:
              "malformed camera profile (image_w 1280.7 is not a whole number)"),
             (load_depth_profile, '{"vip_id": "P1", "m": 6.0, "s": 1.0, "smooth_window": 3.9}',
              "malformed depth profile (smooth_window 3.9 is not a whole number)"),
+            (load_camera_profile,
+             '{"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720, "fov_deg": 200}',
+             "malformed camera profile "
+             "(field of view must be strictly between 0 and 180 degrees, got 200.0)"),
+            (load_camera_profile,
+             '{"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720, "fov_deg": 0}',
+             "malformed camera profile "
+             "(field of view must be strictly between 0 and 180 degrees, got 0.0)"),
         ],
         ids=["camera", "regression", "depth", "height_table", "overflow", "depth-unit",
              "depth-zero-slope", "depth-percentile", "depth-tail", "depth-method",
              "depth-window", "depth-short-pair",
              "depth-negative-pair",
              "camera-focal", "camera-width", "regression-mode", "height-table-height",
-             "camera-fractional-width", "depth-fractional-window"],
+             "camera-fractional-width", "depth-fractional-window", "camera-wide-fov",
+             "camera-zero-fov"],
     )
     def test_bad_values_name_the_file(self, tmp_path, capsys, loader, text, message):
         path = tmp_path / "profile.json"

@@ -39,6 +39,9 @@ from monorange.synth import (
     DepthLawSpec,
     SceneObject,
     SceneSpec,
+    _canvas,
+    _draw,
+    _noise_buffers,
     _paint,
     _project,
     load_scene_spec,
@@ -55,6 +58,19 @@ def one_frame(objects, intrinsics, law, seed=0, **kwargs):
     spec = SceneSpec(intrinsics=intrinsics, objects=tuple(objects), law=law, fps=1,
                      duration_s=1.0, **kwargs)
     return next(spec.frames(seed))
+
+
+def reference_map(regions, law, rng, depth_w, depth_h):
+    """Map bytes as a float64 canvas of ``rng.normal`` noise, rounded once to float32."""
+    scores = np.full((depth_h, depth_w), law.score_for_distance(BACKGROUND_DISTANCE_M))
+    for distance_m, r0, r1, c0, c1 in regions:
+        value = law.score_for_distance(distance_m)
+        if law.noise_sigma == 0:
+            scores[r0:r1, c0:c1] = value
+        else:
+            noise = rng.normal(0.0, law.noise_sigma, size=(r1 - r0, c1 - c0))
+            np.add(noise, value, out=scores[r0:r1, c0:c1])
+    return scores.astype(np.float32).tobytes()
 
 
 class TestSynthFrame:
@@ -186,6 +202,40 @@ class TestSynthFrame:
         assert a.depth_map.scores.tobytes() != c.depth_map.scores.tobytes()
 
 
+class TestNoiseBits:
+    """A noisy map's bytes are those of rng.normal noise in float64, rounded once."""
+
+    H, W = 12, 16
+    window = st.tuples(st.integers(0, H - 1), st.integers(1, H), st.integers(0, W - 1),
+                       st.integers(1, W))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), st.floats(1e-6, 10.0)),
+        m_true=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+        s_true=st.floats(-5.0, 5.0),
+        windows=st.lists(st.tuples(st.floats(0.5, 60.0), window), max_size=3),
+        zero_at=st.integers(0, 3),
+    )
+    def test_same_bits_as_rng_normal_in_float64(self, seed, sigma, m_true, s_true, windows,
+                                                 zero_at):
+        # One region lies at s_true, so its score is -0.0 when m_true < 0; windows
+        # overlap freely, and the canvas and buffers are reused for a second frame.
+        windows.insert(min(zero_at, len(windows)), (s_true, (2, 6, 3, 9)))
+        regions = [(d, r0, min(r0 + h, self.H), c0, min(c0 + w, self.W))
+                   for d, (r0, h, c0, w) in windows]
+        law = DepthLawSpec(m_true=m_true, s_true=s_true, noise_sigma=sigma)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        canvas = _canvas(law, self.W, self.H)
+        noise = _noise_buffers(regions) if sigma > 0 else None
+        for _ in range(2):
+            drawn = None if noise is None else _draw(rng, noise)
+            depth_map = _paint(regions, law, drawn, canvas)
+            expected = reference_map(regions, law, reference_rng, self.W, self.H)
+            assert depth_map.scores.tobytes() == expected
+
+
 class TestComplexObjectOrdering:
     def test_low_threshold_beats_every_other_method(self):
         """Split-depth object: lower half near, upper half far.
@@ -313,7 +363,7 @@ class TestMapReuse:
         for group, law in ((frames[:5], LAW), (frames[5:], self.POST)):
             assert all(f.depth_map is group[0].depth_map for f in group)
             assert all(f.detections is group[0].detections for f in group)
-            fresh = _paint(regions, law, None, 64, 40)
+            fresh = _paint(regions, law, None, _canvas(law, 64, 40))
             assert group[0].depth_map.scores.tobytes() == fresh.scores.tobytes()
         assert [f.timestamp_s for f in frames] == [i / 5 for i in range(10)]
 
@@ -390,6 +440,29 @@ class TestDrawAhead:
             assert threading.active_count() == before
         assert threading.active_count() == before
 
+    def test_frames_held_at_once_keep_their_own_maps(self):
+        post = DepthLawSpec(m_true=-4.0, s_true=1.45, noise_sigma=0.02)
+        spec = SceneSpec(intrinsics=INTR, objects=self.OBJECTS, law=self.NOISY, fps=5,
+                         duration_s=2.0, depth_w=64, depth_h=40, post_law=post,
+                         switch_time_s=1.0)
+        one_at_a_time = self.maps(spec.frames(3))
+        held = list(spec.frames(3))
+        assert self.maps(held) == one_at_a_time
+        _, _, regions = _project(self.OBJECTS, INTR, 64, 40)
+        rng = np.random.default_rng(3)
+        assert one_at_a_time == [reference_map(regions, f.law, rng, 64, 40) for f in held]
+        assert [f.law for f in held] == [self.NOISY] * 5 + [post] * 5
+        assert len(set(one_at_a_time)) == len(held)
+
+    def test_only_a_noisy_scene_allocates_noise_buffers(self, monkeypatch):
+        calls, real_buffers = [], synth._noise_buffers
+        monkeypatch.setattr(synth, "_noise_buffers",
+                            lambda regions: calls.append(regions) or real_buffers(regions))
+        list(self.frames(LAW))
+        assert calls == []
+        list(self.frames(self.NOISY))
+        assert len(calls) == 2
+
     def test_closing_early_joins_the_helper(self):
         full = self.maps(self.frames(self.NOISY))
         before = threading.active_count()
@@ -438,6 +511,11 @@ class TestLawSpec:
     def test_zero_slope_rejected(self):
         with pytest.raises(DomainError):
             DepthLawSpec(m_true=0.0, s_true=1.0)
+
+    @pytest.mark.parametrize("sigma", [-0.01, float("nan")])
+    def test_noise_sigma_below_zero_or_nan_rejected(self, sigma):
+        with pytest.raises(DomainError, match=f"noise sigma must be >= 0, got {sigma}"):
+            DepthLawSpec(m_true=6.0, s_true=1.0, noise_sigma=sigma)
 
     def test_inverted_map_with_highest_tail_selection(self):
         """Negative-slope law: near pixels carry high scores; the nearest-region
