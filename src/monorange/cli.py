@@ -539,15 +539,23 @@ def cmd_evaluate(args) -> int:
 
 
 def _synth_frames(scene: str, spec: synth.SceneSpec, seed: int):
-    """The depth map and the annotation of each frame; a fault names the scene."""
+    """The depth map and the annotation of each frame; a fault names the scene.
+
+    No frame is kept while the next one is rendered: frames are counted by
+    hand because ``enumerate`` keeps its last item alive while it takes the
+    next one.
+    """
+    i = 0
     try:
-        for i, frame in enumerate(spec.frames(seed=seed)):
+        for frame in spec.frames(seed=seed):
             truth = ground_truth(frame.detections, frame.truths)
             yield frame.depth_map, FrameAnnotation(
                 f"frame_{i:06d}", frame.timestamp_s, frame.detections,
                 f"maps/frame_{i:06d}.neod", truth, spec.vip_id,
             )
-    except DomainError as exc:
+            del frame
+            i += 1
+    except (DomainError, MemoryError) as exc:  # MemoryError: a map too large to allocate
         raise FormatError(f"{scene}: scene cannot be rendered ({exc})") from exc
     except FormatError as exc:  # a shared truth key
         raise FormatError(f"{scene}: {exc}") from exc
@@ -556,8 +564,9 @@ def _synth_frames(scene: str, spec: synth.SceneSpec, seed: int):
 def cmd_synth(args) -> int:
     spec = synth.load_scene_spec(args.scene)
     # The first frame shows every fault of the scene itself (an object outside
-    # the frame, a map that is not finite, a shared truth key), so a scene
-    # with one fails before the output directory is created or touched.
+    # the frame, a map that is not finite or too large to allocate, a shared
+    # truth key), so a scene with one fails before the output directory is
+    # created or touched.
     frames = _synth_frames(args.scene, spec, args.seed)
     item = next(frames)
     out_dir = Path(args.out_dir)
@@ -567,15 +576,17 @@ def cmd_synth(args) -> int:
         (out_dir / "maps").mkdir(parents=True, exist_ok=True)
         with open(stream_path, "w") as fh:
             try:
-                # One frame is held at a time: holding the first one as well
-                # would keep one more map alive for the whole run.
+                # One frame is held at a time: each frame's references are
+                # dropped before the next one is rendered.
                 while item is not None:
                     depth_map, ann = item
+                    item = None
                     map_path = out_dir / ann.depth_map_path
                     try:
                         neod.write_depth_map(map_path, depth_map)
                     except OSError as exc:
                         raise unwritable(f"depth map {map_path}", exc) from exc
+                    del depth_map
                     fh.write(canonical_jsonl_line(annotation_payload(ann)))
                     i += 1
                     item = next(frames, None)
@@ -585,9 +596,6 @@ def cmd_synth(args) -> int:
                 raise
     except OSError as exc:
         raise unwritable(f"output path {exc.filename or stream_path}", exc) from exc
-    finally:
-        # Joins the thread that draws a noisy frame ahead when a write fails.
-        frames.close()
     print(f"synthetic stream -> {stream_path}  frames={i} maps={i}")
     return EXIT_OK
 

@@ -1,11 +1,10 @@
 """Shared exceptions, the flagged distance-estimate type, input readers that report
-every fault in one form, the one-item-ahead helper thread, and small numeric helpers."""
+every fault in one form, and small numeric helpers."""
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -185,55 +184,6 @@ def read_jsonl(
         except (DomainError, *PARSE_ERRORS) as exc:
             raise FormatError(f"{path}:{lineno}: malformed {what} ({exc})") from exc
         yield item
-
-
-_END = object()
-
-
-def one_ahead(
-    items: Iterable[T], job: Callable[[T], Callable[[], object] | None]
-) -> Iterator[tuple[T, Future | None]]:
-    """Each item with the ``Future`` of its work, run one item ahead on a helper thread.
-
-    ``job(item)`` gives the item's work, a callable without arguments, or
-    None when the item has none; its ``Future`` is then None too. The next
-    item is taken and its work submitted before the current item is yielded,
-    but only once the current item's work has ended, so one job is in flight
-    at a time and jobs run in item order, each once. The caller sees what a
-    plain loop would: a job's fault is raised by its ``Future.result()``, and
-    a fault from taking the next item only after the current item is yielded.
-    The thread starts on the first submit, so items without work start none,
-    and closing the generator joins it. Work must touch nothing that the
-    caller uses meanwhile.
-
-    The handoff pays only for work that computes more than it moves: ``synth``
-    draws a frame's noise here. A depth map's read does not belong here. On
-    two cores with private L2 caches, the bytes that the helper read had to
-    cross to the core that checks the scores, and that transfer cost more
-    than the overlap saved.
-    """
-    items = iter(items)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        def submit(item: T) -> Future | None:
-            work = job(item)
-            return None if work is None else helper.submit(work)
-
-        item = next(items, _END)
-        ahead = None if item is _END else submit(item)
-        while item is not _END:
-            current, fault = ahead, None
-            try:
-                following = next(items, _END)
-            except Exception as exc:  # raised once this item is done
-                following, fault = _END, exc
-            if current is not None:
-                current.exception()  # waits for the work to end, and raises nothing
-            if following is not _END:
-                ahead = submit(following)
-            yield item, current
-            if fault is not None:
-                raise fault
-            item = following
 
 
 def whole(value, name: str) -> int:

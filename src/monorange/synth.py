@@ -17,19 +17,19 @@ one noiseless law share one immutable :class:`DepthMap`. A noisy law renders
 every frame, so its random draws, and every output byte, do not depend on
 how often a noiseless map is reused.
 
-A noisy frame's random draws run one frame ahead on the helper thread of
-:func:`monorange.common.one_ahead`, which is the only user of the seeded
-generator, so the bytes do not depend on it. They fill two sets of per-region
-buffers that are allocated once, one for even frames and one for odd ones.
+Each frame is drawn and painted on the thread that asks for it; nothing here
+starts a thread. A noisy frame fills one float64 buffer, sized to the largest
+region, with each region's draws just before it paints that region, so the
+seeded generator is called as for a float64 map of ``rng.normal`` noise.
 Maps are painted into one float32 canvas per law, which each frame's
 :class:`DepthMap` copies; the bytes are those of a float64 map rounded once
-to float32. A noiseless scene starts no thread and allocates no noise buffer.
+to float32. While it paints a noisy frame the generator holds that canvas,
+the buffer and no earlier map, so a caller that keeps no earlier frame holds
+one frame's memory. A noiseless scene allocates no noise buffer.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .common import DomainError, one_ahead, read_json, whole
+from .common import DomainError, read_json, whole
 from .depth import DepthMap, FrameObservation
 from .geometry import (
     BoundingBox,
@@ -161,20 +161,9 @@ def _project(
     return detections, tuple(obj.distance_m for obj in objects), regions
 
 
-def _noise_buffers(regions: Sequence[Region]) -> list:
-    """One float64 buffer per region, in painting order, for one frame's noise."""
-    return [np.empty((r1 - r0, c1 - c0)) for _, r0, r1, c0, c1 in regions]
-
-
-def _draw(rng: np.random.Generator, noise: list) -> list:
-    """Fill ``noise``, :func:`_noise_buffers`' arrays, with standard normal draws; return it.
-
-    These are the draws ``z`` of ``rng.normal(0.0, sigma, size)``, which
-    returns ``0.0 + sigma * z``; :func:`_paint` scales them.
-    """
-    for buf in noise:
-        rng.standard_normal(out=buf)
-    return noise
+def _noise_buffer(regions: Sequence[Region]) -> np.ndarray:
+    """One flat float64 buffer for the noise of any one region, empty without regions."""
+    return np.empty(max(((r1 - r0) * (c1 - c0) for _, r0, r1, c0, c1 in regions), default=0))
 
 
 def _canvas(law: DepthLawSpec, depth_w: int, depth_h: int) -> np.ndarray:
@@ -186,20 +175,24 @@ def _canvas(law: DepthLawSpec, depth_w: int, depth_h: int) -> np.ndarray:
 
 
 def _paint(
-    regions: Sequence[Region], law: DepthLawSpec, noise: list | None, canvas: np.ndarray
+    regions: Sequence[Region],
+    law: DepthLawSpec,
+    canvas: np.ndarray,
+    rng: np.random.Generator | None = None,
+    noise: np.ndarray | None = None,
 ) -> DepthMap:
     """Paint each region far to near into ``canvas``, which holds ``law``'s background.
 
-    ``noise`` holds :func:`_draw`'s arrays for a noisy law, which are scaled
-    in place, and is None for a noiseless one. Every region is painted whole
-    on every call, so a canvas painted before under the same law gives the
-    same map.
+    A noisy law takes its draws from ``rng`` into ``noise``, a
+    :func:`_noise_buffer` of these regions: each region's standard normal
+    draws ``z`` are made just before the region is painted, in painting
+    order, as ``rng.normal(0.0, sigma, size)`` would make them before it
+    returns ``0.0 + sigma * z``. Every region is painted whole on every
+    call, so a canvas painted before under the same law gives the same map.
     """
     # Each score is one float64 sum rounded once to float32: the bytes of a
     # float64 map rounded by astype, as ``(value + 0.0) + sigma * z`` equals
     # ``value + (0.0 + sigma * z)`` for every double, signed zeros included.
-    # Scaling here rather than on the helper thread shortens the draw, which
-    # paces a noisy frame when the two threads run at once.
     # The canvas may be reused because DepthMap copies it into bytes of its
     # own, and it is allocated once per law: a fresh float32 canvas per frame
     # once let glibc trim and re-fault the heap of a process that reads maps
@@ -209,13 +202,15 @@ def _paint(
     # float64 canvas per frame alike, and a p98 of 0.53-0.77 ms against
     # 0.56-0.85 ms.
     with np.errstate(over="ignore"):  # a score beyond float32 becomes inf, rejected below
-        for k, (distance_m, r0, r1, c0, c1) in enumerate(regions):
+        for distance_m, r0, r1, c0, c1 in regions:
             value = law.score_for_distance(distance_m)
-            if noise is None:
+            if law.noise_sigma == 0:
                 canvas[r0:r1, c0:c1] = value
             else:
-                noisy = np.multiply(noise[k], law.noise_sigma, out=noise[k])
-                np.add(noisy, value + 0.0, out=canvas[r0:r1, c0:c1], casting="same_kind")
+                z = noise[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+                rng.standard_normal(out=z)
+                np.multiply(z, law.noise_sigma, out=z)
+                np.add(z, value + 0.0, out=canvas[r0:r1, c0:c1], casting="same_kind")
     return DepthMap(canvas)
 
 
@@ -247,9 +242,12 @@ class SceneSpec:
         ``post_law``; without a ``post_law`` the law never switches.
         Timestamps advance at ``1/fps``. Boxes, detections and truths are
         projected once; a frame whose map equals the previous frame's shares
-        that frame's :class:`DepthMap`. A noisy frame's draws come from a
-        helper thread, one frame ahead; a draw that fails raises from its own
-        frame's ``next()``.
+        that frame's :class:`DepthMap`. Each map is rendered on the calling
+        thread when its frame is asked for, and a fault raises from that
+        frame's ``next()``. The generator drops the previous map before it
+        paints a noisy frame, and the old canvas before it makes a new law's
+        one, so a noisy frame holds one canvas, one noise buffer and its own
+        map.
         """
         duration_s, switch_time_s, fps = self.duration_s, self.switch_time_s, self.fps
         if not duration_s > switch_time_s:
@@ -271,35 +269,24 @@ class SceneSpec:
         depth_w, depth_h = self.depth_w, self.depth_h
         detections, truths, regions = _project(self.objects, self.intrinsics, depth_w, depth_h)
         post_law = self.law if self.post_law is None else self.post_law
-        # Frame i draws into buffer set i % 2: one_ahead submits frame i + 2's
-        # draw only once frame i + 1 is asked for, when frame i has been painted.
         noisy = self.law.noise_sigma > 0 or post_law.noise_sigma > 0
-        buffers = (_noise_buffers(regions), _noise_buffers(regions)) if noisy else None
-
-        def draw(item: tuple[int, DepthLawSpec]):
-            """A noisy frame's draws, the only use of ``rng``; a noiseless frame has none."""
-            i, law = item
-            if law.noise_sigma == 0:
-                return None
-            return functools.partial(_draw, rng, buffers[i % 2])
-
-        laws = (self.law if i / fps < switch_time_s else post_law for i in range(n_frames))
-        frame = canvas = None
-        with contextlib.closing(one_ahead(enumerate(laws), draw)) as ahead:
-            for (i, law), noise in ahead:
-                if frame is None or frame.law != law:
+        noise = _noise_buffer(regions) if noisy else None
+        last_law = canvas = depth_map = None
+        for i in range(n_frames):
+            law = self.law if i / fps < switch_time_s else post_law
+            # Objects stand still, so a map changes only with the law or its
+            # noise. Objects that move must add "or an object moved" to this
+            # condition.
+            if law != last_law or law.noise_sigma > 0:
+                # The old map, and on a switch the old canvas, go before the
+                # new ones are made, so no two are alive at once.
+                depth_map = None
+                if law != last_law:
+                    canvas = None
                     canvas = _canvas(law, depth_w, depth_h)
-                # Objects stand still, so a map changes only with the law or its
-                # noise. Objects that move must add "and no object moved" to this
-                # condition.
-                if frame is not None and frame.law == law and law.noise_sigma == 0:
-                    depth_map = frame.depth_map
-                else:
-                    depth_map = _paint(
-                        regions, law, None if noise is None else noise.result(), canvas
-                    )
-                frame = SynthFrame(detections, depth_map, i / fps, truths, law)
-                yield frame
+                depth_map = _paint(regions, law, canvas, rng, noise)
+            last_law = law
+            yield SynthFrame(detections, depth_map, i / fps, truths, law)
 
 
 def _parse_law(payload: dict) -> DepthLawSpec:

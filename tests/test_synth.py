@@ -1,6 +1,6 @@
 import json
-import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monorange import synth
-from monorange.cli import main
+from monorange.cli import _synth_frames, main
 from monorange.common import DomainError
 from monorange.depth import (
     CENTER,
@@ -40,8 +40,7 @@ from monorange.synth import (
     SceneObject,
     SceneSpec,
     _canvas,
-    _draw,
-    _noise_buffers,
+    _noise_buffer,
     _paint,
     _project,
     load_scene_spec,
@@ -221,17 +220,16 @@ class TestNoiseBits:
     def test_same_bits_as_rng_normal_in_float64(self, seed, sigma, m_true, s_true, windows,
                                                  zero_at):
         # One region lies at s_true, so its score is -0.0 when m_true < 0; windows
-        # overlap freely, and the canvas and buffers are reused for a second frame.
+        # overlap freely, and the canvas and noise buffer are reused for a second frame.
         windows.insert(min(zero_at, len(windows)), (s_true, (2, 6, 3, 9)))
         regions = [(d, r0, min(r0 + h, self.H), c0, min(c0 + w, self.W))
                    for d, (r0, h, c0, w) in windows]
         law = DepthLawSpec(m_true=m_true, s_true=s_true, noise_sigma=sigma)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         canvas = _canvas(law, self.W, self.H)
-        noise = _noise_buffers(regions) if sigma > 0 else None
+        noise = _noise_buffer(regions) if sigma > 0 else None
         for _ in range(2):
-            drawn = None if noise is None else _draw(rng, noise)
-            depth_map = _paint(regions, law, drawn, canvas)
+            depth_map = _paint(regions, law, canvas, rng, noise)
             expected = reference_map(regions, law, reference_rng, self.W, self.H)
             assert depth_map.scores.tobytes() == expected
 
@@ -363,7 +361,7 @@ class TestMapReuse:
         for group, law in ((frames[:5], LAW), (frames[5:], self.POST)):
             assert all(f.depth_map is group[0].depth_map for f in group)
             assert all(f.detections is group[0].detections for f in group)
-            fresh = _paint(regions, law, None, _canvas(law, 64, 40))
+            fresh = _paint(regions, law, _canvas(law, 64, 40))
             assert group[0].depth_map.scores.tobytes() == fresh.scores.tobytes()
         assert [f.timestamp_s for f in frames] == [i / 5 for i in range(10)]
 
@@ -406,8 +404,25 @@ class TestMapReuse:
             assert written.scores.tobytes() == frame.depth_map.scores.tobytes()
 
 
-class TestDrawAhead:
-    """A noisy frame's draws run on one helper thread owned by the frame generator."""
+def scene_file(tmp_path, **changes):
+    """A scene file: one VIP on a 64x40 map for 2 s at 5 fps, with ``changes`` applied."""
+    spec = {
+        "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
+        "depth_resolution": [64, 40],
+        "fps": 5,
+        "duration_s": 2,
+        "objects": [{"class_label": "vip", "height_m": 0.63, "distance_m": 3.0,
+                     "is_vip": True}],
+        "law": {"m_true": 6.0, "s_true": 1.0, "noise_sigma": 0.01},
+        **changes,
+    }
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(spec))
+    return scene
+
+
+class TestNoisyFrames:
+    """A noisy frame is drawn and painted when it is asked for."""
 
     OBJECTS = TestMapReuse.OBJECTS
     NOISY = TestMapReuse.NOISY
@@ -422,23 +437,24 @@ class TestDrawAhead:
         return [f.depth_map.scores.tobytes() for f in frames]
 
     @staticmethod
-    def fail_on_call(monkeypatch, n):
-        """Make the n-th call of the draw helper raise."""
-        calls, real_draw = [], synth._draw
+    def fail_on_draw(monkeypatch, n):
+        """Make the n-th region draw of the seeded generator raise."""
+        calls, real_paint = [], synth._paint
 
-        def draw(*args):
-            calls.append(args)
-            if len(calls) == n:
-                raise DomainError("draw failed")
-            return real_draw(*args)
+        class FailingRng:
+            def __init__(self, rng):
+                self.rng = rng
 
-        monkeypatch.setattr(synth, "_draw", draw)
+            def standard_normal(self, out):
+                calls.append(out.shape)
+                if len(calls) == n:
+                    raise DomainError("draw failed")
+                return self.rng.standard_normal(out=out)
 
-    def test_noiseless_scene_starts_no_thread(self):
-        before = threading.active_count()
-        for _ in self.frames(LAW):
-            assert threading.active_count() == before
-        assert threading.active_count() == before
+        def paint(regions, law, canvas, rng=None, noise=None):
+            return real_paint(regions, law, canvas, FailingRng(rng), noise)
+
+        monkeypatch.setattr(synth, "_paint", paint)
 
     def test_frames_held_at_once_keep_their_own_maps(self):
         post = DepthLawSpec(m_true=-4.0, s_true=1.45, noise_sigma=0.02)
@@ -454,57 +470,161 @@ class TestDrawAhead:
         assert [f.law for f in held] == [self.NOISY] * 5 + [post] * 5
         assert len(set(one_at_a_time)) == len(held)
 
-    def test_only_a_noisy_scene_allocates_noise_buffers(self, monkeypatch):
-        calls, real_buffers = [], synth._noise_buffers
-        monkeypatch.setattr(synth, "_noise_buffers",
-                            lambda regions: calls.append(regions) or real_buffers(regions))
+    def test_the_noise_buffer_holds_the_largest_region(self):
+        _, _, regions = _project(self.OBJECTS, INTR, 64, 40)
+        sizes = [(r1 - r0) * (c1 - c0) for _, r0, r1, c0, c1 in regions]
+        assert len(set(sizes)) == 2
+        noise = _noise_buffer(regions)
+        assert noise.shape == (max(sizes),) and noise.dtype == np.float64
+        assert _noise_buffer(()).shape == (0,)
+
+    def test_only_a_noisy_scene_allocates_a_noise_buffer(self, monkeypatch):
+        calls, real_buffer = [], synth._noise_buffer
+        monkeypatch.setattr(synth, "_noise_buffer",
+                            lambda regions: calls.append(regions) or real_buffer(regions))
         list(self.frames(LAW))
         assert calls == []
         list(self.frames(self.NOISY))
-        assert len(calls) == 2
-
-    def test_closing_early_joins_the_helper(self):
-        full = self.maps(self.frames(self.NOISY))
-        before = threading.active_count()
-        frames = self.frames(self.NOISY)
-        first = [next(frames) for _ in range(3)]
-        assert threading.active_count() == before + 1
-        frames.close()
-        assert threading.active_count() == before
-        assert self.maps(first) == full[:3]
+        assert len(calls) == 1
 
     def test_a_failed_draw_surfaces_from_its_own_frame(self, monkeypatch):
         full = self.maps(self.frames(self.NOISY))
-        self.fail_on_call(monkeypatch, 3)
-        before = threading.active_count()
+        self.fail_on_draw(monkeypatch, 5)  # two regions a frame: frame 2's first draw
         frames = self.frames(self.NOISY)
         first = [next(frames), next(frames)]
         with pytest.raises(DomainError, match="draw failed"):
             next(frames)
-        assert threading.active_count() == before
         assert self.maps(first) == full[:2]
 
     def test_synth_exits_2_on_a_failed_draw_and_leaves_no_stream(
         self, tmp_path, monkeypatch, capsys
     ):
-        spec = {
-            "camera": {"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720},
-            "depth_resolution": [64, 40],
-            "fps": 5,
-            "duration_s": 2,
-            "objects": [{"class_label": "vip", "height_m": 0.63, "distance_m": 3.0,
-                         "is_vip": True}],
-            "law": {"m_true": 6.0, "s_true": 1.0, "noise_sigma": 0.01},
-        }
-        scene = tmp_path / "scene.json"
-        scene.write_text(json.dumps(spec))
-        self.fail_on_call(monkeypatch, 3)
-        before = threading.active_count()
+        scene = scene_file(tmp_path)
+        self.fail_on_draw(monkeypatch, 3)  # one region a frame: frame 2
         out = tmp_path / "run"
         assert main(["synth", "--scene", str(scene), "--out-dir", str(out)]) == 2
-        assert "draw failed" in capsys.readouterr().err
+        assert f"{scene}: scene cannot be rendered (draw failed)" in capsys.readouterr().err
         assert not (out / "frames.jsonl").exists()
-        assert threading.active_count() == before
+        assert sorted(p.name for p in (out / "maps").iterdir()) == [
+            "frame_000000.neod", "frame_000001.neod"]
+
+    def test_a_noisy_scene_without_objects_renders_its_background(self, tmp_path):
+        law = DepthLawSpec(m_true=6.0, s_true=1.0, noise_sigma=0.01)
+        frames = list(SceneSpec(intrinsics=INTR, objects=(), law=law, fps=5, duration_s=1.0,
+                                depth_w=64, depth_h=40).frames(3))
+        background = _canvas(law, 64, 40).tobytes()
+        assert self.maps(frames) == [background] * 5
+        assert all(f.detections == () for f in frames)
+        scene = scene_file(tmp_path, objects=[])
+        out = tmp_path / "run"
+        assert main(["synth", "--scene", str(scene), "--out-dir", str(out)]) == 0
+        lines = (out / "frames.jsonl").read_text().splitlines()
+        assert len(lines) == 10
+        for line in lines:
+            written = read_depth_map(out / json.loads(line)["depth_map_path"])
+            assert written.scores.tobytes() == background
+
+    def test_synth_exits_2_on_a_map_too_large_to_allocate_and_makes_no_out_dir(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def canvas(law, depth_w, depth_h):  # what np.full raises for 14.6 TiB
+            raise MemoryError(f"Unable to allocate 14.6 TiB for an array with shape "
+                              f"({depth_h}, {depth_w}) and data type float32")
+
+        monkeypatch.setattr(synth, "_canvas", canvas)
+        # A noiseless law, so that nothing but the canvas would be allocated.
+        scene = scene_file(tmp_path, depth_resolution=[2000000, 2000000],
+                           law={"m_true": 6.0, "s_true": 1.0})
+        out = tmp_path / "run"
+        assert main(["synth", "--scene", str(scene), "--out-dir", str(out)]) == 2
+        assert (f"error: {scene}: scene cannot be rendered (Unable to allocate 14.6 TiB "
+                f"for an array with shape (2000000, 2000000)") in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOneFrameHeld:
+    """A noisy frame's map is gone before the next one is painted, and a law's canvas
+    before the next law's is made."""
+
+    NOISY = TestMapReuse.NOISY
+    POST = DepthLawSpec(m_true=-4.0, s_true=1.45, noise_sigma=0.02)
+    # Noisy to noisy, noisy to noiseless and noiseless to noisy: a noiseless
+    # law's frames share one map.
+    LAWS = pytest.mark.parametrize("law, post_law", [
+        (NOISY, POST), (NOISY, TestMapReuse.POST), (LAW, POST)],
+        ids=["noisy-noisy", "noisy-noiseless", "noiseless-noisy"])
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Weak references to each map and canvas made; making one checks that the
+        earlier ones are gone."""
+        maps, canvases = [], []
+
+        def watched(made, fn):
+            def call(*args):
+                assert [ref() for ref in made] == [None] * len(made)
+                obj = fn(*args)
+                made.append(weakref.ref(obj))
+                return obj
+            return call
+
+        monkeypatch.setattr(synth, "_paint", watched(maps, synth._paint))
+        monkeypatch.setattr(synth, "_canvas", watched(canvases, synth._canvas))
+        return maps, canvases
+
+    @staticmethod
+    def spec(law, post_law):
+        return SceneSpec(intrinsics=INTR, objects=TestMapReuse.OBJECTS, law=law, fps=5,
+                         duration_s=2.0, depth_w=64, depth_h=40, post_law=post_law,
+                         switch_time_s=1.0)
+
+    @staticmethod
+    def only_the_last_is_alive(maps):
+        return [ref() is None for ref in maps] == [True] * (len(maps) - 1) + [False]
+
+    @LAWS
+    def test_frames_drops_the_previous_map_and_canvas(self, monkeypatch, law, post_law):
+        maps, canvases = self.watch(monkeypatch)
+        frames = self.spec(law, post_law).frames(3)
+        for taken in range(1, 11):
+            assert next(frames).law == (law if taken <= 5 else post_law)
+            assert self.only_the_last_is_alive(maps)
+        assert len(maps) == sum(1 + 4 * (x.noise_sigma > 0) for x in (law, post_law))
+        assert len(canvases) == 2
+
+    @LAWS
+    def test_synth_frames_keeps_no_earlier_frame(self, monkeypatch, law, post_law):
+        maps, canvases = self.watch(monkeypatch)
+        frames = _synth_frames("scene.json", self.spec(law, post_law), 3)
+        for taken in range(1, 11):
+            assert next(frames)[1].frame_id == f"frame_{taken - 1:06d}"
+            assert self.only_the_last_is_alive(maps)
+        assert len(canvases) == 2
+
+    def test_synth_peak_memory_is_one_frame(self, tmp_path):
+        w, h = 320, 200
+        scene = scene_file(
+            tmp_path, depth_resolution=[w, h],
+            objects=[{"class_label": "vip", "height_m": 0.63, "distance_m": 3.0,
+                      "is_vip": True},
+                     {"class_label": "car", "height_m": 1.56, "distance_m": 4.6,
+                      "lateral_offset_m": -1.2}],
+            drift={"switch_time_s": 1.0,
+                   "post_law": {"m_true": -4.0, "s_true": 1.45, "noise_sigma": 0.02}},
+        )
+        argv = ["synth", "--scene", str(scene), "--out-dir", str(tmp_path / "run")]
+        assert main(argv) == 0  # imports and caches are made before memory is traced
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        spec = load_scene_spec(scene)
+        _, _, regions = _project(spec.objects, spec.intrinsics, w, h)
+        largest = max((r1 - r0) * (c1 - c0) for _, r0, r1, c0, c1 in regions)
+        canvas = one_map = 4 * w * h
+        assert peak < canvas + one_map + 8 * largest + 64_000
 
 
 class TestLawSpec:
