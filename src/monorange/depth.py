@@ -14,8 +14,9 @@ covers the whole lifecycle:
   (:func:`detect_drift`) and weighted recalibration (:func:`recalibrate`),
 * the per-frame driver tying it together (:func:`step`).
 
-Everything except :class:`RecalibrationState` is pure and freely concurrent;
-a state instance belongs to exactly one stream and one writer at a time.
+Everything except :class:`RecalibrationState` and :class:`ScoreSmoother` is
+pure and freely concurrent; each of those two holds one stream's mutable
+state and belongs to exactly one stream and one writer at a time.
 """
 
 from __future__ import annotations
@@ -501,14 +502,15 @@ class RecalibrationConfig:
 
 
 class RecalibrationState:
-    """Sliding-window buffers driving drift detection for one stream.
+    """Sliding windows driving drift detection for one stream.
 
-    Single-writer: one stream owns one state. ``R`` holds trusted distances
-    and ``D`` the depth-based estimates, both sampled once per wall-clock
-    second; ``T`` holds (score, trusted distance) pairs at full frame rate.
-    ``R`` and ``D`` stop while a detection is latched (``flag``) and resume
-    after recalibration clears it; ``T`` keeps filling, so a detection that
-    latches before ``T`` holds ``n_new`` samples refits once it does.
+    Single-writer: one stream owns one state, and :meth:`observe` is the only
+    way a frame enters it. ``T`` holds (score, trusted distance) pairs at full
+    frame rate; ``errors`` holds ``|trusted - estimated|`` for the first frame
+    of each wall-clock second. ``errors`` stops while a detection is latched
+    (``flag``) and restarts empty after recalibration clears it; ``T`` keeps
+    filling, so a detection that latches before ``T`` holds ``n_new`` samples
+    refits once it does.
     """
 
     def __init__(
@@ -522,43 +524,35 @@ class RecalibrationState:
             raise DomainError(
                 f"config declares n_o={config.n_o} offline samples, got {len(samples)}"
             )
-        self.R: deque[float] = deque(maxlen=config.w)
-        self.D: deque[float] = deque(maxlen=config.w)
+        self.errors: deque[float] = deque(maxlen=config.w)
         self.T: deque[CalibrationSample] = deque(maxlen=config.train_buffer_capacity)
         self.flag = False
         self.original_samples = samples
         self.seconds_seen = 0
-        self.recalibration_count = 0
         self._last_second: int | None = None
         self._rng = np.random.default_rng(seed)
 
-    def sample_second(self, timestamp_s: float, trusted_m: float, estimated_m: float) -> None:
-        """Feed ``R`` and ``D`` from the first frame of each wall-clock second."""
-        second = int(math.floor(timestamp_s))
+    def observe(self, timestamp_s: float, sample: CalibrationSample, estimated_m: float) -> None:
+        """Take one frame's trusted sample and the estimate made for it."""
+        self.T.append(sample)
+        if self.flag:
+            return
+        second = math.floor(timestamp_s)
         if self._last_second is None or second > self._last_second:
-            self.R.append(trusted_m)
-            self.D.append(estimated_m)
+            self.errors.append(abs(sample.true_distance_m - estimated_m))
             self.seconds_seen += 1
             self._last_second = second
-
-    def draw(self, n: int) -> list[CalibrationSample]:
-        """``n`` distinct entries of ``T`` drawn uniformly by the state's seeded generator."""
-        snapshot = list(self.T)
-        return [snapshot[i] for i in self._rng.choice(len(snapshot), size=n, replace=False)]
 
 
 def detect_drift(state: RecalibrationState, config: RecalibrationConfig) -> bool:
     """True (and latches the flag) when the windowed mean absolute error exceeds tau.
 
-    Never fires during warm-up or before both one-per-second buffers are full;
-    the comparison is strict, so a mean exactly at tau does not trigger.
+    Never fires during warm-up or before the error window is full; the
+    comparison is strict, so a mean exactly at tau does not trigger.
     """
-    if state.seconds_seen < config.warmup_samples:
+    if state.seconds_seen < config.warmup_samples or len(state.errors) < config.w:
         return False
-    if len(state.R) < config.w or len(state.D) < config.w:
-        return False
-    mean_abs = math.fsum(abs(r - d) for r, d in zip(state.R, state.D)) / config.w
-    if mean_abs > config.tau_m:
+    if math.fsum(state.errors) / config.w > config.tau_m:
         state.flag = True
         return True
     return False
@@ -569,7 +563,7 @@ def recalibrate(state: RecalibrationState, config: RecalibrationConfig) -> Depth
 
     Draws ``config.n_new`` samples uniformly at random (seeded, without
     replacement) from the recent-frame buffer, fits over the offline samples
-    plus the drawn ones, clears the flag, and resets the per-second buffers so
+    plus the drawn ones, clears the flag, and empties the error window so
     detection restarts against estimates made with the new coefficients. The
     offline sample set itself is never mutated.
 
@@ -584,15 +578,15 @@ def recalibrate(state: RecalibrationState, config: RecalibrationConfig) -> Depth
         raise NotReadyError(
             f"train buffer holds {len(state.T)} samples, need {n_new}"
         )
-    fit_set = list(state.original_samples) + state.draw(n_new)
+    recent = list(state.T)
+    fit_set = list(state.original_samples)
+    fit_set += [recent[i] for i in state._rng.choice(len(recent), size=n_new, replace=False)]
     m, s = _fit_line(
         [smp.normalized_score for smp in fit_set],
         [smp.true_distance_m for smp in fit_set],
     )
-    state.recalibration_count += 1
     state.flag = False
-    state.R.clear()
-    state.D.clear()
+    state.errors.clear()
     return DepthCoefficients(
         m=m,
         s=s,
@@ -630,11 +624,11 @@ class StepResult:
 
 def step(
     frame: FrameObservation,
-    vip_truth: DistanceEstimate | float | None,
+    vip_truth: DistanceEstimate | None,
     state: RecalibrationState | None,
     config: RecalibrationConfig | None,
     coeffs: DepthCoefficients,
-    method: NormalizationMethod | None = None,
+    method: NormalizationMethod,
     smoother: ScoreSmoother | None = None,
 ) -> StepResult:
     """Process one frame: score, update buffers, detect drift, recalibrate, estimate.
@@ -652,19 +646,9 @@ def step(
     With ``state`` and ``config`` None there is no drift handling: the frame
     is scored and estimated with ``coeffs``, and ``vip_truth`` is not used.
     """
-    if method is None:
-        method = NormalizationMethod()
     vips = [i for i, det in enumerate(frame.detections) if det.is_vip]
     if len(vips) > 1:
         raise DomainError(f"{len(vips)} detections flagged as the followed person; expected one")
-
-    if vip_truth is None:
-        truth = None
-    elif isinstance(vip_truth, DistanceEstimate):
-        truth = vip_truth
-    else:
-        value = float(vip_truth)
-        truth = DistanceEstimate(value_m=value, out_of_domain=value <= 0.0)
 
     depth_map = frame.depth_map
     scores: list[float] = []
@@ -682,19 +666,16 @@ def step(
         warning = "no-vip-detection"
     elif state is not None:
         vip_score = scores[vips[0]]
-        if truth is None:
+        if vip_truth is None:
             warning = "no-vip-truth"
-        elif truth.out_of_domain:
+        elif vip_truth.out_of_domain:
             warning = "vip-truth-out-of-domain"
         else:
-            state.T.append(CalibrationSample(vip_score, truth.value_m))
-            if not state.flag:
-                estimated_m = coeffs.m * vip_score + coeffs.s
-                state.sample_second(frame.timestamp_s, truth.value_m, estimated_m)
+            sample = CalibrationSample(vip_score, vip_truth.value_m)
+            state.observe(frame.timestamp_s, sample, coeffs.m * vip_score + coeffs.s)
 
-        was_flagged = state.flag
-        detect_drift(state, config)
-        drift_detected = state.flag and not was_flagged
+        if not state.flag:
+            drift_detected = detect_drift(state, config)
         if state.flag:
             try:
                 coeffs = recalibrate(state, config)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from monorange.cli import main as cli_main
-from monorange.common import linear_quantile
+from monorange.common import DistanceEstimate, linear_quantile
 from monorange.depth import (
     CENTER,
     CENTER_RING,
@@ -262,7 +262,8 @@ def _drive(post_law, duration_s):
                        duration_s=duration_s, depth_w=64, depth_h=40, post_law=post_law,
                        switch_time_s=20.0).frames()
     for frame in frames:
-        result = step(frame, 3.0, state, DRIFT_CONFIG, coeffs)
+        result = step(frame, DistanceEstimate(3.0), state, DRIFT_CONFIG, coeffs,
+                      method=NormalizationMethod())
         coeffs = result.coeffs
         results.append(result)
     return results

@@ -1,17 +1,34 @@
+import dataclasses
+import math
+from collections import deque
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
-from monorange.common import DomainError, NotReadyError
+from monorange.common import DistanceEstimate, DomainError, NotReadyError
 from monorange.depth import (
+    CENTER,
+    MEAN,
     CalibrationSample,
+    DepthMap,
+    FrameObservation,
+    NormalizationMethod,
+    ObjectEstimate,
     RecalibrationConfig,
     RecalibrationState,
+    ScoreSmoother,
+    StepResult,
     detect_drift,
+    estimate_distance_depth,
     fit_coefficients,
+    normalize_region,
     recalibrate,
     step,
 )
-from monorange.geometry import CameraIntrinsics
+from monorange.geometry import BoundingBox, CameraIntrinsics, Detection, scale_bbox
 from monorange.synth import DepthLawSpec, SceneObject, SceneSpec
 
 INTR = CameraIntrinsics(1592.0, 1280, 720, 82.6)
@@ -41,11 +58,10 @@ def fresh_state(config, seed=0, law=PRE_LAW):
 
 
 def fill_windows(state, truths, estimates):
-    """Load the once-per-second buffers directly (unit-level shortcut)."""
-    for t, d in zip(truths, estimates):
-        state.R.append(t)
-        state.D.append(d)
-        state.seconds_seen += 1
+    """Observe one frame per wall-clock second, after any second already observed."""
+    first = state.seconds_seen
+    for i, (t, d) in enumerate(zip(truths, estimates)):
+        state.observe(float(first + i), CalibrationSample(0.5, t), d)
 
 
 class TestConfig:
@@ -86,13 +102,12 @@ class TestConfig:
 class TestDetectDrift:
     def make(self, config=None):
         config = config or RecalibrationConfig()
-        state = fresh_state(config)
-        state.seconds_seen = config.warmup_samples  # past warm-up
-        return state, config
+        return fresh_state(config), config
 
     def test_constant_errors_above_threshold(self):
         state, config = self.make()
-        fill_windows(state, [3.0] * 5, [3.0 - 0.40] * 5)
+        fill_windows(state, [3.0] * 5, [3.0 - 0.40] * 5)  # five samples end the warm-up
+        assert state.seconds_seen == config.warmup_samples
         assert detect_drift(state, config) is True
         assert state.flag
 
@@ -113,6 +128,13 @@ class TestDetectDrift:
         state = fresh_state(config)
         fill_windows(state, [3.0] * 4, [1.0] * 4)  # huge errors, only 4 samples
         assert detect_drift(state, config) is False
+        # a full 3-sample window is not enough while the warm-up wants 5 samples
+        config = RecalibrationConfig(w=3)
+        state = fresh_state(config)
+        fill_windows(state, [3.0] * 4, [1.0] * 4)
+        assert len(state.errors) == config.w and detect_drift(state, config) is False
+        fill_windows(state, [3.0], [1.0])
+        assert detect_drift(state, config) is True
 
     def test_no_detection_with_partial_buffers(self):
         config = RecalibrationConfig(w=8)
@@ -120,17 +142,31 @@ class TestDetectDrift:
         fill_windows(state, [3.0] * 6, [1.0] * 6)
         assert detect_drift(state, config) is False
 
+    def test_a_refit_needs_a_full_window_again(self):
+        config = RecalibrationConfig(w=5, fps=1, w_prime_s=10.0)
+        state = fresh_state(config)
+        fill_windows(state, [3.0] * 7, [1.0] * 7)
+        assert detect_drift(state, config) is True
+        recalibrate(state, config)
+        assert list(state.errors) == [] and state.seconds_seen == 7  # past warm-up
+        fill_windows(state, [3.0] * 4, [1.0] * 4)
+        assert detect_drift(state, config) is False
+        fill_windows(state, [3.0], [1.0])
+        assert detect_drift(state, config) is True
+
 
 class TestRecalibrate:
     CONFIG = RecalibrationConfig(alpha=0.75, n_o=20)
 
     def latched_state(self, seed=0):
+        """A full train buffer and a full error window that latched a detection."""
         state = fresh_state(self.CONFIG, seed=seed)
         rng = np.random.default_rng(99)
-        for _ in range(self.CONFIG.train_buffer_capacity):
+        for i in range(self.CONFIG.train_buffer_capacity):
             score = float(rng.uniform(0.1, 0.6))
-            state.T.append(CalibrationSample(score, 7.0 * score + 0.5))
-        state.flag = True
+            sample = CalibrationSample(score, 7.0 * score + 0.5)
+            state.observe(i / self.CONFIG.fps, sample, sample.true_distance_m + 0.5)
+        assert len(state.errors) == self.CONFIG.w and detect_drift(state, self.CONFIG)
         return state
 
     def test_requires_latched_flag(self):
@@ -154,8 +190,10 @@ class TestRecalibrate:
         assert coeffs.provenance == "recalibrated"
         assert state.original_samples == originals_before
         assert not state.flag
-        assert len(state.R) == 0 and len(state.D) == 0
-        assert state.recalibration_count == 1
+        assert len(state.errors) == 0
+        assert len(state.T) == self.CONFIG.train_buffer_capacity  # drawn from, not emptied
+        with pytest.raises(DomainError):  # one detection, one refit
+            recalibrate(state, self.CONFIG)
 
     def test_seeded_draw_matches_least_squares_oracle(self):
         seed = 1234
@@ -178,25 +216,35 @@ class TestRecalibrate:
         assert (a.m, a.s) == (b.m, b.s)
 
 
-def run_stream(frames, state, config, coeffs, truth=3.0):
+def run_stream(frames, state, config, coeffs, truth=DistanceEstimate(3.0)):
     """Drive step() over a synthetic stream; returns per-frame results."""
     results = []
     for frame in frames:
-        result = step(frame, truth, state, config, coeffs)
+        result = step(frame, truth, state, config, coeffs, method=NormalizationMethod())
         coeffs = result.coeffs
         results.append(result)
     return results
 
 
 class TestStateMethods:
-    def test_sample_second_keeps_the_first_frame_of_each_second(self):
+    def test_observe_keeps_every_frame_and_the_first_error_of_each_second(self):
         state = fresh_state(RecalibrationConfig())
-        for t, trusted, estimated in [(0.0, 1, 2), (0.5, 3, 4), (1.2, 5, 6), (1.9, 7, 8),
-                                      (3.0, 9, 10)]:
-            state.sample_second(t, trusted, estimated)
-        assert list(state.R) == [1, 5, 9]
-        assert list(state.D) == [2, 6, 10]
+        for t, trusted, estimated in [(0.0, 1.0, 2.5), (0.5, 3.0, 4.0), (1.2, 5.0, 3.25),
+                                      (1.9, 7.0, 8.0), (3.0, 9.0, 10.5)]:
+            state.observe(t, CalibrationSample(trusted / 10, trusted), estimated)
+        assert list(state.errors) == [1.5, 1.75, 1.5]
+        assert list(state.T) == [CalibrationSample(d / 10, d) for d in (1.0, 3.0, 5.0, 7.0, 9.0)]
         assert state.seconds_seen == 3
+
+        # A latched frame enters T but not errors, and does not use up its second.
+        state.flag = True
+        state.observe(4.0, CalibrationSample(0.2, 2.0), 12.0)
+        assert list(state.errors) == [1.5, 1.75, 1.5] and state.seconds_seen == 3
+        assert state.T[-1] == CalibrationSample(0.2, 2.0) and len(state.T) == 6
+        state.flag = False
+        state.observe(4.5, CalibrationSample(0.3, 3.0), 2.0)
+        assert list(state.errors) == [1.5, 1.75, 1.5, 1.0] and state.seconds_seen == 4
+        assert len(state.T) == 7
 
 
 class TestStep:
@@ -229,6 +277,7 @@ class TestStep:
         ).frames()
         run_stream(frames, state, config, self.static_coeffs())
         assert state.seconds_seen == 4  # seconds 0, 1, 2, 3
+        assert len(state.errors) == 4 and len(state.T) == 105
 
     def test_constant_scene_never_changes_coefficients(self):
         config = self.CONFIG
@@ -297,7 +346,8 @@ class TestStep:
         bystander = SceneObject("bystander", 1.65, 4.0, lateral_offset_m=1.0)
         frame = one_frame([bystander], INTR, PRE_LAW,
                           depth_w=DEPTH_W, depth_h=DEPTH_H)
-        result = step(frame, 3.0, state, config, self.static_coeffs())
+        result = step(frame, DistanceEstimate(3.0), state, config, self.static_coeffs(),
+                      method=NormalizationMethod())
         assert result.warning == "no-vip-detection"
         assert result.vip_distance is None
         assert len(result.estimates) == 1
@@ -310,19 +360,17 @@ class TestStep:
         )
         config = RecalibrationConfig()
         with pytest.raises(DomainError):
-            step(frame, 3.0, fresh_state(config), config,
-                 self.static_coeffs())
+            step(frame, DistanceEstimate(3.0), fresh_state(config), config,
+                 self.static_coeffs(), method=NormalizationMethod())
 
     def test_out_of_domain_truth_excluded(self):
-        from monorange.common import DistanceEstimate
-
         config = RecalibrationConfig()
         state = fresh_state(config)
         frame = one_frame([VIP], INTR, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
         result = step(
             frame,
             DistanceEstimate(-1.0, out_of_domain=True),
-            state, config, self.static_coeffs(),
+            state, config, self.static_coeffs(), method=NormalizationMethod(),
         )
         assert result.warning == "vip-truth-out-of-domain"
         assert len(state.T) == 0
@@ -335,7 +383,8 @@ class TestStep:
             depth_w=DEPTH_W, depth_h=DEPTH_H, post_law=POST_LAW, switch_time_s=2.0,
         ).frames()
         for frame in frames:
-            result = step(frame, 3.0, None, None, coeffs)
+            result = step(frame, DistanceEstimate(3.0), None, None, coeffs,
+                          method=NormalizationMethod())
             assert result.coeffs is coeffs
             assert not result.drift_detected and not result.recalibrated
             assert result.warning is None
@@ -358,7 +407,7 @@ class TestStep:
         state = fresh_state(config)
         frame = one_frame([VIP], INTR, PRE_LAW, depth_w=DEPTH_W, depth_h=DEPTH_H)
         coeffs = self.static_coeffs()
-        result = step(frame, None, state, config, coeffs)
+        result = step(frame, None, state, config, coeffs, method=NormalizationMethod())
         assert result.warning == "no-vip-truth"
         assert len(state.T) == 0 and state.seconds_seen == 0
         assert result.coeffs is coeffs and not result.drift_detected
@@ -383,9 +432,237 @@ class TestStep:
         assert [r.recalibrated for r in results] == [False] * 6 + [True]
         assert results[5].coeffs is coeffs
         # The refit drew all 7 samples of T, the two taken while latched among them.
-        assert not state.flag and state.recalibration_count == 1 and len(state.T) == 7
+        assert not state.flag and list(state.errors) == [] and len(state.T) == 7
         refit = results[-1].coeffs
         oracle = fit_coefficients(list(state.original_samples) + list(state.T))
         assert refit.sample_count == 27 and (refit.m, refit.s) == (oracle.m, oracle.s)
         before, after = results[5].vip_distance.value_m, results[-1].vip_distance.value_m
         assert abs(after - 3.0) < abs(before - 3.0)
+
+
+# -- differential oracle -------------------------------------------------------
+#
+# The detector as it stood before the error window: parallel ``R`` (trusted)
+# and ``D`` (estimated) buffers fed by ``sample_second``, a ``step`` that
+# re-detects on every frame and reports a drift only when the flag went up.
+# ``step`` over the error window must match it bit for bit on every stream.
+
+
+class ReferenceState:
+    def __init__(self, config, original_samples, seed=0):
+        self.R = deque(maxlen=config.w)
+        self.D = deque(maxlen=config.w)
+        self.T = deque(maxlen=config.train_buffer_capacity)
+        self.flag = False
+        self.original_samples = tuple(original_samples)
+        self.seconds_seen = 0
+        self._last_second = None
+        self._rng = np.random.default_rng(seed)
+
+    def sample_second(self, timestamp_s, trusted_m, estimated_m):
+        second = int(math.floor(timestamp_s))
+        if self._last_second is None or second > self._last_second:
+            self.R.append(trusted_m)
+            self.D.append(estimated_m)
+            self.seconds_seen += 1
+            self._last_second = second
+
+
+def reference_detect_drift(state, config):
+    if state.seconds_seen < config.warmup_samples:
+        return False
+    if len(state.R) < config.w or len(state.D) < config.w:
+        return False
+    mean_abs = math.fsum(abs(r - d) for r, d in zip(state.R, state.D)) / config.w
+    if mean_abs > config.tau_m:
+        state.flag = True
+        return True
+    return False
+
+
+def reference_recalibrate(state, config):
+    if not state.flag:
+        raise DomainError("recalibrate requires a latched drift detection")
+    if len(state.T) < config.n_new:
+        raise NotReadyError("train buffer too short")
+    snapshot = list(state.T)
+    drawn = [snapshot[i] for i in state._rng.choice(len(snapshot), size=config.n_new,
+                                                     replace=False)]
+    fitted = fit_coefficients(list(state.original_samples) + drawn)
+    state.flag = False
+    state.R.clear()
+    state.D.clear()
+    return replace(fitted, provenance="recalibrated")
+
+
+def reference_step(frame, truth, state, config, coeffs, method, smoother):
+    vips = [i for i, det in enumerate(frame.detections) if det.is_vip]
+    scores = []
+    for det in frame.detections:
+        scaled = scale_bbox(det.bbox, frame.depth_map.width, frame.depth_map.height)
+        score = normalize_region(frame.depth_map, scaled, method)
+        if det.is_vip and smoother is not None:
+            score = smoother.push(score)
+        scores.append(score)
+    warning = None
+    drift_detected = recalibrated = False
+    if not vips:
+        warning = "no-vip-detection"
+    else:
+        vip_score = scores[vips[0]]
+        if truth is None:
+            warning = "no-vip-truth"
+        elif truth.out_of_domain:
+            warning = "vip-truth-out-of-domain"
+        else:
+            state.T.append(CalibrationSample(vip_score, truth.value_m))
+            if not state.flag:
+                estimated_m = coeffs.m * vip_score + coeffs.s
+                state.sample_second(frame.timestamp_s, truth.value_m, estimated_m)
+        was_flagged = state.flag
+        reference_detect_drift(state, config)
+        drift_detected = state.flag and not was_flagged
+        if state.flag:
+            try:
+                coeffs = reference_recalibrate(state, config)
+                recalibrated = True
+            except NotReadyError:
+                warning = "recalibration-not-ready"
+    estimates = tuple(
+        ObjectEstimate(det, scores[i], estimate_distance_depth(scores[i], coeffs))
+        for i, det in enumerate(frame.detections)
+    )
+    return StepResult(frame.timestamp_s, estimates[vips[0]].distance if vips else None,
+                      estimates, coeffs, drift_detected, recalibrated, warning)
+
+
+def _bits(x):
+    """``x`` with every float spelled out in hex, so that equality is bit equality."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            _bits(getattr(x, f.name)) for f in dataclasses.fields(x)
+        )
+    return x
+
+
+ORACLE_DETECTIONS = (
+    Detection(BoundingBox(0, 0, 2, 4, 4, 4), "person", 0.9, is_vip=True),
+    Detection(BoundingBox(2, 0, 4, 4, 4, 4), "car", 0.8),
+)
+ORACLE_M, ORACLE_S = 6.0, 1.0  # the offline law; the drifted one shifts s
+
+
+def oracle_stream(p):
+    """Frames and truths of one stream, drawn from the parameters ``p``."""
+    rng = np.random.default_rng(p["seed"])
+    t = p["t0"]
+    for i in range(int(p["duration_s"] * p["fps"])):
+        if rng.random() < p["p_gap"]:
+            t += float(rng.uniform(2.0, 6.0))
+        timestamp = t + i / p["fps"]
+        shift = p["shift"] if timestamp >= p["switch_s"] else 0.0
+        vip_m = p["vip_m"] + float(rng.normal(0.0, p["noise_m"]))
+        vip_score = (vip_m - ORACLE_S - shift) / ORACLE_M
+        car_score = (7.0 - ORACLE_S - shift) / ORACLE_M
+        scores = np.empty((4, 4))
+        scores[:, :2] = vip_score + rng.normal(0.0, 0.01, (4, 2))
+        scores[:, 2:] = car_score
+        detections = ORACLE_DETECTIONS
+        if rng.random() < p["p_no_vip"]:
+            detections = detections[1:]
+        kind = rng.random()
+        if kind < p["p_none"]:
+            truth = None
+        elif kind < p["p_none"] + p["p_ood"]:
+            truth = DistanceEstimate(float(rng.uniform(-1.0, 3.0)), out_of_domain=True)
+        else:
+            truth = DistanceEstimate(p["vip_m"])
+        yield FrameObservation(detections, DepthMap(scores), timestamp), truth
+
+
+def run_oracle(p):
+    """Drive ``step`` and the reference side by side and compare every result bit for bit."""
+    config = RecalibrationConfig(w=p["w"], w_prime_s=p["w_prime_s"], fps=p["fps"],
+                                 alpha=p["alpha"], tau_m=p["tau_m"], n_o=20)
+    anchors = [CalibrationSample((d - ORACLE_S) / ORACLE_M, d)
+               for d in (2.5, 4.0) for _ in range(10)]
+    method = NormalizationMethod(kind=p["method"])
+    state = RecalibrationState(config, anchors, seed=p["seed"])
+    ref_state = ReferenceState(config, anchors, seed=p["seed"])
+    smoother, ref_smoother = (
+        (ScoreSmoother(p["smooth"]), ScoreSmoother(p["smooth"])) if p["smooth"] > 1
+        else (None, None)
+    )
+    coeffs = ref_coeffs = fit_coefficients(anchors)
+    results = []
+    for frame, truth in oracle_stream(p):
+        result = step(frame, truth, state, config, coeffs, method=method, smoother=smoother)
+        expected = reference_step(frame, truth, ref_state, config, ref_coeffs, method,
+                                  ref_smoother)
+        assert _bits(result) == _bits(expected), frame.timestamp_s
+        assert _bits(list(state.errors)) == _bits(
+            [abs(r - d) for r, d in zip(ref_state.R, ref_state.D)]
+        ), frame.timestamp_s
+        assert (state.flag, state.seconds_seen, list(state.T)) == (
+            ref_state.flag, ref_state.seconds_seen, list(ref_state.T)
+        )
+        coeffs, ref_coeffs = result.coeffs, expected.coeffs
+        results.append(result)
+    return results
+
+
+# At 1 fps the detector latches on its fifth second while T holds 5 < n_new = 7
+# samples, refits two seconds later, and latches and refits again 20 + 7 mixes on.
+LATCH_BEFORE_N_NEW = dict(
+    fps=1, w=5, w_prime_s=10.0, alpha=0.75, tau_m=0.3, duration_s=40.0, t0=0.0,
+    switch_s=0.0, shift=1.0, vip_m=3.0, noise_m=0.0, p_gap=0.0, p_no_vip=0.0, p_none=0.0,
+    p_ood=0.0, smooth=1, method=MEAN, seed=3,
+)
+
+
+class TestDifferentialOracle:
+    def test_latch_before_n_new_refits_and_matches_the_reference(self):
+        results = run_oracle(LATCH_BEFORE_N_NEW)
+        warnings = [r.warning for r in results]
+        assert warnings[:7] == [None] * 4 + ["recalibration-not-ready"] * 2 + [None]
+        assert [r.drift_detected for r in results[:7]] == [False] * 4 + [True, False, False]
+        assert sum(r.recalibrated for r in results) >= 2
+        assert sum(r.drift_detected for r in results) == sum(r.recalibrated for r in results)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries(dict(
+        fps=st.sampled_from([1, 10, 30]),
+        w=st.integers(1, 6),
+        w_prime_s=st.sampled_from([1.0, 3.0, 10.0, 25.0]),
+        alpha=st.sampled_from([0.5, 0.75, 0.8]),
+        tau_m=st.sampled_from([0.1, 0.3]),
+        duration_s=st.floats(5.0, 30.0),
+        t0=st.floats(0.0, 1.0),
+        switch_s=st.floats(0.0, 20.0),
+        shift=st.floats(0.0, 1.5),
+        vip_m=st.floats(2.0, 5.0),
+        noise_m=st.sampled_from([0.0, 0.05, 0.3]),
+        p_gap=st.sampled_from([0.0, 0.02]),
+        p_no_vip=st.sampled_from([0.0, 0.1]),
+        p_none=st.sampled_from([0.0, 0.1]),
+        p_ood=st.sampled_from([0.0, 0.1]),
+        smooth=st.sampled_from([1, 3]),
+        method=st.sampled_from([MEAN, CENTER]),
+        seed=st.integers(0, 2**32 - 1),
+    )))
+    @example(LATCH_BEFORE_N_NEW)
+    @example(dict(LATCH_BEFORE_N_NEW, fps=10, duration_s=30.0, p_gap=0.02, p_no_vip=0.1,
+                  p_none=0.1, p_ood=0.1, noise_m=0.05))
+    def test_step_matches_the_reference_bit_for_bit(self, p):
+        try:
+            RecalibrationConfig(w=p["w"], w_prime_s=p["w_prime_s"], fps=p["fps"],
+                                alpha=p["alpha"], n_o=20)
+        except DomainError:
+            assume(False)  # n_new does not fit in the train buffer
+        results = run_oracle(p)
+        event(f"refits: {min(sum(r.recalibrated for r in results), 2)}")
+        event(f"not ready: {any(r.warning == 'recalibration-not-ready' for r in results)}")
