@@ -729,7 +729,3 @@ def main(argv: Sequence[str] | None = None) -> int:
 def entrypoint() -> None:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

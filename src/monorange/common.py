@@ -25,11 +25,7 @@ class EmptyInputError(MonorangeError):
 
 
 class SingularFitError(MonorangeError):
-    """Least-squares design is rank deficient; `columns` names the collinear features."""
-
-    def __init__(self, message: str, columns: Iterable[str] = ()):
-        super().__init__(message)
-        self.columns = tuple(columns)
+    """Least-squares design is rank deficient; the message names the collinear features."""
 
 
 class DegenerateGeometryError(MonorangeError):
@@ -233,13 +229,6 @@ def quartiles(values: Iterable[float]) -> tuple[float, float, float]:
         linear_quantile(ordered, 0.50),
         linear_quantile(ordered, 0.75),
     )
-
-
-def round_half_away(x: float) -> int:
-    """Round to the nearest integer, halves away from zero (round() is banker's)."""
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return -int(math.floor(-x + 0.5))
 
 
 # The canonical encoders, built once: ``json.dumps`` with options builds a new

@@ -39,7 +39,6 @@ from .common import (
     SingularFitError,
     linear_quantile,
     mean_exact,
-    round_half_away,
 )
 from .geometry import BoundingBox, Detection, pixel_window, scale_bbox
 
@@ -487,9 +486,9 @@ class RecalibrationConfig:
     def n_new(self) -> int:
         """Number of recent samples mixed into a recalibration fit.
 
-        ``(1 - alpha) / alpha * n_o`` rounded half away from zero, at least 1.
+        ``(1 - alpha) / alpha * n_o`` rounded half up (it is never negative), at least 1.
         """
-        return max(1, round_half_away((1.0 - self.alpha) / self.alpha * self.n_o))
+        return max(1, math.floor((1.0 - self.alpha) / self.alpha * self.n_o + 0.5))
 
     @property
     def warmup_samples(self) -> int:

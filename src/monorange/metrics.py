@@ -100,24 +100,6 @@ class QuadrantCell:
 QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
 
 
-@dataclass(frozen=True)
-class QuadrantMatrix:
-    """Records routed by (true <= threshold, predicted <= threshold).
-
-    Q1: both far. Q2: both near. Q3: near but predicted far (the dangerous
-    corner). Q4: far but predicted near.
-    """
-
-    near_threshold_m: float
-    q1: QuadrantCell
-    q2: QuadrantCell
-    q3: QuadrantCell
-    q4: QuadrantCell
-
-    def cell(self, name: str) -> QuadrantCell:
-        return {"Q1": self.q1, "Q2": self.q2, "Q3": self.q3, "Q4": self.q4}[name]
-
-
 def _route(true_m: float, pred_m: float, threshold: float) -> str:
     true_near = true_m <= threshold
     pred_near = pred_m <= threshold
@@ -132,8 +114,13 @@ def _route(true_m: float, pred_m: float, threshold: float) -> str:
 
 def quadrant_matrix(
     records: Sequence[ErrorRecord], near_threshold_m: float = 4.0
-) -> QuadrantMatrix:
-    """Route records into the 2x2 near/far matrix and average errors per direction."""
+) -> dict[str, QuadrantCell]:
+    """Route records into the 2x2 near/far matrix and average errors per direction.
+
+    Each record goes by (true <= threshold, predicted <= threshold) to one of
+    :data:`QUADRANTS`, the keys of the result. Q1: both far. Q2: both near.
+    Q3: near but predicted far (the dangerous corner). Q4: far but predicted near.
+    """
     if not records:
         raise EmptyInputError("cannot build a quadrant matrix from zero records")
     buckets: dict[str, dict[str, list[float]]] = {
@@ -157,13 +144,7 @@ def quadrant_matrix(
             count_over=len(over),
             count_under=len(under),
         )
-    return QuadrantMatrix(
-        near_threshold_m=near_threshold_m,
-        q1=cells["Q1"],
-        q2=cells["Q2"],
-        q3=cells["Q3"],
-        q4=cells["Q4"],
-    )
+    return cells
 
 
 def write_records_csv(records: Iterable[ErrorRecord], path: str | Path) -> None:
@@ -220,13 +201,13 @@ def write_summary_csv(
             )
 
 
-def write_quadrant_csv(matrix: QuadrantMatrix, path: str | Path) -> None:
+def write_quadrant_csv(matrix: dict[str, QuadrantCell], path: str | Path) -> None:
     """Eight rows: each quadrant's over and under buckets (ase_cm empty when no data)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["quadrant", "bucket", "ase_cm", "count"])
         for q in QUADRANTS:
-            cell = matrix.cell(q)
+            cell = matrix[q]
             over = "" if cell.ase_over_m is None else cell.ase_over_m * 100.0
             under = "" if cell.ase_under_m is None else cell.ase_under_m * 100.0
             writer.writerow([q, "over", over, cell.count_over])

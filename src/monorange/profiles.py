@@ -224,13 +224,3 @@ def save_profile(
     else:
         payload = asdict(profile)  # a pair tuple is written as a list
     _write_json(path, payload)
-
-
-def save_height_table(path: str | Path, table: HeightTable) -> None:
-    payload = {}
-    for label in sorted(table.expected_m):
-        entry: dict = {"expected_m": table.expected_m[label]}
-        if label in table.actual_m:
-            entry["actual_m"] = list(table.actual_m[label])
-        payload[label] = entry
-    _write_json(path, payload)

@@ -136,8 +136,7 @@ def fit_regression(
     dependent = _independent_columns(design, names)
     if dependent:
         raise SingularFitError(
-            f"design matrix is rank deficient; collinear columns: {', '.join(dependent)}",
-            columns=dependent,
+            f"design matrix is rank deficient; collinear columns: {', '.join(dependent)}"
         )
 
     gram = design.T @ design

@@ -336,7 +336,7 @@ def test_acceptance_09_metric_oracle_equivalence():
         cells[q]["over" if e < 0 else "under"].append(abs(e))
     total = 0
     for q in QUADRANTS:
-        cell = matrix.cell(q)
+        cell = matrix[q]
         over, under = cells[q]["over"], cells[q]["under"]
         assert cell.count_over == len(over) and cell.count_under == len(under)
         assert cell.ase_over_m == (math.fsum(over) / len(over) if over else None)

@@ -130,23 +130,23 @@ class TestSummarize:
 class TestQuadrantMatrix:
     def test_near_truth_predicted_far_routes_q3(self):
         matrix = quadrant_matrix([rec(3.5, 4.2)])
-        assert matrix.q3.count_over == 1
-        assert matrix.q3.ase_over_m == pytest.approx(0.7, abs=1e-12)
-        assert sum(matrix.cell(q).count for q in QUADRANTS) == 1
+        assert matrix["Q3"].count_over == 1
+        assert matrix["Q3"].ase_over_m == pytest.approx(0.7, abs=1e-12)
+        assert sum(matrix[q].count for q in QUADRANTS) == 1
 
     def test_far_truth_and_prediction_route_q1_under(self):
         matrix = quadrant_matrix([rec(5.0, 4.5)])
-        assert matrix.q1.count_under == 1
-        assert matrix.q1.ase_under_m == pytest.approx(0.5, abs=1e-12)
+        assert matrix["Q1"].count_under == 1
+        assert matrix["Q1"].ase_under_m == pytest.approx(0.5, abs=1e-12)
 
     def test_far_truth_predicted_near_routes_q4(self):
         matrix = quadrant_matrix([rec(5.0, 3.5)])
-        assert matrix.q4.count_under == 1
-        assert matrix.q4.ase_under_m == pytest.approx(1.5, abs=1e-12)
+        assert matrix["Q4"].count_under == 1
+        assert matrix["Q4"].ase_under_m == pytest.approx(1.5, abs=1e-12)
 
     def test_threshold_comparisons_inclusive(self):
         matrix = quadrant_matrix([rec(4.0, 4.0)])
-        assert matrix.q2.count == 1  # 4.0 counts as near on both axes
+        assert matrix["Q2"].count == 1  # 4.0 counts as near on both axes
 
     def test_counts_sum_to_input_size(self):
         rng = np.random.default_rng(31)
@@ -155,7 +155,7 @@ class TestQuadrantMatrix:
             for i in range(2000)
         ]
         matrix = quadrant_matrix(records)
-        assert sum(matrix.cell(q).count for q in QUADRANTS) == len(records)
+        assert sum(matrix[q].count for q in QUADRANTS) == len(records)
 
     def test_matches_brute_force_tally(self):
         rng = np.random.default_rng(33)
@@ -166,7 +166,7 @@ class TestQuadrantMatrix:
         matrix = quadrant_matrix(records, 4.0)
         cells = quadrant_oracle(records, 4.0)
         for q in QUADRANTS:
-            cell = matrix.cell(q)
+            cell = matrix[q]
             over, under = cells[q]["over"], cells[q]["under"]
             assert cell.count_over == len(over)
             assert cell.count_under == len(under)
@@ -210,13 +210,13 @@ class TestQuadrantMatrix:
         a = quadrant_matrix(records, threshold)
         b = quadrant_matrix(mirrored, threshold)
         for q in QUADRANTS:
-            assert a.cell(q).count_over == b.cell(q).count_under
-            assert a.cell(q).count_under == b.cell(q).count_over
-            if a.cell(q).ase_over_m is None:
-                assert b.cell(q).ase_under_m is None
+            assert a[q].count_over == b[q].count_under
+            assert a[q].count_under == b[q].count_over
+            if a[q].ase_over_m is None:
+                assert b[q].ase_under_m is None
             else:
-                assert a.cell(q).ase_over_m == pytest.approx(
-                    b.cell(q).ase_under_m, rel=1e-12
+                assert a[q].ase_over_m == pytest.approx(
+                    b[q].ase_under_m, rel=1e-12
                 )
 
 

@@ -49,9 +49,8 @@ class TestFitRegression:
 
     def test_identical_frames_singular(self):
         frames = [LabeledFrame(RegressionFeatures(200.0, 400.0), 3.0)] * 10
-        with pytest.raises(SingularFitError) as excinfo:
+        with pytest.raises(SingularFitError, match="collinear columns: .+"):
             fit_regression(frames, MODE_THREE)
-        assert excinfo.value.columns  # the collinear columns are named
 
     def test_proportional_width_height_names_columns(self):
         # widths exactly 0.6x heights: the two linear columns are collinear
@@ -59,9 +58,8 @@ class TestFitRegression:
             LabeledFrame(RegressionFeatures(0.6 * h, h), 3.0 + i)
             for i, h in enumerate([300.0, 400.0, 500.0, 600.0])
         ]
-        with pytest.raises(SingularFitError) as excinfo:
+        with pytest.raises(SingularFitError, match="collinear columns: .*h_b"):
             fit_regression(frames, MODE_TWO)
-        assert "h_b" in excinfo.value.columns
 
     def test_too_few_frames(self):
         frames = frames_from_law((-2.0, -1.0, 0.004), [(900.0, 1200.0), (950.0, 1300.0)])
