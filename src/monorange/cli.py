@@ -149,10 +149,14 @@ def _collect_vip_scores(
 
 
 def _parse_pair(text: str, sep: str, flag: str) -> tuple[float, float]:
+    """Two distances, each positive and finite, as ``DepthProfile`` requires of its pair."""
     try:
         a, b = (float(x) for x in text.split(sep))
-    except ValueError as exc:
-        raise FormatError(f"{flag}: expected 'd1{sep}d2', got {text!r}") from exc
+    except ValueError:
+        a = b = math.nan
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise FormatError(f"{flag}: expected 'd1{sep}d2' of positive finite distances, "
+                          f"got {text!r}")
     return a, b
 
 

@@ -107,12 +107,15 @@ class TestCalibrateDepth:
     @pytest.mark.parametrize(
         "flag, text",
         [("--candidate-pairs", "abc"), ("--candidate-pairs", "2:3:4"),
-         ("--candidate-pairs", "2:3,x:4"), ("--pair", "abc"), ("--pair", "2.5")],
+         ("--candidate-pairs", "2:3,x:4"), ("--pair", "abc"), ("--pair", "2.5"),
+         ("--pair", "nan,4.0"), ("--pair", "-1,4.0"), ("--pair", "2.5,0"),
+         ("--pair", "2.5,inf"), ("--candidate-pairs", "2:3,nan:4"),
+         ("--candidate-pairs", "-1:4")],
     )
     def test_malformed_pair_flags_exit_2(self, tmp_path, capsys, flag, text):
-        s1, s2 = synth_calibration_streams(tmp_path)
-        assert run_cli("calibrate", "depth", "--stream", s1, "--stream", s2, flag, text,
-                       "--out", tmp_path / "x.json") == 2
+        # before any read: a stream that does not exist would exit 4 once it was opened
+        assert run_cli("calibrate", "depth", "--stream", tmp_path / "missing.jsonl",
+                       f"{flag}={text}", "--out", tmp_path / "x.json") == 2
         assert f"{flag}: expected" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
@@ -536,6 +539,18 @@ class TestEstimate:
                        "--depth-profile", profile_path, "--gt-source", "truth",
                        "--out", est) == 2
         assert f"{stream}:3: timestamp" in capsys.readouterr().err
+        assert not est.exists()
+
+    def test_decreasing_timestamp_exits_2(self, tmp_path, capsys):
+        stream = tmp_path / "frames.jsonl"
+        stream.write_text("".join(json.dumps({"frame_id": f"f{i}", "timestamp_s": ts,
+                                              "detections": []}) + "\n"
+                                  for i, ts in enumerate([1.0, 0.5])))
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "geometric",
+                       "--camera-profile", "builtin:tello", "--out", est) == 2
+        assert (f"error: {stream}:2: timestamps must be non-decreasing (0.5 after 1.0)"
+                in capsys.readouterr().err)
         assert not est.exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -1042,7 +1057,8 @@ class TestCodecFaults:
                 "not an object)") in capsys.readouterr().err
 
     @pytest.mark.parametrize("reader", ["regression", "regression-huge", "regression-inf",
-                                        "focal", "focal-nan", "focal-huge", "focal-inf-height"])
+                                        "focal", "focal-nan", "focal-huge", "focal-inf-height",
+                                        "focal-zero-height"])
     def test_sample_outside_its_domain_names_file_and_line(self, tmp_path, capsys, reader):
         box = {"x_min": 540.0, "y_min": 193.0, "x_max": 740.0, "y_max": 527.0,
                "resolution_w": 1280, "resolution_h": 720}
@@ -1070,6 +1086,9 @@ class TestCodecFaults:
                                  {"bbox": box, "object_height_m": math.inf,
                                   "true_distance_m": 3.0},
                                  "focal sample", "focal length 0.0 px is not positive"),
+            "focal-zero-height": ({"bbox": box, "object_height_m": 0.63, "true_distance_m": 3.0},
+                                  {"bbox": box, "object_height_m": 0, "true_distance_m": 3.0},
+                                  "focal sample", "object height must be positive, got 0.0"),
         }[reader]
         samples = tmp_path / "samples.jsonl"
         samples.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
@@ -1142,8 +1161,13 @@ class TestSceneFaults:
         (lambda s: s["camera"].update(fov_deg=200),
          "malformed scene spec "
          "(field of view must be strictly between 0 and 180 degrees, got 200.0)"),
+        (lambda s: s["objects"][0].update(height_m=0),
+         "malformed scene spec (object height must be positive, got 0.0)"),
+        (lambda s: s["objects"][0].update(width_m=-1),
+         "malformed scene spec (object width must be positive, got -1.0)"),
     ], ids=["negative-resolution", "zero-resolution", "short-resolution", "fractional-fps",
-            "tiny-slope", "zero-fps", "shared-truth-key", "wide-fov"])
+            "tiny-slope", "zero-fps", "shared-truth-key", "wide-fov", "zero-height",
+            "negative-width"])
     def test_bad_scene_exits_2_naming_the_file(self, tmp_path, capsys, edit, message):
         scene = json.loads((SCENES / "calib_2p5m.json").read_text())
         edit(scene)
@@ -1167,7 +1191,10 @@ class TestSceneFaults:
          "scene cannot be rendered (depth map contains non-finite scores)"),
         (lambda s: s.update(duration_s=0.2, fps=2),
          "scene cannot be rendered (duration 0.2s at 2 fps holds no frame)"),
-    ], ids=["second-car", "tiny-slope", "no-frame"])
+        (lambda s: s.update(drift={"switch_time_s": -1,
+                                   "post_law": {"m_true": 6.0, "s_true": 1.45}}),
+         "scene cannot be rendered (switch time must be >= 0, got -1.0)"),
+    ], ids=["second-car", "tiny-slope", "no-frame", "negative-switch-time"])
     def test_scene_fault_leaves_the_output_directory_untouched(
         self, tmp_path, capsys, edit, message
     ):
@@ -1458,6 +1485,8 @@ class TestEstimateMapReads:
     ("--train-window-s", "1e308", "train window 1e+308 s at 30 fps holds more samples"),
     ("--train-window-s", "inf", "train window inf s at 30 fps holds more samples"),
     ("--fps", "1" + "0" * 320, "fps must be between 1 and 9223372036854775807"),
+    ("--window", "0", "detection window must be >= 1, got 0"),
+    ("--train-window-s", "0", "train window must be positive, got 0.0"),
 ])
 def test_window_no_deque_can_hold_exits_2(tmp_path, capsys, flag, value, message):
     stream, profile = TestEstimateMapReads.five_frames(tmp_path)

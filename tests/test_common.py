@@ -25,6 +25,14 @@ def test_no_module_imports_a_thread_module():
     assert importers == []
 
 
+def test_the_package_module_holds_only_its_docstring():
+    """Each public name has one home, its module: ``import monorange`` binds none of them."""
+    body = ast.parse((SRC / "__init__.py").read_text()).body
+    assert len(body) == 1
+    assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+    assert isinstance(body[0].value.value, str)
+
+
 def test_every_error_class_is_raised_or_is_a_base_of_one_that_is():
     """Each check is made by one owner: an error class that nothing raises is dead."""
     classes = {

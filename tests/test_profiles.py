@@ -163,6 +163,12 @@ class TestErrors:
              '{"focal_length_px": 1592.0, "image_w": 1280, "image_h": 720, "fov_deg": 0}',
              "malformed camera profile "
              "(field of view must be strictly between 0 and 180 degrees, got 0.0)"),
+            (load_depth_profile, "[]", "expected a JSON object"),
+            (load_height_table, '{"car": {"expected_m": 1.7, "actual_m": [-1]}}',
+             "malformed height table (actual height for 'car' must be positive, got -1.0)"),
+            (load_regression_profile,
+             '{"vip_id": "P1", "mode": "four", "a": -2.42, "b": -1.29, "c": 0.0043}',
+             "malformed regression profile (unknown mode 'four')"),
         ],
         ids=["camera", "regression", "depth", "height_table", "overflow", "depth-unit",
              "depth-zero-slope", "depth-percentile", "depth-tail", "depth-method",
@@ -170,7 +176,8 @@ class TestErrors:
              "depth-negative-pair",
              "camera-focal", "camera-width", "regression-mode", "height-table-height",
              "camera-fractional-width", "depth-fractional-window", "camera-wide-fov",
-             "camera-zero-fov"],
+             "camera-zero-fov", "depth-top-level-list", "height-table-actual",
+             "regression-unknown-mode"],
     )
     def test_bad_values_name_the_file(self, tmp_path, capsys, loader, text, message):
         path = tmp_path / "profile.json"
