@@ -149,7 +149,7 @@ def _collect_vip_scores(
 
 
 def _parse_pair(text: str, sep: str, flag: str) -> tuple[float, float]:
-    """Two distances, each positive and finite, as ``DepthProfile`` requires of its pair."""
+    """The two distances in ``text``, each positive and finite, or a FormatError naming ``flag``."""
     try:
         a, b = (float(x) for x in text.split(sep))
     except ValueError:

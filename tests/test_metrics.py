@@ -127,7 +127,7 @@ class TestSummarize:
         )
 
 
-class TestQuadrantMatrix:
+class TestQuadrantRouting:
     def test_near_truth_predicted_far_routes_q3(self):
         matrix = quadrant_matrix([rec(3.5, 4.2)])
         assert matrix["Q3"].count_over == 1
