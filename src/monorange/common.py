@@ -193,8 +193,6 @@ def whole(value, name: str) -> int:
 def mean_exact(values: Iterable[float]) -> float:
     """Arithmetic mean via exactly rounded summation (order independent)."""
     vals = [float(v) for v in values]
-    if not vals:
-        raise EmptyInputError("mean of an empty sequence")
     return math.fsum(vals) / len(vals)
 
 
@@ -204,10 +202,6 @@ def linear_quantile(sorted_values: Sequence[float], q: float) -> float:
     `sorted_values` must already be in ascending order; q is in [0, 1].
     """
     n = len(sorted_values)
-    if n == 0:
-        raise EmptyInputError("quantile of an empty sequence")
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"quantile fraction {q} outside [0, 1]")
     if n == 1:
         return float(sorted_values[0])
     pos = (n - 1) * q
@@ -222,8 +216,6 @@ def linear_quantile(sorted_values: Sequence[float], q: float) -> float:
 def quartiles(values: Iterable[float]) -> tuple[float, float, float]:
     """(Q1, Q2, Q3) of `values` using linear interpolation between order statistics."""
     ordered = sorted(float(v) for v in values)
-    if not ordered:
-        raise EmptyInputError("quartiles of an empty sequence")
     return (
         linear_quantile(ordered, 0.25),
         linear_quantile(ordered, 0.50),

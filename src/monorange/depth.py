@@ -312,8 +312,6 @@ class DepthCoefficients:
             raise DomainError(f"scale coefficient must be finite and nonzero, got {self.m}")
         if not math.isfinite(self.s):
             raise DomainError(f"shift coefficient must be finite, got {self.s}")
-        if self.provenance not in (PROVENANCE_STATIC, PROVENANCE_RECALIBRATED):
-            raise DomainError(f"unknown provenance {self.provenance!r}")
 
 
 @dataclass(frozen=True)
@@ -372,9 +370,8 @@ def select_calibration_pair(
 
     For each candidate pair the per-frame two-point lines are solved and their
     median ``(m, s)`` taken; candidates are ranked by the sum over all
-    distances in ``videos`` of the absolute per-distance median signed error,
-    ties broken by the magnitudes of the summed positive and negative median
-    errors. The first minimal candidate wins remaining ties.
+    distances in ``videos`` of the absolute per-distance median signed error.
+    The first minimal candidate wins ties.
     """
     if not candidate_pairs:
         raise EmptyInputError("no candidate pairs to select from")
@@ -404,10 +401,7 @@ def select_calibration_pair(
         for dist, frame_scores in sorted(videos.items()):
             errors = sorted(dist - (m_med * sc + s_med) for sc in frame_scores)
             median_errors.append(linear_quantile(errors, 0.5))
-        primary = math.fsum(abs(e) for e in median_errors)
-        positive = math.fsum(e for e in median_errors if e > 0)
-        negative = math.fsum(e for e in median_errors if e < 0)
-        key = (primary, abs(positive) + abs(negative))
+        key = math.fsum(abs(e) for e in median_errors)
         if best_key is None or key < best_key:
             best_key = key
             best_pair = (d1, d2)

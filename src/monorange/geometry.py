@@ -208,8 +208,6 @@ def scale_bbox(bbox: BoundingBox, target_w: int, target_h: int) -> BoundingBox:
     Every cross-resolution use of a box (detector frame vs depth-map frame)
     must go through here so coordinates never silently mix resolutions.
     """
-    if target_w <= 0 or target_h <= 0:
-        raise DomainError(f"target resolution must be positive, got {target_w}x{target_h}")
     sx = bbox.resolution_w
     sy = bbox.resolution_h
     return BoundingBox(

@@ -72,8 +72,6 @@ def summarize(records: Sequence[ErrorRecord]) -> MetricsSummary:
 
 def median_absolute_error(records: Sequence[ErrorRecord]) -> float:
     """Median of |signed error|; reported alongside the signed median."""
-    if not records:
-        raise EmptyInputError("cannot summarize zero records")
     return linear_quantile(sorted(abs(r.signed_error_m) for r in records), 0.5)
 
 
@@ -121,8 +119,6 @@ def quadrant_matrix(
     :data:`QUADRANTS`, the keys of the result. Q1: both far. Q2: both near.
     Q3: near but predicted far (the dangerous corner). Q4: far but predicted near.
     """
-    if not records:
-        raise EmptyInputError("cannot build a quadrant matrix from zero records")
     buckets: dict[str, dict[str, list[float]]] = {
         q: {"over": [], "under": []} for q in QUADRANTS
     }

@@ -95,9 +95,6 @@ def _independent_columns(design: np.ndarray, names: tuple[str, ...]) -> list[str
     for j, name in enumerate(names):
         col = design[:, j].astype(float)
         norm = np.linalg.norm(col)
-        if norm == 0.0:
-            dependent.append(name)
-            continue
         resid = col.copy()
         for q in basis:
             resid -= (resid @ q) * q
@@ -118,11 +115,9 @@ def fit_regression(
 
     Raises:
         DomainError: fewer frames than coefficients.
-        SingularFitError: design matrix is rank deficient; ``columns`` names
+        SingularFitError: design matrix is rank deficient; the message names
             the collinear features.
     """
-    if mode not in (MODE_THREE, MODE_TWO):
-        raise DomainError(f"unknown mode {mode!r}")
     names = _FEATURE_NAMES if mode == MODE_THREE else _FEATURE_NAMES[:2]
     min_frames = len(names)
     if len(frames) < min_frames:

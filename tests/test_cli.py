@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import runpy
 import subprocess
 import sys
 import threading
@@ -131,6 +132,25 @@ class TestCalibrateDepth:
                        "--smooth-window", value, "--out", out) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("s_true_at_4m, pairs, code, message", [
+        (1.0, "2.5:9", 4, "no frames recorded at both distances of pair (2.5, 9.0)"),
+        # (4 - 2.5) / 6 = 0.25, the score of 2.5 m under the law m 6, s 1
+        (2.5, "2.5:4", 3, "pair (2.5, 4.0): every frame pair has identical scores"),
+    ])
+    def test_candidate_pair_that_pins_no_line(self, tmp_path, capsys, s_true_at_4m, pairs,
+                                              code, message):
+        scene = json.loads((SCENES / "calib_4m.json").read_text())
+        scene["law"]["s_true"] = s_true_at_4m
+        scene_4m = tmp_path / "calib_4m.json"
+        scene_4m.write_text(json.dumps(scene))
+        argv = ["calibrate", "depth", "--candidate-pairs", pairs, "--out", tmp_path / "x.json"]
+        for i, scene_path in enumerate((SCENES / "calib_2p5m.json", scene_4m)):
+            assert run_cli("synth", "--scene", scene_path, "--out-dir", tmp_path / f"s{i}") == 0
+            argv += ["--stream", tmp_path / f"s{i}" / "frames.jsonl"]
+        assert run_cli(*argv) == code
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_missing_distance_is_missing_data(self, tmp_path):
         s1, _ = synth_calibration_streams(tmp_path)
@@ -1760,3 +1780,14 @@ class TestModuleInvocation:
         )
         assert result.returncode == 0
         assert (tmp_path / "out" / "frames.jsonl").exists()
+
+    @pytest.mark.parametrize("scene, code", [("calib_2p5m.json", 0), ("missing.json", 4)])
+    def test_package_main_exits_with_the_command_code(self, tmp_path, monkeypatch, scene,
+                                                      code):
+        # In this process, so that __main__.py and entrypoint are traced too.
+        monkeypatch.setattr(sys, "argv", ["monorange", "synth", "--scene", str(SCENES / scene),
+                                          "--out-dir", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("monorange", run_name="__main__")
+        assert info.value.code == code
+        assert (tmp_path / "out" / "frames.jsonl").exists() == (code == 0)

@@ -57,6 +57,16 @@ class TestFitCoefficients:
         with pytest.raises(DomainError, match="true distance must be finite, got inf"):
             CalibrationSample(0.3, math.inf)
 
+    @pytest.mark.parametrize("m, s, message", [
+        (0.0, 1.0, "scale coefficient must be finite and nonzero, got 0.0"),
+        (math.nan, 1.0, "scale coefficient must be finite and nonzero, got nan"),
+        (1.0, math.inf, "shift coefficient must be finite, got inf"),
+        (1.0, math.nan, "shift coefficient must be finite, got nan"),
+    ])
+    def test_coefficients_must_be_finite(self, m, s, message):
+        with pytest.raises(DomainError, match=message):
+            DepthCoefficients(m=m, s=s)
+
     def test_exact_on_own_two_point_training_data(self):
         samples = [CalibrationSample(0.1, 2.0), CalibrationSample(0.4, 4.0)]
         coeffs = fit_coefficients(samples)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from monorange.cli import main
-from monorange.common import DomainError, FormatError, MissingDataError
+from monorange.common import DomainError, FormatError, MissingDataError, NonFiniteError
 from monorange.geometry import CameraIntrinsics
 from monorange.profiles import (
     BUILTIN_DEPTH,
@@ -197,6 +197,12 @@ class TestErrors:
                 "--camera-profile", "builtin:tello", flag, path, "--out", tmp_path / "est.jsonl"]
         assert main([str(a) for a in argv]) == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    def test_non_finite_profile_is_not_written(self, tmp_path):
+        path = tmp_path / "camera.json"
+        with pytest.raises(NonFiniteError, match=f"profile file {path} not written"):
+            save_profile(path, CameraIntrinsics(float("inf"), 1280, 720))
+        assert not path.exists()
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "partial.json"

@@ -227,6 +227,11 @@ def run_stream(frames, state, config, coeffs, truth=DistanceEstimate(3.0)):
 
 
 class TestStateMethods:
+    def test_offline_set_must_hold_n_o_samples(self):
+        config = RecalibrationConfig()
+        with pytest.raises(DomainError, match="config declares n_o=20 offline samples, got 19"):
+            RecalibrationState(config, anchor_samples(PRE_LAW)[1:])
+
     def test_observe_keeps_every_frame_and_the_first_error_of_each_second(self):
         state = fresh_state(RecalibrationConfig())
         for t, trusted, estimated in [(0.0, 1.0, 2.5), (0.5, 3.0, 4.0), (1.2, 5.0, 3.25),
