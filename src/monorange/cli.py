@@ -79,11 +79,8 @@ def _labeled_frame(payload: dict) -> LabeledFrame:
 def _cmd_calibrate_regression(args) -> int:
     frames = list(read_jsonl(args.frames, "labeled frame", _labeled_frame))
     model = fit_regression(frames, mode=args.mode, vip_id=args.vip_id)
-    residual = math.sqrt(
-        math.fsum(
-            (f.true_distance_m - predict_distance(model, f.features).value_m) ** 2
-            for f in frames
-        )
+    residual = math.hypot(
+        *(f.true_distance_m - predict_distance(model, f.features).value_m for f in frames)
     )
     profiles.save_profile(args.out, model)
     print(
@@ -94,19 +91,24 @@ def _cmd_calibrate_regression(args) -> int:
     return EXIT_OK
 
 
-def _focal_sample(payload: dict) -> tuple[BoundingBox, float, float]:
-    """A reference sample whose domain and own focal length are checked."""
-    sample = (
-        bbox_from_payload(payload["bbox"]),
-        float(payload["object_height_m"]),
-        float(payload["true_distance_m"]),
-    )
+def _focal_sample(payload: dict, first: dict) -> tuple[BoundingBox, float, float]:
+    """A reference sample whose domain, own focal length and resolution are checked.
+
+    ``first`` keeps the first sample's resolution, which every later box must
+    share: a focal length in pixels holds at one resolution only.
+    """
+    bbox = bbox_from_payload(payload["bbox"])
+    resolution = first.setdefault("resolution", (bbox.resolution_w, bbox.resolution_h))
+    _check_resolution(bbox, resolution, "first sample's")
+    sample = (bbox, float(payload["object_height_m"]), float(payload["true_distance_m"]))
     sample_focal_length(*sample)
     return sample
 
 
 def _cmd_calibrate_focal(args) -> int:
-    samples = list(read_jsonl(args.samples, "focal sample", _focal_sample))
+    samples = list(
+        read_jsonl(args.samples, "focal sample", functools.partial(_focal_sample, first={}))
+    )
     estimate = estimate_focal_length(samples)
     bbox = samples[-1][0]
     camera = CameraIntrinsics(
@@ -188,13 +190,11 @@ def _cmd_calibrate_depth(args) -> int:
             )
         coeffs = depth_mod.fit_coefficients(samples)
 
-    residual = math.sqrt(
-        math.fsum(
-            (dist - (coeffs.m * score + coeffs.s)) ** 2
-            for dist, scores in sorted(by_distance.items())
-            for score in scores
-        )
-    )
+    residual = math.hypot(*(
+        dist - (coeffs.m * score + coeffs.s)
+        for dist, scores in sorted(by_distance.items())
+        for score in scores
+    ))
     profile = profiles.DepthProfile(
         vip_id=args.vip_id,
         m=coeffs.m,

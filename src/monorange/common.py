@@ -190,6 +190,18 @@ def whole(value, name: str) -> int:
     return int(number)
 
 
+def checked_fsum(values: Iterable[float], what: str) -> float:
+    """``math.fsum`` of ``values``, a DomainError naming ``what`` if they overflow a float.
+
+    fsum raises OverflowError for finite terms whose sum is beyond the largest
+    float, and ValueError when terms that overflowed to +inf and -inf meet.
+    """
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        raise DomainError(f"the sum of {what} is beyond the largest float") from None
+
+
 def mean_exact(values: Iterable[float]) -> float:
     """Arithmetic mean via exactly rounded summation (order independent)."""
     vals = [float(v) for v in values]

@@ -37,6 +37,7 @@ from .common import (
     MissingDataError,
     NotReadyError,
     SingularFitError,
+    checked_fsum,
     linear_quantile,
     mean_exact,
 )
@@ -333,12 +334,13 @@ class CalibrationSample:
 def _fit_line(scores: Sequence[float], distances: Sequence[float]) -> tuple[float, float]:
     """Least-squares line distance = m * score + s via exact centered sums."""
     n = len(scores)
-    x_bar = math.fsum(scores) / n
-    y_bar = math.fsum(distances) / n
-    sxx = math.fsum((x - x_bar) ** 2 for x in scores)
+    x_bar = checked_fsum(scores, "scores") / n
+    y_bar = checked_fsum(distances, "distances") / n
+    sxx = checked_fsum(((x - x_bar) ** 2 for x in scores), "squared score deviations")
     if sxx == 0.0:
         raise SingularFitError("all scores identical; cannot fit a line")
-    sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(scores, distances))
+    sxy = checked_fsum(((x - x_bar) * (y - y_bar) for x, y in zip(scores, distances)),
+                       "score-distance products")
     m = sxy / sxx
     if m == 0.0:
         raise SingularFitError("fitted slope is zero; distances do not vary with score")
@@ -401,7 +403,7 @@ def select_calibration_pair(
         for dist, frame_scores in sorted(videos.items()):
             errors = sorted(dist - (m_med * sc + s_med) for sc in frame_scores)
             median_errors.append(linear_quantile(errors, 0.5))
-        key = math.fsum(abs(e) for e in median_errors)
+        key = checked_fsum((abs(e) for e in median_errors), "absolute median errors")
         if best_key is None or key < best_key:
             best_key = key
             best_pair = (d1, d2)
@@ -545,7 +547,7 @@ def detect_drift(state: RecalibrationState, config: RecalibrationConfig) -> bool
     """
     if state.seconds_seen < config.warmup_samples or len(state.errors) < config.w:
         return False
-    if math.fsum(state.errors) / config.w > config.tau_m:
+    if checked_fsum(state.errors, "the drift window's errors") / config.w > config.tau_m:
         state.flag = True
         return True
     return False

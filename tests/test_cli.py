@@ -152,6 +152,18 @@ class TestCalibrateDepth:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_residual_whose_square_overflows_keeps_a_finite_norm(self, tmp_path, capsys):
+        streams = synth_calibration_streams(tmp_path)
+        far = read_jsonl(streams[1])
+        for rec in far:  # the 4 m maps, at a distance that is not a pair distance
+            rec["ground_truth"]["vip"] = 1e200
+            rec["depth_map_path"] = str(streams[1].parent / rec["depth_map_path"])
+        (tmp_path / "far.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in far))
+        assert run_cli("calibrate", "depth", "--stream", streams[0], "--stream", streams[1],
+                       "--stream", tmp_path / "far.jsonl", "--out", tmp_path / "depth.json") == 0
+        norm = float(capsys.readouterr().out.split("residual_norm=")[1])
+        assert math.sqrt(sys.float_info.max) < norm < math.inf  # its square overflows
+
     def test_missing_distance_is_missing_data(self, tmp_path):
         s1, _ = synth_calibration_streams(tmp_path)
         assert run_cli("calibrate", "depth", "--stream", s1, "--pair", "2.5,4.0",
@@ -202,6 +214,15 @@ class TestCalibrateRegression:
         assert payload["a"] == pytest.approx(-2.42, rel=1e-6)
         assert payload["b"] == pytest.approx(-1.29, rel=1e-6)
         assert payload["c"] == pytest.approx(0.0043, rel=1e-6)
+
+    def test_residual_whose_square_overflows_keeps_a_finite_norm(self, tmp_path, capsys):
+        path = self.labeled_file(tmp_path)
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"w_b": 500.0, "h_b": 300.0, "true_distance_m": 1e200}) + "\n")
+        assert run_cli("calibrate", "regression", "--frames", path,
+                       "--out", tmp_path / "reg.json") == 0
+        norm = float(capsys.readouterr().out.split("residual_norm=")[1])
+        assert math.sqrt(sys.float_info.max) < norm < math.inf  # its square overflows
 
     def test_singular_fit_exits_3(self, tmp_path):
         path = tmp_path / "labeled.jsonl"
@@ -917,6 +938,55 @@ class TestNeoRecalibrationInputs:
         assert sorted(r["class_label"] for r in third) == ["bystander", "car"]
         assert len(records) == 3 * 10 - 1
 
+    @staticmethod
+    def regression_profile(path, stream, distance):
+        """A two-feature profile that predicts ``distance`` for the stream's followed person."""
+        box = read_jsonl(stream)[0]["detections"][0]["bbox"]
+        path.write_text(json.dumps({"vip_id": "S1", "mode": "two", "a": 0.0,
+                                    "b": distance / (box["y_max"] - box["y_min"]), "c": 0.0}))
+        return path
+
+    @pytest.mark.parametrize("gt_source, truth, frame, what", [
+        ("truth", 1e308, 4, "the drift window's errors"),
+        ("regression", 1e308, 4, "the drift window's errors"),
+        # five such errors fit in a float; the refit's seven new distances do not
+        ("truth", 3e307, 6, "distances"),
+    ], ids=["truth", "regression", "truth-refit"])
+    def test_trusted_distances_whose_sum_overflows_name_stream_and_frame(
+        self, tmp_path, capsys, gt_source, truth, frame, what
+    ):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--scene", SCENES / "calib_2p5m.json", "--out-dir", out) == 0
+        stream = out / "frames.jsonl"
+        records = read_jsonl(stream)
+        for rec in records:
+            rec["ground_truth"]["vip"] = truth
+        stream.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        reg = self.regression_profile(tmp_path / "reg.json", stream, truth)
+        est = tmp_path / "est.jsonl"
+        assert run_cli("estimate", "--stream", stream, "--estimator", "neo",
+                       "--depth-profile", _write_depth_profile(tmp_path / "depth.json"),
+                       "--gt-source", gt_source, "--regression-profile", reg, "--fps", "2",
+                       "--out", est) == 2
+        assert (f"error: {stream}: frame frame_{frame:06d}: the sum of {what} is beyond the "
+                "largest float\n") in capsys.readouterr().err
+        assert not est.exists()
+
+    def test_the_default_truth_source_refits_like_the_recorded_truth(self, tmp_path):
+        stream = self.drift_stream(tmp_path)
+        profile = _write_depth_profile(tmp_path / "depth.json")
+        reg = self.regression_profile(tmp_path / "reg.json", stream, 3.0)
+        firsts = []
+        for gt_source in ("regression", "truth"):
+            est = tmp_path / f"{gt_source}.jsonl"
+            assert self.neo(stream, profile, est, "--gt-source", gt_source,
+                            "--regression-profile", reg) == 0
+            records = read_jsonl(est)
+            refit = next(i for i, r in enumerate(records) if r.get("event") == "recalibration")
+            assert records[refit]["timestamp_s"] >= 20.0  # after the law switch
+            firsts.append(abs(records[refit + 1]["distance_m"] - 3.0))
+        assert firsts[0] == pytest.approx(firsts[1], abs=0.01)
+
 
 class TestInvertedMap:
     """A map whose near pixels score high, calibrated with ``--lt-take highest``.
@@ -1078,7 +1148,7 @@ class TestCodecFaults:
 
     @pytest.mark.parametrize("reader", ["regression", "regression-huge", "regression-inf",
                                         "focal", "focal-nan", "focal-huge", "focal-inf-height",
-                                        "focal-zero-height"])
+                                        "focal-zero-height", "focal-resolution"])
     def test_sample_outside_its_domain_names_file_and_line(self, tmp_path, capsys, reader):
         box = {"x_min": 540.0, "y_min": 193.0, "x_max": 740.0, "y_max": 527.0,
                "resolution_w": 1280, "resolution_h": 720}
@@ -1109,6 +1179,13 @@ class TestCodecFaults:
             "focal-zero-height": ({"bbox": box, "object_height_m": 0.63, "true_distance_m": 3.0},
                                   {"bbox": box, "object_height_m": 0, "true_distance_m": 3.0},
                                   "focal sample", "object height must be positive, got 0.0"),
+            # at 640 px the same person would give half the focal length
+            "focal-resolution": ({"bbox": box, "object_height_m": 0.63, "true_distance_m": 3.0},
+                                 {"bbox": {**{k: v / 2 for k, v in box.items()},
+                                           "resolution_w": 640, "resolution_h": 360},
+                                  "object_height_m": 0.63, "true_distance_m": 3.0},
+                                 "focal sample", "box resolution 640x360 differs from the "
+                                 "first sample's 1280x720; scale the box first"),
         }[reader]
         samples = tmp_path / "samples.jsonl"
         samples.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")

@@ -39,6 +39,18 @@ class TestFitCoefficients:
         with pytest.raises(SingularFitError):
             fit_coefficients(samples)
 
+    @pytest.mark.parametrize("points, what", [
+        ([(1.5e308, 2.0), (1.5e308, 3.0)], "scores"),
+        ([(0.1, 1e308), (0.2, 1.5e308)], "distances"),
+        ([(1e300, 2.0), (-1e300, 3.0)], "squared score deviations"),
+        # products of -inf and +inf, which fsum cannot add
+        ([(0.0, 1e300), (1e10, 1.0), (2e10, 1e300)], "score-distance products"),
+    ], ids=["scores", "distances", "squares", "products"])
+    def test_sums_beyond_a_float_are_a_domain_error(self, points, what):
+        samples = [CalibrationSample(score, distance) for score, distance in points]
+        with pytest.raises(DomainError, match=f"the sum of {what} is beyond the largest float"):
+            fit_coefficients(samples)
+
     def test_needs_two_samples(self):
         with pytest.raises(EmptyInputError):
             fit_coefficients([CalibrationSample(0.3, 2.0)])
